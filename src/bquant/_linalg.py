@@ -6,7 +6,6 @@ algorithms favour clarity over asymptotics.
 """
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 
 __all__ = [
@@ -384,7 +383,3 @@ def unimodular_inverse(rows):
             row.append(int(entry))
         out.append(tuple(row))
     return out
-
-
-def subsets_of_size(items, size):
-    return combinations(items, size)

@@ -138,6 +138,26 @@ class VirtualCharacter:
                 table[key] = table.get(key, 0) + ma * mb
         return VirtualCharacter(self.rank, table)
 
+    def invariant_pairing(self, other):
+        """Sum over w of self(w) * other(-w).
+
+        This equals `self.tensor(other).invariant_part()` without forming the
+        convolution: one lookup per weight of the smaller support.
+        """
+        if not isinstance(other, VirtualCharacter):
+            raise TypeError("invariant_pairing expects a VirtualCharacter")
+        if self.rank != other.rank:
+            raise DimensionMismatchError(
+                f"cannot pair characters of ranks {self.rank} and {other.rank}"
+            )
+        small, large = self._multiplicities, other._multiplicities
+        if len(small) > len(large):
+            small, large = large, small
+        return sum(
+            multiplicity * large.get(tuple(-entry for entry in weight), 0)
+            for weight, multiplicity in small.items()
+        )
+
     def __eq__(self, other):
         if not isinstance(other, VirtualCharacter):
             return NotImplemented

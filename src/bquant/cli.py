@@ -20,7 +20,6 @@ from .engine import (
     verify_qr_product,
 )
 from .errors import (
-    BQuantError,
     DimensionMismatchError,
     NotFiniteError,
     NotValidatedError,

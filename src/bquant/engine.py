@@ -25,7 +25,6 @@ from . import _linalg
 from .characters import PolyhedralCharacter, VirtualCharacter
 from .errors import (
     DimensionMismatchError,
-    EmptyPolyhedronError,
     NotFiniteError,
     NoVerticesError,
     SelfCheckError,
@@ -83,11 +82,12 @@ class ReducedSpaceResult:
 class QRReport:
     """Two-route comparison of quantization and reduction on a product.
 
-    `invariant_from_characters` pairs the two characters and reads off the
-    invariant multiplicity; `invariant_from_geometry` counts reduced-space
-    points directly, never forming a character.  `first_mismatch`, when not
-    None, is (weight, character multiplicity, reduced-space count) at the
-    lexicographically first weight where the routes disagree.
+    `invariant_from_characters` is the invariant part of chi (x) P, read off
+    as the pairing sum over w of chi(w) * P(-w) without forming the tensor;
+    `invariant_from_geometry` counts reduced-space points directly, never
+    forming a character.  `first_mismatch`, when not None, is (weight,
+    character multiplicity, reduced-space count) at the lexicographically
+    first weight where the routes disagree.
     """
 
     invariant_from_characters: int
@@ -573,8 +573,10 @@ def verify_qr_product(description, partner, character=None, threads=1):
     """Check that quantization commutes with reduction against a compact
     partner space.
 
-    Route one pairs the two characters and reads off the invariant
-    multiplicity.  Route two never forms the first character: it counts
+    Route one is the invariant part of chi (x) P, where chi is the
+    character of `description` and P that of `partner`.  It is computed as
+    the pairing sum over w of chi(w) * P(-w), one lookup per weight, without
+    forming the tensor.  Route two never forms the first character: it counts
     reduced-space points of `description` directly at each weight of the
     reflected partner polytope.  The per-weight comparison pins down the
     first disagreement, if any.
@@ -594,7 +596,7 @@ def verify_qr_product(description, partner, character=None, threads=1):
     if character is None:
         character = quantize_description(description, threads=threads)
     partner_character = quantize_compact_toric(partner, threads=threads)
-    invariant_from_characters = character.tensor(partner_character).invariant_part()
+    invariant_from_characters = character.invariant_pairing(partner_character)
 
     reflected = partner.polytope.reflect_through_origin()
     invariant_from_geometry = 0

@@ -463,6 +463,22 @@ def test_qr_product_catches_corrupted_character():
     report = verify_qr_product(d, partner, character=corrupted)
     assert not report.matches
     assert report.first_mismatch == ((1,), 2, 1)
+    # route one reads the character it is given, not a recomputed one
+    assert report.invariant_from_characters == 4
+    assert report.invariant_from_geometry == 3
+
+
+def test_qr_product_never_forms_the_tensor(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("verify_qr_product formed the tensor")
+
+    monkeypatch.setattr(VirtualCharacter, "tensor", refuse)
+    report = verify_qr_product(
+        load("product_k1.json"), load("c_box_m3_0_x_m1_0.json")
+    )
+    assert report.matches
+    assert report.invariant_from_characters == 6
+    assert report.invariant_from_geometry == 6
 
 
 def test_qr_product_partner_must_be_compact():
