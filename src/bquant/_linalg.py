@@ -13,9 +13,7 @@ __all__ = [
     "make_primitive",
     "exact",
     "integer_scaled",
-    "scale_to_coprime_ints",
     "dot",
-    "matrix_rank",
     "solve_unique",
     "determinant",
     "rational_kernel_basis",
@@ -62,11 +60,6 @@ def integer_scaled(vec):
     return ints, scale
 
 
-def scale_to_coprime_ints(vec):
-    """Scale a rational vector by a positive rational into a coprime integer vector."""
-    return make_primitive(integer_scaled(vec)[0])
-
-
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
@@ -108,11 +101,6 @@ def _row_reduce(rows):
         if r == len(mat):
             break
     return mat, pivots
-
-
-def matrix_rank(rows):
-    _, pivots = _row_reduce(rows)
-    return len(pivots)
 
 
 def solve_unique(rows, rhs):
@@ -360,26 +348,3 @@ def fm_feasible(constraints, nvars):
         if num < 0 or (strict and num == 0):
             return False
     return True
-
-
-def unimodular_inverse(rows):
-    """Exact inverse of an integer matrix with determinant +-1, as int rows."""
-    n = len(rows)
-    inverse = []
-    for j in range(n):
-        rhs = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        col = solve_unique(rows, rhs)
-        if col is None:
-            raise ValueError("matrix is singular")
-        inverse.append(col)
-    # inverse currently holds columns; transpose and cast to int
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = inverse[j][i]
-            if entry.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(entry))
-        out.append(tuple(row))
-    return out

@@ -1,10 +1,11 @@
 """Command-line batch interface.
 
 Commands operate on description files and print deterministic text: given
-the same invocation, the output is byte-identical across runs and across
-``--threads`` settings.  Exit codes: 0 success, 1 semantic failure (failed
-check, uncancelled tails, verification mismatch), 2 usage, I/O or parse
-problems.
+the same invocation, the output is byte-identical across runs.
+``quantize`` and ``verify-qr`` accept ``--threads N`` (N >= 1) and ignore
+it; enumeration is sequential.  Exit codes: 0 success, 1 semantic failure
+(failed check, uncancelled tails, verification mismatch), 2 usage, I/O or
+parse problems.
 """
 
 import argparse
@@ -75,7 +76,7 @@ def _build_parser():
     sub.add_argument("file")
     sub.add_argument(
         "--threads", type=int, default=1, metavar="N",
-        help="worker threads for lattice enumeration (output unaffected)",
+        help="accepted for compatibility and ignored; must be at least 1",
     )
     sub.add_argument(
         "--verify", action="store_true",
@@ -101,7 +102,10 @@ def _build_parser():
     )
     sub.add_argument("file")
     sub.add_argument("partner")
-    sub.add_argument("--threads", type=int, default=1, metavar="N")
+    sub.add_argument(
+        "--threads", type=int, default=1, metavar="N",
+        help="accepted for compatibility and ignored; must be at least 1",
+    )
     add_common(sub)
 
     sub = commands.add_parser(
@@ -208,7 +212,7 @@ def _verify_quantization(description, character):
 
 def _cmd_quantize(args):
     description = load_description(args.file)
-    character = quantize_description(description, threads=args.threads)
+    character = quantize_description(description)
     code = 0
     verify_lines = []
     if args.verify:
@@ -269,7 +273,7 @@ def _cmd_reduce(args):
 def _cmd_verify_qr(args):
     description = load_description(args.file)
     partner = load_description(args.partner)
-    report = verify_qr_product(description, partner, threads=args.threads)
+    report = verify_qr_product(description, partner)
     code = 0 if report.matches else 1
     if args.format == "json":
         payload = {

@@ -15,7 +15,6 @@ character is re-checked pointwise against the formal character on a window
 twice the size of its support.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
@@ -172,15 +171,7 @@ def tail_matching(description):
 
 
 # ----------------------------------------------------------------------
-# lattice enumeration (optionally fanned out over a thread pool)
-
-
-def _enumerate_pieces(pieces, threads):
-    """lattice_points for each polyhedron, merged back in input order."""
-    if threads <= 1 or len(pieces) <= 1:
-        return [polyhedron.lattice_points() for polyhedron in pieces]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda p: p.lattice_points(), pieces))
+# lattice enumeration
 
 
 def _accumulate(table, points, coefficient):
@@ -196,36 +187,13 @@ def _accumulate(table, points, coefficient):
 # compact case
 
 
-def quantize_compact_toric(space, threads=1):
+def quantize_compact_toric(space):
     """Character of a compact toric space: each lattice point of the moment
     polytope contributes one weight with multiplicity 1."""
     if not isinstance(space, CompactToricSpace):
         raise TypeError("expected a CompactToricSpace")
     require_validated(space)
-    polytope = space.polytope
-    if threads <= 1 or polytope.rank == 0:
-        points = polytope.lattice_points()
-    else:
-        # slab the first axis into contiguous chunks; each slab enumerates in
-        # lexicographic order, so concatenation equals the sequential result
-        values = [vertex[0] for vertex in polytope.vertices()]
-        low, high = ceil(min(values)), floor(max(values))
-        width = high - low + 1
-        chunk = max(1, -(-width // threads))
-        slabs = []
-        start = low
-        while start <= high:
-            stop = min(start + chunk - 1, high)
-            axis = (1,) + (0,) * (polytope.rank - 1)
-            slabs.append(
-                polytope.with_inequality(axis, Fraction(stop)).with_inequality(
-                    tuple(-x for x in axis), Fraction(-start)
-                )
-            )
-            start = stop + 1
-        points = []
-        for slab_points in _enumerate_pieces(slabs, threads):
-            points.extend(slab_points)
+    points = space.polytope.lattice_points()
     return VirtualCharacter(space.rank, ((point, 1) for point in points))
 
 
@@ -233,7 +201,7 @@ def quantize_compact_toric(space, threads=1):
 # singular case
 
 
-def collapse_signed_tails(formal, matching, threads=1, self_check=True):
+def collapse_signed_tails(formal, matching, self_check=True):
     """Cancel matched opposite tails of a formal signed character exactly.
 
     For each term the integer cut at a matched end splits its lattice points
@@ -318,10 +286,8 @@ def collapse_signed_tails(formal, matching, threads=1, self_check=True):
                 coefficients.append(sign * (-1) ** (size + 1))
 
     table = {}
-    for coefficient, points in zip(
-        coefficients, _enumerate_pieces(pieces, threads)
-    ):
-        _accumulate(table, points, coefficient)
+    for coefficient, piece in zip(coefficients, pieces):
+        _accumulate(table, piece.lattice_points(), coefficient)
     character = VirtualCharacter(rank, table)
 
     if self_check:
@@ -426,7 +392,7 @@ def _verification_box(character, pieces):
     return ranges
 
 
-def quantize_b(description, threads=1, self_check=True):
+def quantize_b(description, self_check=True):
     """Finite character of a validated singular description.
 
     Raises ZeroModularWeightError before validation when every modular
@@ -445,18 +411,17 @@ def quantize_b(description, threads=1, self_check=True):
     require_validated(description)
     matching = tail_matching(description)
     return collapse_signed_tails(
-        formal_character(description),
-        matching,
-        threads=threads,
-        self_check=self_check,
+        formal_character(description), matching, self_check=self_check
     )
 
 
 def quantize_description(description, threads=1, self_check=True):
+    """Character of a compact or singular description.  `threads` is
+    accepted and ignored: enumeration is one sequential pass."""
     if isinstance(description, CompactToricSpace):
-        return quantize_compact_toric(description, threads=threads)
+        return quantize_compact_toric(description)
     if isinstance(description, BSpaceDescription):
-        return quantize_b(description, threads=threads, self_check=self_check)
+        return quantize_b(description, self_check=self_check)
     raise TypeError(
         f"cannot quantize {type(description).__name__}; expected "
         "CompactToricSpace or BSpaceDescription"
@@ -569,7 +534,7 @@ def facet_boundary_weights(description, character):
     return tuple(out)
 
 
-def verify_qr_product(description, partner, character=None, threads=1):
+def verify_qr_product(description, partner, character=None):
     """Check that quantization commutes with reduction against a compact
     partner space.
 
@@ -594,20 +559,22 @@ def verify_qr_product(description, partner, character=None, threads=1):
     require_validated(description)
     require_validated(partner)
     if character is None:
-        character = quantize_description(description, threads=threads)
-    partner_character = quantize_compact_toric(partner, threads=threads)
+        character = quantize_description(description)
+    partner_character = quantize_compact_toric(partner)
     invariant_from_characters = character.invariant_pairing(partner_character)
 
+    formal = formal_character(description)
     reflected = partner.polytope.reflect_through_origin()
     invariant_from_geometry = 0
     checked = 0
     first_mismatch = None
     for weight in reflected.lattice_points():
-        direct = pointwise_multiplicity(description, weight)
+        direct = formal.multiplicity(weight)
         invariant_from_geometry += direct
         checked += 1
-        if first_mismatch is None and character.multiplicity(weight) != direct:
-            first_mismatch = (weight, character.multiplicity(weight), direct)
+        from_character = character.multiplicity(weight)
+        if first_mismatch is None and from_character != direct:
+            first_mismatch = (weight, from_character, direct)
     return QRReport(
         invariant_from_characters=invariant_from_characters,
         invariant_from_geometry=invariant_from_geometry,

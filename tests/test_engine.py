@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import threading
 
 import pytest
 
@@ -41,6 +42,8 @@ from bquant import (
     tail_matching,
     verify_qr_product,
 )
+
+from bquant.cli import main
 
 import make_corpus
 
@@ -142,7 +145,7 @@ def test_point_space():
 )
 def test_compact_threading_is_invisible(name, threads):
     space = load(name)
-    assert quantize_compact_toric(space, threads=threads) == (
+    assert quantize_description(space, threads=threads) == (
         quantize_compact_toric(space)
     )
 
@@ -226,7 +229,23 @@ def test_collapse_is_threshold_independent():
 )
 def test_b_threading_is_invisible(name, threads):
     d = load(name)
-    assert quantize_b(d, threads=threads) == quantize_b(d)
+    assert quantize_description(d, threads=threads) == quantize_b(d)
+
+
+@pytest.mark.parametrize(
+    "name", ["c_box_m3_0_x_m1_0.json", "chain3_x_seg.json"]
+)
+def test_no_thread_is_ever_started(name, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert quantize_description(load(name), threads=8) == (
+        quantize_description(load(name))
+    )
+    argv = ["verify-qr", str(corpus_path(name)),
+            str(corpus_path("c_box_m3_0_x_m1_0.json")), "--threads", "8"]
+    assert main(argv) == 0
 
 
 def test_unclaimed_direction_is_refused():
@@ -284,17 +303,13 @@ def test_overlap_correction_restores_double_counted_points():
 
 
 def test_self_check_catches_corrupted_enumeration(monkeypatch):
-    real = engine._enumerate_pieces
+    # the self-check counts with points_in_box, not lattice_points
+    real = LatticePolyhedron.lattice_points
 
-    def corrupted(pieces, threads):
-        out = real(pieces, threads)
-        for points in out:
-            if points:
-                points.pop()
-                break
-        return out
+    def corrupted(self):
+        return real(self)[:-1]
 
-    monkeypatch.setattr(engine, "_enumerate_pieces", corrupted)
+    monkeypatch.setattr(LatticePolyhedron, "lattice_points", corrupted)
     with pytest.raises(SelfCheckError):
         quantize_b(load("sphere_a2_bm1.json"))
 
@@ -479,6 +494,24 @@ def test_qr_product_never_forms_the_tensor(monkeypatch):
     assert report.matches
     assert report.invariant_from_characters == 6
     assert report.invariant_from_geometry == 6
+
+
+def test_qr_product_builds_the_formal_character_once(monkeypatch):
+    d = load("product_k1.json")
+    partner = load("c_box_m3_0_x_m1_0.json")
+    character = quantize_description(d)
+    calls = []
+    real = engine.formal_character
+
+    def counted(description):
+        calls.append(description)
+        return real(description)
+
+    monkeypatch.setattr(engine, "formal_character", counted)
+    report = verify_qr_product(d, partner, character=character)
+    assert report.matches
+    assert report.checked_weights > 1
+    assert calls == [d]
 
 
 def test_qr_product_partner_must_be_compact():

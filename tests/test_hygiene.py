@@ -1,4 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and every helper in the private `_linalg` module has a caller in the
+package."""
 
 import ast
 from pathlib import Path
@@ -53,3 +55,53 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(node):
+    """Every bare name and attribute name read anywhere under `node`."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+
+
+def uncalled_helpers(source, other_sources):
+    """Top-level functions of `source` that nothing refers to, neither the
+    rest of `source` nor `other_sources`.  A function's own body and the
+    strings in `__all__` do not count as references."""
+    tree = ast.parse(source)
+    outside = set()
+    for other in other_sources:
+        outside.update(referenced_names(ast.parse(other)))
+    helpers = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    uncalled = []
+    for helper in helpers:
+        used = set(outside)
+        for node in tree.body:
+            if node is not helper:
+                used.update(referenced_names(node))
+        if helper.name not in used:
+            uncalled.append(helper.name)
+    return uncalled
+
+
+def test_scan_finds_an_uncalled_helper():
+    source = (
+        "__all__ = ['lone', 'used']\n"
+        "def lone(n):\n    return lone(n - 1) if n else used()\n"
+        "def used():\n    return 0\n"
+        "def chained():\n    return 1\n"
+    )
+    caller = "from . import helpers\nhelpers.chained()\n"
+    assert uncalled_helpers(source, [caller]) == ["lone"]
+
+
+def test_every_linalg_helper_has_a_caller_in_the_package():
+    linalg = next(path for path in MODULES if path.name == "_linalg.py")
+    others = [
+        path.read_text()
+        for path in Path(bquant.__file__).parent.glob("*.py")
+        if path != linalg
+    ]
+    assert uncalled_helpers(linalg.read_text(), others) == []

@@ -22,20 +22,9 @@ def test_make_primitive():
     assert la.make_primitive((-3,)) == (-1,)  # sign preserved
 
 
-def test_scale_to_coprime_ints():
-    assert la.scale_to_coprime_ints((Fraction(1, 2), Fraction(3, 4))) == (2, 3)
-    assert la.scale_to_coprime_ints((Fraction(-2), Fraction(4))) == (-1, 2)
-
-
 def test_dot():
     assert la.dot((1, 2), (3, -4)) == -5
     assert la.dot((), ()) == 0
-
-
-def test_matrix_rank():
-    assert la.matrix_rank([(1, 0), (0, 1)]) == 2
-    assert la.matrix_rank([(1, 2), (2, 4)]) == 1
-    assert la.matrix_rank([]) == 0
 
 
 def test_solve_unique():
@@ -156,11 +145,3 @@ def test_fm_feasible_2d_wedge():
     system = [((1, 1), 2, False), ((-1, 0), 0, False), ((0, -1), 0, False)]
     assert la.fm_feasible(system, 2)
     assert not la.fm_feasible(system + [((1, 1), -1, True)], 2)
-
-
-def test_unimodular_inverse():
-    assert la.unimodular_inverse([(1, 1), (0, 1)]) == [(1, -1), (0, 1)]
-    with pytest.raises(ValueError):
-        la.unimodular_inverse([(2, 0), (0, 1)])
-    with pytest.raises(ValueError):
-        la.unimodular_inverse([(1, 1), (1, 1)])
