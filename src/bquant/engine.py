@@ -8,11 +8,11 @@ component indicators, an infinite object.  Each hypersurface contributes two
 truncated tails of opposite sign which agree as sets beyond an integer
 threshold, so they cancel exactly; what survives is the signed sum of the
 bounded cores plus bounded inclusion-exclusion corrections where tails of
-distinct hypersurfaces overlap inside one component.  Every cancellation and
-boundedness claim is certified before it is used; a description whose tails
-fail to cancel raises NotFiniteError with the offending piece.  The final
-character is re-checked pointwise against the formal character on a window
-twice the size of its support.
+distinct hypersurfaces overlap inside one component.  Validation certifies
+the cancellation and hands over the tail ends; the collapse certifies that
+every surviving piece is bounded, raising NotFiniteError with the offending
+piece otherwise.  The final character is re-checked pointwise against the
+formal character on a window twice the size of its support.
 """
 
 from dataclasses import dataclass
@@ -33,9 +33,8 @@ from .spaces import (
     BSpaceDescription,
     CompactToricSpace,
     LocalModel,
+    TailEnd,
     require_validated,
-    tail_cut,
-    tail_threshold,
 )
 
 __all__ = [
@@ -54,18 +53,6 @@ __all__ = [
     "facet_boundary_weights",
     "verify_qr_product",
 ]
-
-
-@dataclass(frozen=True)
-class TailEnd:
-    """One hypersurface's pair of signed tails, ready for cancellation."""
-
-    hypersurface: int
-    plus_component: int
-    minus_component: int
-    cut_normal: tuple  # splitting covector; tails satisfy <cut_normal, x> <= -threshold
-    tail_ray: tuple  # primitive direction shared by both tails
-    threshold: int
 
 
 @dataclass(frozen=True)
@@ -131,43 +118,13 @@ def formal_character(description):
 
 
 def tail_matching(description):
-    """Pair the two signed tail ends of every hypersurface.
-
-    Plus and minus labels come from the component signs; equal signs on the
-    two sides cannot cancel and are rejected immediately.
-    """
+    """One TailEnd per hypersurface, as validation certified it: the
+    orientation and tail-product rows prove that the two tails of each end
+    are set-equal beyond its threshold with opposite signs.  A description
+    that fails validation raises NotValidatedError."""
     if not isinstance(description, BSpaceDescription):
         raise TypeError("tail matching applies to b_toric descriptions only")
-    ends = []
-    for index, record in enumerate(description.hypersurfaces):
-        if not any(record.modular_weight):
-            raise ZeroModularWeightError(
-                f"hypersurface {index} has zero modular weight, so it has no "
-                "tail direction to match"
-            )
-        first, second = record.adjacent
-        sign_first = description.components[first][0]
-        sign_second = description.components[second][0]
-        if sign_first == sign_second:
-            raise NotFiniteError(
-                "tails at this hypersurface carry equal signs and reinforce "
-                "instead of cancelling",
-                witness=("hypersurface", index),
-            )
-        plus, minus = (first, second) if sign_first == 1 else (second, first)
-        ends.append(
-            TailEnd(
-                hypersurface=index,
-                plus_component=plus,
-                minus_component=minus,
-                cut_normal=tuple(record.splitting),
-                tail_ray=_linalg.make_primitive(
-                    tuple(-x for x in record.modular_weight)
-                ),
-                threshold=tail_threshold(description, index),
-            )
-        )
-    return tuple(ends)
+    return require_validated(description).tails
 
 
 # ----------------------------------------------------------------------
@@ -201,47 +158,24 @@ def quantize_compact_toric(space):
 # singular case
 
 
-def collapse_signed_tails(formal, matching, self_check=True):
-    """Cancel matched opposite tails of a formal signed character exactly.
+def collapse_signed_tails(description, self_check=True):
+    """Cancel the matched opposite tails of a singular description exactly.
 
-    For each term the integer cut at a matched end splits its lattice points
-    into a core (inside every cut) and tails; the two tails of each end are
-    certified set-equal with opposite signs, so they cancel without
-    enumeration.  Overlaps of tails from distinct ends inside one term are
-    restored by inclusion-exclusion; every surviving piece must be bounded.
-    Raises NotFiniteError with the offending term and direction otherwise.
+    Validation's orientation and tail-product rows certify that the two
+    tails of each end (:func:`tail_matching`) are set-equal with opposite
+    signs, so they cancel without enumeration.  Each term's cuts at its ends
+    leave a core, and overlaps of tails from distinct ends are restored by
+    inclusion-exclusion; the collapse certifies that every core and overlap
+    is bounded (NotFiniteError with the term and direction otherwise).
 
-    The result is certified pointwise against `formal` on a window twice the
-    size of its support (SelfCheckError on any disagreement).
+    The result is then re-checked pointwise against the formal character
+    on a window twice the size of its support (SelfCheckError otherwise).
     """
-    if not isinstance(formal, PolyhedralCharacter):
-        raise TypeError("expected a PolyhedralCharacter")
+    matching = tail_matching(description)
+    formal = formal_character(description)
     rank = formal.rank
     ends_at = {}
     for end in matching:
-        for side in (end.plus_component, end.minus_component):
-            if not 0 <= side < len(formal.terms):
-                raise IndexError(f"matching references missing term {side}")
-        plus_sign = formal.terms[end.plus_component][0]
-        minus_sign = formal.terms[end.minus_component][0]
-        if plus_sign + minus_sign != 0:
-            raise NotFiniteError(
-                "matched tails carry equal signs and reinforce instead of "
-                "cancelling",
-                witness=("hypersurface", end.hypersurface),
-            )
-        plus_tail = tail_cut(
-            formal.terms[end.plus_component][1], end.cut_normal, end.threshold
-        )
-        minus_tail = tail_cut(
-            formal.terms[end.minus_component][1], end.cut_normal, end.threshold
-        )
-        if not plus_tail.set_equals(minus_tail):
-            raise NotFiniteError(
-                "matched tails differ as sets, leaving an uncancelled "
-                "unbounded remainder",
-                witness=("hypersurface", end.hypersurface),
-            )
         ends_at.setdefault(end.plus_component, []).append(end)
         ends_at.setdefault(end.minus_component, []).append(end)
 
@@ -395,6 +329,10 @@ def _verification_box(character, pieces):
 def quantize_b(description, self_check=True):
     """Finite character of a validated singular description.
 
+    Validation certifies that the tails at each hypersurface are set-equal
+    with opposite signs, the collapse that the cores and overlaps left are
+    bounded, and the self-check re-checks the result pointwise.
+
     Raises ZeroModularWeightError before validation when every modular
     weight vanishes: that is the other branch of the modular-weight
     dichotomy, where this engine does not apply.
@@ -409,10 +347,7 @@ def quantize_b(description, self_check=True):
             "cancel"
         )
     require_validated(description)
-    matching = tail_matching(description)
-    return collapse_signed_tails(
-        formal_character(description), matching, self_check=self_check
-    )
+    return collapse_signed_tails(description, self_check=self_check)
 
 
 def quantize_description(description, threads=1, self_check=True):

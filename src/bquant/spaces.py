@@ -12,15 +12,17 @@ hypersurface.  Each hypersurface record carries
 * ``leaf``           -- the compact moment polytope of the symplectic leaf,
   presented in coordinates on the annihilator lattice of the splitting
   (canonical basis: :func:`leaf_embedding_basis`),
-* ``adjacent``       -- the indices (plus side, minus side) of the two
-  components whose tails the hypersurface glues; they must carry opposite
-  signs.
+* ``adjacent``       -- the indices of the two components whose tails the
+  hypersurface glues, in either order; they must carry opposite signs, and
+  the signs, not the order, say which tail is the plus one.
 
 Validation certifies, with exact arithmetic, that beyond the computed
 integer threshold each matched tail is a product of a half-line with a
 common translate of the leaf polytope, and that every unbounded direction
 of every component is claimed by exactly one hypersurface end.  Those are
-precisely the facts the quantization engine's tail cancellation consumes.
+precisely the facts the quantization engine's tail cancellation consumes:
+a passing report carries one :class:`TailEnd` per hypersurface, and the
+engine reads its tail ends from there.
 
 File format (version ``bquant/1``)::
 
@@ -69,6 +71,7 @@ __all__ = [
     "BSpaceDescription",
     "MappingTorus",
     "LocalModel",
+    "TailEnd",
     "ValidationReport",
     "parse_description",
     "load_description",
@@ -102,7 +105,7 @@ class HypersurfaceRecord:
     modular_weight: tuple
     splitting: tuple
     leaf: LatticePolyhedron
-    adjacent: tuple  # (plus-side component index, minus-side component index)
+    adjacent: tuple  # the two glued component indices, in either order
 
     def __post_init__(self):
         object.__setattr__(self, "modular_weight", tuple(self.modular_weight))
@@ -170,7 +173,20 @@ class LocalModel:
 
     hypersurface: int
     threshold: int
-    tails: tuple  # ((sign, polyhedron), (sign, polyhedron)) in (plus, minus) order
+    tails: tuple  # ((sign, polyhedron), (sign, polyhedron)) in adjacent order
+
+
+@dataclass(frozen=True)
+class TailEnd:
+    """One hypersurface's certified pair of signed tails, ready for
+    cancellation."""
+
+    hypersurface: int
+    plus_component: int
+    minus_component: int
+    cut_normal: tuple  # splitting covector; tails satisfy <cut_normal, x> <= -threshold
+    tail_ray: tuple  # primitive direction shared by both tails
+    threshold: int
 
 
 # ----------------------------------------------------------------------
@@ -384,6 +400,7 @@ def cross_section(polyhedron, modular_weight, splitting, basis, level):
 @dataclass(frozen=True)
 class ValidationReport:
     checks: tuple
+    tails: tuple = ()  # one TailEnd per hypersurface, set only if every row passes
 
     @property
     def passed(self):
@@ -413,28 +430,30 @@ def _record_is_degenerate(record):
 def _check_orientation(description):
     name = "orientation"
     for index, record in enumerate(description.hypersurfaces):
-        plus_side, minus_side = record.adjacent
-        if plus_side == minus_side:
+        first, second = record.adjacent
+        if first == second:
             return CheckReport(
                 name,
                 False,
-                witness=(index, plus_side),
+                witness=(index, first),
                 message="hypersurface adjoins the same component on both sides",
             )
-        plus_sign = description.components[plus_side][0]
-        minus_sign = description.components[minus_side][0]
-        if plus_sign != -minus_sign:
+        first_sign = description.components[first][0]
+        second_sign = description.components[second][0]
+        if first_sign != -second_sign:
             return CheckReport(
                 name,
                 False,
-                witness=(index, (plus_sign, minus_sign)),
+                witness=(index, (first_sign, second_sign)),
                 message="adjacent components must carry opposite signs",
             )
     return CheckReport(name, True)
 
 
 def _check_tail_product(description):
+    """The tail-product row and, when it passes, each hypersurface's TailEnd."""
     name = "tail-product"
+    ends = []
     for index, record in enumerate(description.hypersurfaces):
         if _record_is_degenerate(record):
             continue
@@ -458,7 +477,7 @@ def _check_tail_product(description):
                     False,
                     witness=(index, side),
                     message="adjacent component is empty",
-                )
+                ), ()
             tail = tail_cut(polyhedron, splitting, threshold)
             if tail.is_empty():
                 return CheckReport(
@@ -466,7 +485,7 @@ def _check_tail_product(description):
                     False,
                     witness=(index, side),
                     message="component has no tail beyond the threshold",
-                )
+                ), ()
             shifted = tail.translate(tuple(-x for x in v))
             deeper = tail.with_inequality(
                 tuple(splitting), Fraction(-threshold - 1)
@@ -478,7 +497,7 @@ def _check_tail_product(description):
                     witness=(index, side),
                     message="tail is not translation-invariant along the "
                             "modular direction",
-                )
+                ), ()
             section = cross_section(tail, v, splitting, basis, -threshold)
             if section is None or section.is_empty():
                 return CheckReport(
@@ -486,14 +505,14 @@ def _check_tail_product(description):
                     False,
                     witness=(index, side),
                     message="tail cross-section is empty",
-                )
+                ), ()
             if not section.is_bounded():
                 return CheckReport(
                     name,
                     False,
                     witness=(index, side),
                     message="tail cross-section is unbounded",
-                )
+                ), ()
             anchor = min(section.vertices())
             offset = tuple(a - b for a, b in zip(anchor, leaf_anchor))
             if not section.set_equals(leaf.translate(offset)):
@@ -503,7 +522,7 @@ def _check_tail_product(description):
                     witness=(index, side),
                     message="tail cross-section is not a translate of the "
                             "leaf polytope",
-                )
+                ), ()
             tails.append(tail)
         if not tails[0].set_equals(tails[1]):
             return CheckReport(
@@ -511,8 +530,13 @@ def _check_tail_product(description):
                 False,
                 witness=(index,),
                 message="the two matched tails differ as sets",
-            )
-    return CheckReport(name, True)
+            ), ()
+        plus, minus = record.adjacent
+        if description.components[plus][0] == -1:
+            plus, minus = minus, plus
+        tail_ray = tuple(-x for x in v)  # primitive, since v is
+        ends.append(TailEnd(index, plus, minus, splitting, tail_ray, threshold))
+    return CheckReport(name, True), tuple(ends)
 
 
 def _delzant_verdict(polyhedron, label):
@@ -563,7 +587,8 @@ def _check_compactness(space):
 @lru_cache(maxsize=None)
 def validate_description(description):
     """Run every geometric check; the description is immutable, so the
-    report is cached per value."""
+    report is cached per value.  A passing b_toric report also carries the
+    tail ends its tail-product row certified."""
     if isinstance(description, CompactToricSpace):
         reports = (
             _check_compactness(description),
@@ -572,16 +597,17 @@ def validate_description(description):
         )
         return ValidationReport(checks=reports)
     if isinstance(description, BSpaceDescription):
-        reports = (
+        leading = (
             check_modular_dichotomy(description),
             check_gamma_integrality(description),
             check_mu_integrality(description),
             check_properness(description),
             _check_orientation(description),
-            _check_tail_product(description),
-            _check_delzant(description),
         )
-        return ValidationReport(checks=reports)
+        tail_product, tails = _check_tail_product(description)
+        reports = leading + (tail_product, _check_delzant(description))
+        passed = all(check.passed for check in reports)
+        return ValidationReport(checks=reports, tails=tails if passed else ())
     raise TypeError(
         f"expected CompactToricSpace or BSpaceDescription, got "
         f"{type(description).__name__}"
@@ -603,7 +629,8 @@ def require_validated(description):
 
 
 def local_model(description, index):
-    """The two signed truncated tails at hypersurface `index`."""
+    """The two signed truncated tails at hypersurface `index`, in adjacent
+    order, cut at the threshold validation certified."""
     if not isinstance(description, BSpaceDescription):
         raise TypeError("local models exist only for b_toric descriptions")
     if not 0 <= index < len(description.hypersurfaces):
@@ -611,9 +638,8 @@ def local_model(description, index):
             f"hypersurface index {index} out of range "
             f"(have {len(description.hypersurfaces)})"
         )
-    require_validated(description)
+    threshold = require_validated(description).tails[index].threshold
     record = description.hypersurfaces[index]
-    threshold = tail_threshold(description, index)
     tails = []
     for side in record.adjacent:
         sign, polyhedron = description.components[side]

@@ -11,7 +11,7 @@ import pytest
 from conftest import corpus_path
 
 import bquant
-from bquant import __version__
+from bquant import __version__, load_description, local_model
 from bquant.cli import main
 
 
@@ -265,6 +265,18 @@ def test_cancel_table(run):
         "tail[-1] = {x1 <= -3}\n"
         "local quantization = 0\n"
     )
+
+
+def test_cancel_lists_tails_in_adjacent_order(run):
+    # hypersurface 1 of the 4-cycle lists its minus component first; the
+    # signs, not the order of `adjacent`, say which tail is the plus one
+    path = str(corpus_path("btorus_4cycle.json"))
+    model = local_model(load_description(path), 1)
+    assert [sign for sign, _ in model.tails] == [-1, 1]
+    code, out, _ = run("cancel", path, "--hypersurface", "1", "--no-header")
+    assert code == 0
+    tails = [line for line in out.splitlines() if line.startswith("tail[")]
+    assert [line[:8] for line in tails] == ["tail[-1]", "tail[+1]"]
 
 
 def test_cancel_json(run):

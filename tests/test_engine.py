@@ -15,6 +15,7 @@ from conftest import (
 )
 
 import bquant.engine as engine
+import bquant.spaces as spaces
 from bquant import (
     BSpaceDescription,
     DimensionMismatchError,
@@ -40,6 +41,7 @@ from bquant import (
     quantize_local_model,
     reduced_space_quantization,
     tail_matching,
+    validate_description,
     verify_qr_product,
 )
 
@@ -99,20 +101,46 @@ def test_tail_matching_orients_by_sign_not_order():
 def test_tail_matching_rejects_zero_weight():
     data = raw_description("sphere_a2_bm1.json")
     data["hypersurfaces"][0]["modular_weight"] = [0]
-    with pytest.raises(ZeroModularWeightError):
+    with pytest.raises(NotValidatedError, match="modular-dichotomy"):
         tail_matching(parse(data))
 
 
 def test_tail_matching_rejects_equal_signs():
     d = load("neg_equal_signs.json")
-    with pytest.raises(NotFiniteError) as info:
+    with pytest.raises(NotValidatedError) as info:
         tail_matching(d)
-    assert info.value.witness == ("hypersurface", 0)
+    (orientation,) = [
+        check for check in info.value.report.checks
+        if check.name == "orientation"
+    ]
+    assert not orientation.passed
+    assert orientation.witness[0] == 0
 
 
 def test_tail_matching_requires_b_description():
     with pytest.raises(TypeError):
         tail_matching(load("c_seg_0_3.json"))
+
+
+@pytest.mark.parametrize(
+    "name", ["chain3.json", "btorus_4cycle.json", "chain3_x_seg.json"]
+)
+def test_tail_facts_are_certified_once(name, monkeypatch):
+    # validation computes every threshold and proves tail equality; after
+    # it, quantizing, matching and cutting local models derive neither again
+    d = load(name)
+    assert validate_description(d).passed
+    expected = quantize_description(d)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tail fact was derived again")
+
+    monkeypatch.setattr(spaces, "tail_threshold", refuse)
+    monkeypatch.setattr(LatticePolyhedron, "set_equals", refuse)
+    assert quantize_description(d) == expected
+    assert len(tail_matching(d)) == len(d.hypersurfaces)
+    for index in range(len(d.hypersurfaces)):
+        local_model(d, index)
 
 
 # ----------------------------------------------------------------------
@@ -207,20 +235,23 @@ def test_quantize_b_matches_signed_membership_everywhere():
 
 def test_collapse_by_hand_equals_quantizer():
     d = load("product_k3.json")
-    formal = formal_character(d)
-    matching = tail_matching(d)
-    assert collapse_signed_tails(formal, matching) == quantize_b(d)
+    assert collapse_signed_tails(d) == quantize_b(d)
 
 
-def test_collapse_is_threshold_independent():
+def inject_matching(monkeypatch, matching):
+    """Hand the collapse a matching of the test's own making."""
+    monkeypatch.setattr(engine, "tail_matching", lambda description: matching)
+
+
+def test_collapse_is_threshold_independent(monkeypatch):
     d = load("chain3.json")
-    formal = formal_character(d)
-    matching = tail_matching(d)
+    expected = quantize_b(d)
     enlarged = tuple(
         dataclasses.replace(end, threshold=end.threshold + 7)
-        for end in matching
+        for end in tail_matching(d)
     )
-    assert collapse_signed_tails(formal, enlarged) == quantize_b(d)
+    inject_matching(monkeypatch, enlarged)
+    assert collapse_signed_tails(d) == expected
 
 
 @pytest.mark.parametrize("threads", [2, 5])
@@ -248,58 +279,47 @@ def test_no_thread_is_ever_started(name, monkeypatch):
     assert main(argv) == 0
 
 
-def test_unclaimed_direction_is_refused():
+def test_unclaimed_direction_is_refused(monkeypatch):
     # drop the second matched end of the degenerate torus: both full lines
     # keep their positive direction and the collapse must refuse
     d = load("btorus.json")
-    formal = formal_character(d)
-    matching = tail_matching(d)[:1]
+    inject_matching(monkeypatch, tail_matching(d)[:1])
     with pytest.raises(NotFiniteError) as info:
-        collapse_signed_tails(formal, matching)
+        collapse_signed_tails(d)
     assert info.value.witness == (("term", 0), (1,))
     assert "no hypersurface end claims it" in str(info.value)
 
 
 def test_unequal_tails_are_refused():
+    # the minus component now stops at x = -10, so the plus tail has no
+    # partner to cancel; a collapse trusting the matching would return
+    # {0, 1, 2}, and its self-check window [-2, 4] never reaches x <= -3,
+    # so only validation can refuse this description
     data = raw_description("sphere_a2_bm1.json")
     data["components"][1]["polyhedron"]["inequalities"].append(
         {"normal": [-1], "bound": 10}
     )
     d = parse(data)
-    matching = tail_matching(d)
-    with pytest.raises(NotFiniteError) as info:
-        collapse_signed_tails(formal_character(d), matching)
-    assert info.value.witness == ("hypersurface", 0)
-    assert "differ as sets" in str(info.value)
+    for attempt in (collapse_signed_tails, quantize_b):
+        with pytest.raises(NotValidatedError, match="tail-product") as info:
+            attempt(d)
+        (row,) = [
+            check for check in info.value.report.checks
+            if check.name == "tail-product"
+        ]
+        assert row.witness == (0, 1)  # hypersurface 0, the minus component
 
 
-def test_equal_sign_matching_is_refused():
-    formal = PolyhedralCharacter(
-        1,
-        ((1, LatticePolyhedron(1, [((1,), 2)])),
-         (1, LatticePolyhedron(1, [((1,), -1)]))),
-    )
-    end = TailEnd(0, 0, 1, (1,), (-1,), 3)
-    with pytest.raises(NotFiniteError):
-        collapse_signed_tails(formal, (end,))
-
-
-def test_matching_against_missing_term():
-    d = load("sphere_a2_bm1.json")
-    end = dataclasses.replace(tail_matching(d)[0], minus_component=5)
-    with pytest.raises(IndexError):
-        collapse_signed_tails(formal_character(d), (end,))
-
-
-def test_overlap_correction_restores_double_counted_points():
+def test_overlap_correction_restores_double_counted_points(monkeypatch):
     # shrink one threshold of the torus matching so the two tails of each
     # line overlap on [-5, -1]; the inclusion-exclusion correction must put
     # the cancelled points back, and the total stays zero
     d = load("btorus.json")
-    formal = formal_character(d)
     first, second = tail_matching(d)
-    custom = (first, dataclasses.replace(second, threshold=-5))
-    assert collapse_signed_tails(formal, custom) == VirtualCharacter.zero(1)
+    inject_matching(
+        monkeypatch, (first, dataclasses.replace(second, threshold=-5))
+    )
+    assert collapse_signed_tails(d) == VirtualCharacter.zero(1)
 
 
 def test_self_check_catches_corrupted_enumeration(monkeypatch):

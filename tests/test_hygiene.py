@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and every helper in the private `_linalg` module has a caller in the
-package."""
+and every helper in the private `_linalg` module, like every private
+top-level function elsewhere, has a caller in the package."""
 
 import ast
 from pathlib import Path
@@ -98,10 +98,18 @@ def test_scan_finds_an_uncalled_helper():
 
 
 def test_every_linalg_helper_has_a_caller_in_the_package():
-    linalg = next(path for path in MODULES if path.name == "_linalg.py")
-    others = [
-        path.read_text()
+    # every function of the private _linalg module, and every private
+    # top-level function of the other modules
+    sources = {
+        path: path.read_text()
         for path in Path(bquant.__file__).parent.glob("*.py")
-        if path != linalg
-    ]
-    assert uncalled_helpers(linalg.read_text(), others) == []
+    }
+    uncalled = []
+    for path in MODULES:
+        others = [text for other, text in sources.items() if other != path]
+        uncalled.extend(
+            f"{path.name}: {name}"
+            for name in uncalled_helpers(sources[path], others)
+            if path.name == "_linalg.py" or name.startswith("_")
+        )
+    assert uncalled == []

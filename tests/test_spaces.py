@@ -372,6 +372,8 @@ def test_validate_rejects_unknown_type():
 def test_report_payload_shape():
     report = validate_description(parse(SPHERE))
     payload = report.payload()
+    assert set(payload) == {"passed", "checks"}  # the tail ends stay internal
+    assert len(report.tails) == 1
     assert payload["passed"] is True
     assert len(payload["checks"]) == 7
     assert all(set(c) == {"check", "passed", "witness", "message"}
@@ -400,6 +402,7 @@ def test_local_model_errors():
     with pytest.raises(NotValidatedError) as info:
         local_model(bad, 0)
     assert info.value.report is not None
+    assert info.value.report.tails == ()  # a failing report certifies no end
     assert "orientation" in str(info.value)
 
 
