@@ -28,8 +28,10 @@ from .engine import (
 )
 from .errors import (
     BQuantError,
+    DescriptionKindError,
     DimensionMismatchError,
     EmptyPolyhedronError,
+    HypersurfaceIndexError,
     NoVerticesError,
     NotFiniteError,
     NotValidatedError,
@@ -62,8 +64,10 @@ __all__ = [
     "BQuantError",
     "BSpaceDescription",
     "CompactToricSpace",
+    "DescriptionKindError",
     "DimensionMismatchError",
     "EmptyPolyhedronError",
+    "HypersurfaceIndexError",
     "HypersurfaceRecord",
     "LatticePolyhedron",
     "LocalModel",

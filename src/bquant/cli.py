@@ -5,7 +5,8 @@ the same invocation, the output is byte-identical across runs.
 ``quantize`` and ``verify-qr`` accept ``--threads N`` (N >= 1) and ignore
 it; enumeration is sequential.  Exit codes: 0 success, 1 semantic failure
 (failed check, uncancelled tails, verification mismatch), 2 usage, I/O or
-parse problems.
+parse problems, 3 internal error (any other exception, reported as
+``bquant: internal error: <type>: <message>``).
 """
 
 import argparse
@@ -21,7 +22,9 @@ from .engine import (
     verify_qr_product,
 )
 from .errors import (
+    DescriptionKindError,
     DimensionMismatchError,
+    HypersurfaceIndexError,
     NotFiniteError,
     NotValidatedError,
     ParseError,
@@ -35,7 +38,13 @@ from .spaces import (
     validate_description,
 )
 
-_USAGE_ERRORS = (ParseError, DimensionMismatchError, OSError, TypeError)
+_USAGE_ERRORS = (
+    ParseError,
+    DimensionMismatchError,
+    DescriptionKindError,
+    HypersurfaceIndexError,
+    OSError,
+)
 _SEMANTIC_ERRORS = (
     NotValidatedError,
     NotFiniteError,
@@ -350,12 +359,19 @@ def main(argv=None):
     except _USAGE_ERRORS as exc:
         print(f"bquant: error: {exc}", file=sys.stderr)
         return 2
-    except IndexError as exc:
-        print(f"bquant: error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(
+            f"bquant: internal error: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
+        return 3
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"bquant: error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -17,12 +17,13 @@ formal character on a window twice the size of its support.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from itertools import combinations, product as iter_product, repeat
 from math import ceil, floor
 
 from . import _linalg
 from .characters import PolyhedralCharacter, VirtualCharacter
 from .errors import (
+    DescriptionKindError,
     DimensionMismatchError,
     NotFiniteError,
     NoVerticesError,
@@ -233,18 +234,26 @@ def _self_check(formal, character, window):
     """Raise SelfCheckError unless `character` equals the formal signed
     count at every point of `window` (one range per coordinate).
 
-    Each term is enumerated over the window with points_in_box, which reads
-    each row's interval off the same inequalities as lattice_points.  Its
-    result is therefore re-derived with contains_point alone, row by row (a
-    row fixes every coordinate but the last).  A term meets a row in an
-    interval, so a listed run of consecutive integers is the whole row when
-    both of its ends lie in the term and the neighbours just outside it do
-    not.  A row with no listed point is tested point by point.
+    Each term is enumerated over the window by the row scan that
+    lattice_points uses, which also hands over a certificate per row: the
+    inequalities that bound the row's interval.  _row_mismatch checks the
+    listed points against those certificates with exact single-inequality
+    tests and contains_point, never with the scan's own arithmetic, so a
+    fault in the scan shows up here even though both sides of the final
+    comparison come from it.
     """
+    if window:
+        *outer, last = window
     counts = {}
     for index, (sign, polyhedron) in enumerate(formal.terms):
-        points = polyhedron.points_in_box(window)
-        bad = _row_mismatch(polyhedron, points, window)
+        certificates = {}
+        if window:
+            points = polyhedron._scan(
+                outer, last.start, last.stop - 1, certificates
+            )
+        else:
+            points = polyhedron.points_in_box(window)
+        bad = _row_mismatch(polyhedron, points, certificates, window)
         if bad is not None:
             raise SelfCheckError(
                 f"enumeration of term {index} over the check window "
@@ -265,37 +274,66 @@ def _self_check(formal, character, window):
         )
 
 
-def _row_mismatch(polyhedron, points, window):
+def _row_mismatch(polyhedron, points, certificates, window):
     """None when `points` are exactly the points of `polyhedron` in
-    `window`; otherwise a weight where polyhedron.contains_point disagrees
-    with `points`, or a listed point outside `window`.  See _self_check."""
+    `window`, row by row in the scan's order; otherwise the weight where a
+    row certificate fails, or the first weight where `points` and the
+    certified rows part.
+
+    A row fixes every coordinate but the last and meets the polyhedron in
+    an interval.  Its certificate from _scan is checked with exact
+    single-inequality tests, never with the scan's floor division:
+    - (index,): inequality `index` has last-coordinate slope 0 and fails
+      on the row, so the row is empty;
+    - (lower, first, upper, final): inequality `upper` has positive slope
+      and fails at final + 1, hence at every x > final (None: final is at
+      or past the window's end), and `lower` has negative slope and fails
+      at first - 1, hence at every x < first (None: first is at or before
+      the window's start).  When final < first the row is empty: by
+      Helly's theorem in dimension 1, every integer fails one of the two.
+      Otherwise first and final lie in the window and, by contains_point,
+      in the polyhedron, so the row is exactly first..final.
+    An empty row thus costs at most two single-inequality tests, not one
+    contains_point per window weight.
+    """
     if not window:
         return None if (points == [()]) == polyhedron.contains_point(()) else ()
     *outer, last = window
-    rows = {}
-    for point in points:
-        rows.setdefault(point[:-1], []).append(point[-1])
+    low, high = last.start, last.stop - 1
+    slopes = {
+        index: normal[-1]
+        for index, (normal, _) in enumerate(polyhedron.inequalities)
+    }
+    violates, contains = polyhedron.violates, polyhedron.contains_point
+    certified = []
     for head in iter_product(*outer):
-        run = rows.pop(head, None)
-        if run is None:
-            for x in last:
-                if polyhedron.contains_point(head + (x,)):
-                    return head + (x,)
+        claim = certificates.get(head, ())
+        if len(claim) == 1:
+            (index,) = claim
+            if slopes.get(index) != 0 or not violates(index, head + (low,)):
+                return head + (low,)
             continue
-        first, final = run[0], run[-1]
-        if run != list(range(first, final + 1)) or first not in last:
-            return head + (first,)
-        if final not in last:
-            return head + (final,)
-        for x, inside in (
-            (first, True), (final, True), (first - 1, False), (final + 1, False)
-        ):
-            if x in last and polyhedron.contains_point(head + (x,)) != inside:
+        if len(claim) != 4:
+            return head + (low,)
+        lower, first, upper, final = claim
+        if (final < high if upper is None else slopes.get(upper, 0) <= 0
+                or not violates(upper, head + (final + 1,))):
+            return head + (final + 1,)
+        if (first > low if lower is None else slopes.get(lower, 0) >= 0
+                or not violates(lower, head + (first - 1,))):
+            return head + (first - 1,)
+        if final < first:
+            continue
+        for x in (first, final):
+            if not (low <= x <= high and contains(head + (x,))):
                 return head + (x,)
-    if rows:  # points outside the window
-        head, run = next(iter(rows.items()))
-        return head + (run[0],)
-    return None
+        certified.extend(zip(*map(repeat, head), range(first, final + 1)))
+    if points == certified:
+        return None
+    for listed, true in zip(points, certified):
+        if listed != true:
+            return min(listed, true)
+    return max(points, certified, key=len)[min(len(points), len(certified))]
 
 
 def _verification_box(character, pieces):
@@ -486,7 +524,9 @@ def verify_qr_product(description, partner, character=None):
     corrupted cache is caught rather than silently trusted.
     """
     if not isinstance(partner, CompactToricSpace):
-        raise TypeError("the partner space must be a CompactToricSpace")
+        raise DescriptionKindError(
+            "the partner space must be a CompactToricSpace"
+        )
     if description.rank != partner.rank:
         raise DimensionMismatchError(
             f"rank {description.rank} space paired with rank {partner.rank}"

@@ -3,6 +3,8 @@
 __all__ = [
     "BQuantError",
     "DimensionMismatchError",
+    "DescriptionKindError",
+    "HypersurfaceIndexError",
     "EmptyPolyhedronError",
     "UnboundedPolyhedronError",
     "NoVerticesError",
@@ -21,6 +23,15 @@ class BQuantError(Exception):
 
 class DimensionMismatchError(BQuantError, ValueError):
     """Ranks of interacting objects disagree."""
+
+
+class DescriptionKindError(BQuantError, TypeError):
+    """An operation got a description of the wrong kind (compact where a
+    b_toric one is needed, or the reverse)."""
+
+
+class HypersurfaceIndexError(BQuantError, IndexError):
+    """A hypersurface index lies outside the description's records."""
 
 
 class EmptyPolyhedronError(BQuantError):

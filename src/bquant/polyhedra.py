@@ -13,7 +13,7 @@ Instances are immutable and safe to share across threads.
 """
 
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from itertools import combinations, product as iter_product, repeat
 from math import ceil, floor, inf
 from operator import mul
 import re
@@ -334,13 +334,22 @@ class LatticePolyhedron:
         *outer, last = ranges
         return self._scan(outer, last.start, last.stop - 1)
 
-    def _scan(self, outer, low, high):
+    def _scan(self, outer, low, high, certificates=None):
         """Points of self whose leading coordinates run over the ranges
         ``outer`` and whose last coordinate lies in [low, high].
 
-        For each choice of the leading coordinates the exact interval of the
-        last one is read off the inequalities, so every point of that
-        interval is a point of self and nothing is filtered.
+        For each choice of the leading coordinates (a row) the exact
+        interval of the last one is read off the inequalities, so every
+        point of that interval is a point of self and nothing is filtered.
+
+        When ``certificates`` is a dict, it receives one entry per row,
+        keyed by the leading coordinates, saying which inequalities set the
+        row's interval: ``(lower, first, upper, last)`` for the interval
+        [first, last] (empty when last < first), where ``upper`` is the
+        index of the inequality that set ``last`` and ``lower`` that of the
+        one that set ``first``, None where ``high`` or ``low`` did; or
+        ``(index,)`` when inequality ``index`` does not involve the last
+        coordinate and fails on the whole row.
         """
         # <normal, x> * q <= p becomes n * q * x_last <= room
         split = [
@@ -350,17 +359,30 @@ class LatticePolyhedron:
         points = []
         for head in iter_product(*outer):
             first, last = low, high
-            for rest, slope, p, q in split:
-                room = p - q * sum(n * x for n, x in zip(rest, head))
+            lower = upper = None
+            for index, (rest, slope, p, q) in enumerate(split):
+                room = p - q * sum(map(mul, rest, head))
                 if slope > 0:
-                    last = min(last, room // slope)
+                    if (bound := room // slope) < last:
+                        last, upper = bound, index
                 elif slope < 0:
-                    first = max(first, -(room // -slope))
+                    if (bound := -(room // -slope)) > first:
+                        first, lower = bound, index
                 elif room < 0:
+                    certificate = (index,)
                     break
             else:
-                points.extend(head + (x,) for x in range(first, last + 1))
+                points.extend(zip(*map(repeat, head), range(first, last + 1)))
+                certificate = (lower, first, upper, last)
+            if certificates is not None:
+                certificates[head] = certificate
         return points
+
+    def violates(self, index, point):
+        """True iff the integer ``point`` fails inequality number ``index``
+        (an index into ``inequalities``), tested on its own."""
+        normal, p, q = self._integer_tests()[index]
+        return sum(map(mul, normal, point)) * q > p
 
     def is_lattice_polytope(self):
         if self.is_empty():

@@ -56,8 +56,10 @@ from .checks import (
     check_properness,
 )
 from .errors import (
+    DescriptionKindError,
     DimensionMismatchError,
     EmptyPolyhedronError,
+    HypersurfaceIndexError,
     NoVerticesError,
     NotValidatedError,
     PairingNotOneError,
@@ -632,9 +634,11 @@ def local_model(description, index):
     """The two signed truncated tails at hypersurface `index`, in adjacent
     order, cut at the threshold validation certified."""
     if not isinstance(description, BSpaceDescription):
-        raise TypeError("local models exist only for b_toric descriptions")
+        raise DescriptionKindError(
+            "local models exist only for b_toric descriptions"
+        )
     if not 0 <= index < len(description.hypersurfaces):
-        raise IndexError(
+        raise HypersurfaceIndexError(
             f"hypersurface index {index} out of range "
             f"(have {len(description.hypersurfaces)})"
         )

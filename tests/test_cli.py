@@ -149,6 +149,16 @@ def test_quantize_output_file(run, tmp_path):
     assert json.loads(target.read_text())["dimension"] == 4
 
 
+def test_unwritable_output_is_usage_error(run, tmp_path):
+    target = tmp_path / "no" / "such" / "dir" / "out.txt"
+    code, out, err = run("check", SEGMENT, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bquant: error: ")
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
 def test_quantize_rejects_invalid_description(run):
     code, out, err = run("quantize", BAD_SIGNS)
     assert code == 1
@@ -315,6 +325,18 @@ def test_missing_file_is_usage_error(run):
     code, _, err = run("check", "no/such/file.json")
     assert code == 2
     assert err.startswith("bquant: error: ")
+
+
+def test_internal_error_is_not_a_usage_error(run, monkeypatch):
+    # a bare builtin from inside the engine is a bug, not bad input
+    def broken(description):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(bquant.cli, "quantize_description", broken)
+    code, out, err = run("quantize", SEGMENT)
+    assert code == 3
+    assert out == ""
+    assert err == "bquant: internal error: TypeError: unsupported operand\n"
 
 
 def test_parse_error_reports_position(run, tmp_path):

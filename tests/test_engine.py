@@ -18,6 +18,7 @@ import bquant.engine as engine
 import bquant.spaces as spaces
 from bquant import (
     BSpaceDescription,
+    DescriptionKindError,
     DimensionMismatchError,
     LatticePolyhedron,
     NotFiniteError,
@@ -339,13 +340,75 @@ def test_self_check_catches_shortened_row_intervals(monkeypatch):
     # shows up on both sides of the count; contains_point still sees it
     real = LatticePolyhedron._scan
 
-    def shortened(self, outer, low, high):
-        points = real(self, outer, low, high)
+    def shortened(self, outer, low, high, certificates=None):
+        points = real(self, outer, low, high, certificates)
         return points[:-1]
 
     monkeypatch.setattr(LatticePolyhedron, "_scan", shortened)
     with pytest.raises(SelfCheckError, match="disagrees with its inequalities"):
         quantize_b(load("sphere_a2_bm1.json"))
+
+
+def _report_nonempty_row_empty(polyhedron, claim):
+    if len(claim) == 4 and claim[2] is not None and claim[1] <= claim[3]:
+        lower, first, upper, _ = claim
+        return lower, first, upper, first - 1
+
+
+def _report_nonempty_row_flat_violated(polyhedron, claim):
+    flat = [
+        index for index, (normal, _) in enumerate(polyhedron.inequalities)
+        if normal[-1] == 0
+    ]
+    if len(claim) == 4 and claim[1] <= claim[3] and flat:
+        return (flat[0],)
+
+
+def _name_upper_without_positive_slope(polyhedron, claim):
+    # the lower inequality fails at first - 1, so it passes the failure
+    # test at the claimed end; only its slope gives the forgery away
+    if len(claim) == 4 and claim[0] is not None and claim[1] <= claim[3]:
+        lower, first, _, _ = claim
+        return lower, first, lower, first - 2
+
+
+def _claim_a_point_on_an_empty_row(polyhedron, claim):
+    if len(claim) == 4 and claim[3] < claim[1]:
+        lower, first, upper, _ = claim
+        return lower, first, upper, first
+
+
+@pytest.mark.parametrize("name, forge", [
+    ("skew.json", _report_nonempty_row_empty),
+    ("product_k1.json", _report_nonempty_row_flat_violated),
+    ("skew.json", _name_upper_without_positive_slope),
+    ("skew.json", _claim_a_point_on_an_empty_row),
+])
+def test_self_check_refuses_forged_row_certificates(monkeypatch, name, forge):
+    # the scan rewrites one row's certificate and lists that row's points to
+    # match, as a faulty scan would; only the certificate check can object
+    real = LatticePolyhedron._scan
+    forged = []
+
+    def scan(self, outer, low, high, certificates=None):
+        points = real(self, outer, low, high, certificates)
+        if certificates is None or forged:
+            return points
+        for head, claim in certificates.items():
+            new = forge(self, claim)
+            if new is not None:
+                forged.append((head, claim, new))
+                certificates[head] = new
+                points = [p for p in points if p[:-1] != head]
+                if len(new) == 4:
+                    points.extend(head + (x,) for x in range(new[1], new[3] + 1))
+                return sorted(points)
+        return points
+
+    monkeypatch.setattr(LatticePolyhedron, "_scan", scan)
+    with pytest.raises(SelfCheckError, match="disagrees with its inequalities"):
+        quantize_b(load(name))
+    assert len(forged) == 1
 
 
 def test_quantize_b_zero_weights_is_other_dichotomy_branch():
@@ -535,8 +598,9 @@ def test_qr_product_builds_the_formal_character_once(monkeypatch):
 
 
 def test_qr_product_partner_must_be_compact():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError) as info:
         verify_qr_product(load("c_seg_0_3.json"), load("btorus.json"))
+    assert isinstance(info.value, DescriptionKindError)
 
 
 def test_qr_product_rank_mismatch():

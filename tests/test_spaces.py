@@ -12,7 +12,9 @@ import bquant
 from bquant import (
     BSpaceDescription,
     CompactToricSpace,
+    DescriptionKindError,
     DimensionMismatchError,
+    HypersurfaceIndexError,
     HypersurfaceRecord,
     LatticePolyhedron,
     NotValidatedError,
@@ -394,10 +396,13 @@ def test_local_model_tails():
 
 
 def test_local_model_errors():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError) as wrong_kind:
         local_model(parse(SEGMENT), 0)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError) as out_of_range:
         local_model(parse(SPHERE), 1)
+    # typed, so the command line can tell them from internal bugs
+    assert isinstance(wrong_kind.value, DescriptionKindError)
+    assert isinstance(out_of_range.value, HypersurfaceIndexError)
     bad = load_description(corpus_path("neg_equal_signs.json"))
     with pytest.raises(NotValidatedError) as info:
         local_model(bad, 0)
