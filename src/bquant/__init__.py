@@ -31,6 +31,7 @@ from .errors import (
     DescriptionKindError,
     DimensionMismatchError,
     EmptyPolyhedronError,
+    EnumerationBudgetError,
     HypersurfaceIndexError,
     NoVerticesError,
     NotFiniteError,
@@ -67,6 +68,7 @@ __all__ = [
     "DescriptionKindError",
     "DimensionMismatchError",
     "EmptyPolyhedronError",
+    "EnumerationBudgetError",
     "HypersurfaceIndexError",
     "HypersurfaceRecord",
     "LatticePolyhedron",

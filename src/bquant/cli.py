@@ -5,8 +5,9 @@ the same invocation, the output is byte-identical across runs.
 ``quantize`` and ``verify-qr`` accept ``--threads N`` (N >= 1) and ignore
 it; enumeration is sequential.  Exit codes: 0 success, 1 semantic failure
 (failed check, uncancelled tails, verification mismatch), 2 usage, I/O or
-parse problems, 3 internal error (any other exception, reported as
-``bquant: internal error: <type>: <message>``).
+parse problems and enumerations over the budget, 3 internal error (any
+other exception, reported as ``bquant: internal error: <type>:
+<message>``).
 """
 
 import argparse
@@ -24,6 +25,7 @@ from .engine import (
 from .errors import (
     DescriptionKindError,
     DimensionMismatchError,
+    EnumerationBudgetError,
     HypersurfaceIndexError,
     NotFiniteError,
     NotValidatedError,
@@ -43,6 +45,7 @@ _USAGE_ERRORS = (
     DimensionMismatchError,
     DescriptionKindError,
     HypersurfaceIndexError,
+    EnumerationBudgetError,
     OSError,
 )
 _SEMANTIC_ERRORS = (

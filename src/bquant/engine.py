@@ -11,14 +11,17 @@ bounded cores plus bounded inclusion-exclusion corrections where tails of
 distinct hypersurfaces overlap inside one component.  Validation certifies
 the cancellation and hands over the tail ends; the collapse certifies that
 every surviving piece is bounded, raising NotFiniteError with the offending
-piece otherwise.  The final character is re-checked pointwise against the
-formal character on a window twice the size of its support.
+piece otherwise.  The final character is re-checked against the formal
+character on a window twice the size of its support, row by row from
+certified row intervals.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iter_product, repeat
+from itertools import combinations, product as iter_product
 from math import ceil, floor
+from operator import itemgetter
 
 from . import _linalg
 from .characters import PolyhedralCharacter, VirtualCharacter
@@ -71,10 +74,12 @@ class QRReport:
 
     `invariant_from_characters` is the invariant part of chi (x) P, read off
     as the pairing sum over w of chi(w) * P(-w) without forming the tensor;
-    `invariant_from_geometry` counts reduced-space points directly, never
-    forming a character.  `first_mismatch`, when not None, is (weight,
+    `invariant_from_geometry` sums the reduced-space counts over the weights
+    of the reflected partner, read row by row off certified row intervals
+    of the components, never forming a character.  `checked_weights` is the
+    number of those weights.  `first_mismatch`, when not None, is (weight,
     character multiplicity, reduced-space count) at the lexicographically
-    first weight where the routes disagree.
+    first of them where the routes disagree.
     """
 
     invariant_from_characters: int
@@ -169,8 +174,10 @@ def collapse_signed_tails(description, self_check=True):
     inclusion-exclusion; the collapse certifies that every core and overlap
     is bounded (NotFiniteError with the term and direction otherwise).
 
-    The result is then re-checked pointwise against the formal character
-    on a window twice the size of its support (SelfCheckError otherwise).
+    The result is then re-checked against the formal character on a
+    window twice the size of its support (SelfCheckError otherwise).  The
+    re-check reads the formal count off every term's certified row
+    intervals, a row at a time, and lists no points; see _self_check.
     """
     matching = tail_matching(description)
     formal = formal_character(description)
@@ -232,112 +239,161 @@ def collapse_signed_tails(description, self_check=True):
 
 def _self_check(formal, character, window):
     """Raise SelfCheckError unless `character` equals the formal signed
-    count at every point of `window` (one range per coordinate).
+    count at every point of `window` (one range per coordinate) and has no
+    weight outside it.
 
-    Each term is enumerated over the window by the row scan that
-    lattice_points uses, which also hands over a certificate per row: the
-    inequalities that bound the row's interval.  _row_mismatch checks the
-    listed points against those certificates with exact single-inequality
-    tests and contains_point, never with the scan's own arithmetic, so a
-    fault in the scan shows up here even though both sides of the final
-    comparison come from it.
+    The formal count is never listed point by point: _row_steps reads it
+    off the row certificates of every term as one step function per row of
+    the window, checking each certificate with exact single-inequality
+    tests and contains_point rather than with the scan's own arithmetic.
+    The constant stretches of those steps are then matched against the
+    character's sorted entries a stretch at a time, so a fault in the scan
+    shows up here even though the character came from the same scan.  In
+    rank 0 the window is empty and the one weight is tested directly.
     """
     if window:
         *outer, last = window
-    counts = {}
-    for index, (sign, polyhedron) in enumerate(formal.terms):
-        certificates = {}
-        if window:
-            points = polyhedron._scan(
-                outer, last.start, last.stop - 1, certificates
-            )
-        else:
-            points = polyhedron.points_in_box(window)
-        bad = _row_mismatch(polyhedron, points, certificates, window)
-        if bad is not None:
-            raise SelfCheckError(
-                f"enumeration of term {index} over the check window "
-                f"disagrees with its inequalities at weight {bad}"
-            )
-        _accumulate(counts, points, sign)
-    found = dict(character.items())
-    if found != counts:
-        # neither table holds a zero, so some weight differs
-        weight = min(
-            w for w in found.keys() | counts.keys()
-            if found.get(w, 0) != counts.get(w, 0)
-        )
-        raise SelfCheckError(
-            f"collapsed character gives {found.get(weight, 0)} at "
-            f"weight {weight} but the formal signed count is "
-            f"{counts.get(weight, 0)}"
-        )
+        low, stop = last.start, last.stop
+        steps = _row_steps(formal, outer, low, stop - 1)
+        rows = [(head, _runs(steps[head], low, stop)) for head in sorted(steps)]
+        items = character.items()
+        multiplicities = list(map(itemgetter(1), items))
+        if _match_runs(rows, character.support(), multiplicities, 0) == len(items):
+            return
+        weight, found, expected = _first_mismatch(dict(items), rows)
+    else:
+        weight = ()
+        found, expected = character.multiplicity(()), formal.multiplicity(())
+        if found == expected:
+            return
+    raise SelfCheckError(
+        f"collapsed character gives {found} at weight {weight} but the "
+        f"formal signed count is {expected}"
+    )
 
 
-def _row_mismatch(polyhedron, points, certificates, window):
-    """None when `points` are exactly the points of `polyhedron` in
-    `window`, row by row in the scan's order; otherwise the weight where a
-    row certificate fails, or the first weight where `points` and the
-    certified rows part.
+def _row_steps(formal, outer, low, high):
+    """The signed count of `formal` on the rows `outer` x [low, high], as
+    one step function per row: {head: {x: jump of the count at x}}, with
+    the count zero before a row's first jump.
 
-    A row fixes every coordinate but the last and meets the polyhedron in
-    an interval.  Its certificate from _scan is checked with exact
-    single-inequality tests, never with the scan's floor division:
+    A row fixes every coordinate but the last and meets each term in an
+    interval.  LatticePolyhedron._rows names, per row, the inequalities
+    that bound it; each certificate is checked here with exact
+    single-inequality tests, never with the scan's floor division.  The
+    k-th certificate is checked against the k-th row of the window, so
+    whatever the scan calls the row, every window row gets a certificate
+    that holds there or the check fails:
     - (index,): inequality `index` has last-coordinate slope 0 and fails
       on the row, so the row is empty;
     - (lower, first, upper, final): inequality `upper` has positive slope
       and fails at final + 1, hence at every x > final (None: final is at
-      or past the window's end), and `lower` has negative slope and fails
-      at first - 1, hence at every x < first (None: first is at or before
-      the window's start).  When final < first the row is empty: by
-      Helly's theorem in dimension 1, every integer fails one of the two.
-      Otherwise first and final lie in the window and, by contains_point,
-      in the polyhedron, so the row is exactly first..final.
-    An empty row thus costs at most two single-inequality tests, not one
-    contains_point per window weight.
+      or past `high`), and `lower` has negative slope and fails at
+      first - 1, hence at every x < first (None: first is at or before
+      `low`).  When final < first the row is empty: by Helly's theorem in
+      dimension 1, every integer fails one of the two.  Otherwise first
+      and final lie in [low, high] and, by contains_point, in the term, so
+      the row is exactly first..final, and the term's sign jumps in at
+      first and out at final + 1.
+    An empty row thus costs at most two single-inequality tests.  A
+    certificate that fails raises SelfCheckError naming the term and a
+    weight where it fails.
     """
-    if not window:
-        return None if (points == [()]) == polyhedron.contains_point(()) else ()
-    *outer, last = window
-    low, high = last.start, last.stop - 1
-    slopes = {
-        index: normal[-1]
-        for index, (normal, _) in enumerate(polyhedron.inequalities)
+    steps = {}
+    for index, (sign, polyhedron) in enumerate(formal.terms):
+        slopes = {
+            number: normal[-1]
+            for number, (normal, _) in enumerate(polyhedron.inequalities)
+        }
+        violates, contains = polyhedron.violates, polyhedron.contains_point
+        rows = polyhedron._rows(outer, low, high)
+        for head in iter_product(*outer):
+            _, claim = next(rows, (None, ()))
+            if len(claim) == 1:
+                if slopes.get(claim[0]) != 0 or not violates(
+                    claim[0], head + (low,)
+                ):
+                    raise _refused(index, head + (low,))
+                continue
+            if len(claim) != 4:
+                raise _refused(index, head + (low,))
+            lower, first, upper, final = claim
+            if (final < high if upper is None else slopes.get(upper, 0) <= 0
+                    or not violates(upper, head + (final + 1,))):
+                raise _refused(index, head + (final + 1,))
+            if (first > low if lower is None else slopes.get(lower, 0) >= 0
+                    or not violates(lower, head + (first - 1,))):
+                raise _refused(index, head + (first - 1,))
+            if final < first:
+                continue
+            for x in (first, final):
+                if not (low <= x <= high and contains(head + (x,))):
+                    raise _refused(index, head + (x,))
+            jumps = steps.setdefault(head, {})
+            jumps[first] = jumps.get(first, 0) + sign
+            jumps[final + 1] = jumps.get(final + 1, 0) - sign
+    return steps
+
+
+def _refused(index, weight):
+    return SelfCheckError(
+        f"enumeration of term {index} over the check window disagrees with "
+        f"its inequalities at weight {weight}"
+    )
+
+
+def _runs(jumps, start, stop):
+    """(a, b, value) for each stretch a..b-1 of start..stop-1 on which the
+    step function with `jumps` is a nonzero constant `value`, in order."""
+    runs = []
+    value = previous = 0
+    for x in sorted(jumps):
+        if value:
+            a, b = max(previous, start), min(x, stop)
+            if a < b:
+                runs.append((a, b, value))
+        value += jumps[x]
+        previous = x
+    return runs
+
+
+def _match_runs(rows, weights, multiplicities, at):
+    """The index past the entries, from `at` on, of the sorted distinct
+    `weights` and their `multiplicities` that list exactly the weights of
+    `rows` ((head, runs) pairs in lexicographic order) with their values;
+    None where the two part.  Between a run's first and last weight the
+    sorted entries can hold no other weight, so two lookups and a count
+    check a whole run."""
+    for head, runs in rows:
+        for a, b, value in runs:
+            end = at + b - a
+            if (end > len(weights) or weights[at] != head + (a,)
+                    or weights[end - 1] != head + (b - 1,)
+                    or multiplicities[at:end].count(value) != b - a):
+                return None
+            at = end
+    return at
+
+
+def _first_mismatch(found, rows):
+    """(weight, value in `found`, value of `rows`) at the least weight where
+    the weight -> value table `found` and the (head, runs) rows differ;
+    called only once _match_runs has failed, so some weight does."""
+    expected = {
+        head + (x,): value
+        for head, runs in rows
+        for a, b, value in runs
+        for x in range(a, b)
     }
-    violates, contains = polyhedron.violates, polyhedron.contains_point
-    certified = []
-    for head in iter_product(*outer):
-        claim = certificates.get(head, ())
-        if len(claim) == 1:
-            (index,) = claim
-            if slopes.get(index) != 0 or not violates(index, head + (low,)):
-                return head + (low,)
-            continue
-        if len(claim) != 4:
-            return head + (low,)
-        lower, first, upper, final = claim
-        if (final < high if upper is None else slopes.get(upper, 0) <= 0
-                or not violates(upper, head + (final + 1,))):
-            return head + (final + 1,)
-        if (first > low if lower is None else slopes.get(lower, 0) >= 0
-                or not violates(lower, head + (first - 1,))):
-            return head + (first - 1,)
-        if final < first:
-            continue
-        for x in (first, final):
-            if not (low <= x <= high and contains(head + (x,))):
-                return head + (x,)
-        certified.extend(zip(*map(repeat, head), range(first, final + 1)))
-    if points == certified:
-        return None
-    for listed, true in zip(points, certified):
-        if listed != true:
-            return min(listed, true)
-    return max(points, certified, key=len)[min(len(points), len(certified))]
+    weight = min(
+        weight for weight in found.keys() | expected.keys()
+        if found.get(weight, 0) != expected.get(weight, 0)
+    )
+    return weight, found.get(weight, 0), expected.get(weight, 0)
 
 
 def _verification_box(character, pieces):
-    """Lattice window for the pointwise re-check, one range per coordinate:
+    """Lattice window for the self-check, one range per coordinate:
     the character support widened by its own extent (plus margin), falling
     back to the bounding box of the collapsed pieces, falling back to a box
     around the origin."""
@@ -369,7 +425,7 @@ def quantize_b(description, self_check=True):
 
     Validation certifies that the tails at each hypersurface are set-equal
     with opposite signs, the collapse that the cores and overlaps left are
-    bounded, and the self-check re-checks the result pointwise.
+    bounded, and the self-check re-checks the result row by row.
 
     Raises ZeroModularWeightError before validation when every modular
     weight vanishes: that is the other branch of the modular-weight
@@ -405,9 +461,10 @@ def quantize_local_model(model):
     """Character of a two-tail local model; the certified answer is zero.
 
     The two tails must agree as sets and carry opposite signs; anything else
-    leaves an unbounded remainder and raises NotFiniteError.  Lattice points
-    in a box around the truncation face are additionally re-checked one by
-    one.
+    leaves an unbounded remainder and raises NotFiniteError.  The signed
+    count is additionally re-checked on a box around the truncation face,
+    row by row from certified row intervals (see _row_steps), so a long
+    tail costs its rows, not its points.
     """
     if not isinstance(model, LocalModel):
         raise TypeError("expected a LocalModel")
@@ -431,17 +488,21 @@ def quantize_local_model(model):
         except NoVerticesError:
             corners = ()
     if corners and tail_a.rank > 0:
-        ranges = []
-        for values in zip(*corners):
-            ranges.append(range(floor(min(values)) - 1, ceil(max(values)) + 2))
-        for point in iter_product(*ranges):
-            total = sign_a * tail_a.contains_point(point) + (
-                sign_b * tail_b.contains_point(point)
-            )
-            if total:
+        *outer, last = [
+            range(floor(min(values)) - 1, ceil(max(values)) + 2)
+            for values in zip(*corners)
+        ]
+        steps = _row_steps(
+            PolyhedralCharacter(tail_a.rank, model.tails),
+            outer, last.start, last.stop - 1,
+        )
+        for head in sorted(steps):
+            runs = _runs(steps[head], last.start, last.stop)
+            if runs:
+                start, _, total = runs[0]
                 raise SelfCheckError(
                     f"local model tails fail to cancel at lattice point "
-                    f"{point} (signed count {total})"
+                    f"{head + (start,)} (signed count {total})"
                 )
     return VirtualCharacter.zero(tail_a.rank)
 
@@ -514,13 +575,17 @@ def verify_qr_product(description, partner, character=None):
     Route one is the invariant part of chi (x) P, where chi is the
     character of `description` and P that of `partner`.  It is computed as
     the pairing sum over w of chi(w) * P(-w), one lookup per weight, without
-    forming the tensor.  Route two never forms the first character: it counts
-    reduced-space points of `description` directly at each weight of the
-    reflected partner polytope.  The per-weight comparison pins down the
-    first disagreement, if any.
+    forming the tensor.  Route two never forms the first character: it
+    counts reduced-space points of `description` directly on the weights of
+    the reflected partner polytope, a row at a time.  Each component's
+    certified row intervals (checked as in the self-check) give the signed
+    count on a row as a step function.  It is clipped to the partner's
+    interval on that row and summed, and matched against the character's
+    entries there to pin down the first disagreement, if any.  Rank 0 has
+    the one weight (), tested directly.
 
     `character` substitutes a precomputed character for `description`
-    (route one and the per-weight scan then test that value), so a stale or
+    (route one and the row comparison then test that value), so a stale or
     corrupted cache is caught rather than silently trusted.
     """
     if not isinstance(partner, CompactToricSpace):
@@ -540,16 +605,40 @@ def verify_qr_product(description, partner, character=None):
 
     formal = formal_character(description)
     reflected = partner.polytope.reflect_through_origin()
-    invariant_from_geometry = 0
-    checked = 0
-    first_mismatch = None
-    for weight in reflected.lattice_points():
-        direct = formal.multiplicity(weight)
-        invariant_from_geometry += direct
-        checked += 1
-        from_character = character.multiplicity(weight)
-        if first_mismatch is None and from_character != direct:
-            first_mismatch = (weight, from_character, direct)
+    if not reflected.rank:
+        direct, found = formal.multiplicity(()), character.multiplicity(())
+        invariant_from_geometry, checked = direct, 1
+        first_mismatch = None if found == direct else ((), found, direct)
+    else:
+        # the reflected box is the partner's, negated
+        *outer, last = [
+            range(1 - values.stop, 1 - values.start)
+            for values in partner.polytope._vertex_box()
+        ]
+        low, high = last.start, last.stop - 1
+        steps = _row_steps(formal, outer, low, high)
+        weights = character.support()
+        multiplicities = list(map(itemgetter(1), character.items()))
+        invariant_from_geometry = checked = 0
+        first_mismatch = None
+        for head, claim in reflected._rows(outer, low, high):
+            if len(claim) == 1 or claim[3] < claim[1]:
+                continue
+            _, first, _, final = claim
+            runs = _runs(steps.get(head, {}), first, final + 1)
+            checked += final + 1 - first
+            invariant_from_geometry += sum(
+                value * (b - a) for a, b, value in runs
+            )
+            if first_mismatch is not None:
+                continue
+            start = bisect_left(weights, head + (first,))
+            end = bisect_left(weights, head + (final + 1,), start)
+            if _match_runs([(head, runs)], weights, multiplicities, start) != end:
+                first_mismatch = _first_mismatch(
+                    dict(zip(weights[start:end], multiplicities[start:end])),
+                    [(head, runs)],
+                )
     return QRReport(
         invariant_from_characters=invariant_from_characters,
         invariant_from_geometry=invariant_from_geometry,

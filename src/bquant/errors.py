@@ -6,6 +6,7 @@ __all__ = [
     "DescriptionKindError",
     "HypersurfaceIndexError",
     "EmptyPolyhedronError",
+    "EnumerationBudgetError",
     "UnboundedPolyhedronError",
     "NoVerticesError",
     "PairingNotOneError",
@@ -46,6 +47,16 @@ class UnboundedPolyhedronError(BQuantError):
         self.ray = ray
 
 
+class EnumerationBudgetError(BQuantError):
+    """A lattice enumeration would scan more rows or list more points than
+    the fixed budget allows.  `count` is the row or point count that went
+    over it."""
+
+    def __init__(self, message: str, count=None):
+        super().__init__(message)
+        self.count = count
+
+
 class NoVerticesError(BQuantError):
     """The polyhedron contains a line, so it has no vertices."""
 
@@ -84,4 +95,5 @@ class NotFiniteError(BQuantError):
 
 
 class SelfCheckError(BQuantError):
-    """An internal certification pass (pointwise re-evaluation) disagreed."""
+    """An internal certification pass (a re-evaluation from certified row
+    intervals) disagreed."""

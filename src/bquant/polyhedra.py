@@ -14,7 +14,7 @@ Instances are immutable and safe to share across threads.
 
 from fractions import Fraction
 from itertools import combinations, product as iter_product, repeat
-from math import ceil, floor, inf
+from math import ceil, floor, inf, prod
 from operator import mul
 import re
 
@@ -22,12 +22,17 @@ from . import _linalg
 from .errors import (
     DimensionMismatchError,
     EmptyPolyhedronError,
+    EnumerationBudgetError,
     NoVerticesError,
     ParseError,
     UnboundedPolyhedronError,
 )
 
 __all__ = ["LatticePolyhedron"]
+
+# most rows one scan visits, and most points one listing holds; a larger
+# enumeration raises EnumerationBudgetError instead of exhausting memory
+ENUMERATION_BUDGET = 10**6
 
 _FRACTION_TOKEN = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -291,7 +296,9 @@ class LatticePolyhedron:
         Scans the bounding box of the vertices in all but the last
         coordinate and reads the last coordinate's exact interval off the
         inequalities.  Raises UnboundedPolyhedronError when a recession ray
-        exists; returns [] for the empty polyhedron.
+        exists and EnumerationBudgetError when the scan would go over
+        ENUMERATION_BUDGET rows or points; returns [] for the empty
+        polyhedron.
         """
         cached = self._cache.get("lattice")
         if cached is not None:
@@ -312,15 +319,19 @@ class LatticePolyhedron:
             # the vertex bounding box limits the outer coordinates; the last
             # one is cut from the inequalities alone, which bound it on every
             # slice because self is bounded
-            outer = []
-            if self.rank > 1:
-                corners = self.vertices()
-                for coordinate in range(self.rank - 1):
-                    values = [vertex[coordinate] for vertex in corners]
-                    outer.append(range(ceil(min(values)), floor(max(values)) + 1))
+            outer = self._vertex_box()[:-1] if self.rank > 1 else []
             points = self._scan(outer, -inf, inf)
         self._cache["lattice"] = tuple(points)
         return points
+
+    def _vertex_box(self):
+        """One range per coordinate, from the least to the greatest integer
+        within the vertices' extent; it holds every lattice point of a
+        bounded nonempty self."""
+        return [
+            range(ceil(min(values)), floor(max(values)) + 1)
+            for values in zip(*self.vertices())
+        ]
 
     def points_in_box(self, ranges):
         """Integer points of self inside the box ``ranges`` (one range per
@@ -334,29 +345,58 @@ class LatticePolyhedron:
         *outer, last = ranges
         return self._scan(outer, last.start, last.stop - 1)
 
-    def _scan(self, outer, low, high, certificates=None):
+    def _scan(self, outer, low, high):
         """Points of self whose leading coordinates run over the ranges
-        ``outer`` and whose last coordinate lies in [low, high].
+        ``outer`` and whose last coordinate lies in [low, high], listed row
+        by row from the intervals :meth:`_rows` reads off the inequalities,
+        so every listed point is a point of self and nothing is filtered.
 
-        For each choice of the leading coordinates (a row) the exact
-        interval of the last one is read off the inequalities, so every
-        point of that interval is a point of self and nothing is filtered.
-
-        When ``certificates`` is a dict, it receives one entry per row,
-        keyed by the leading coordinates, saying which inequalities set the
-        row's interval: ``(lower, first, upper, last)`` for the interval
-        [first, last] (empty when last < first), where ``upper`` is the
-        index of the inequality that set ``last`` and ``lower`` that of the
-        one that set ``first``, None where ``high`` or ``low`` did; or
-        ``(index,)`` when inequality ``index`` does not involve the last
-        coordinate and fails on the whole row.
+        Raises EnumerationBudgetError before listing a row that would take
+        the listing past ENUMERATION_BUDGET points.
         """
+        points = []
+        for head, certificate in self._rows(outer, low, high):
+            if len(certificate) == 4 and certificate[1] <= certificate[3]:
+                _, first, _, last = certificate
+                count = len(points) + last - first + 1
+                if count > ENUMERATION_BUDGET:
+                    raise EnumerationBudgetError(
+                        f"enumeration would list at least {count} lattice "
+                        f"points, over the budget of {ENUMERATION_BUDGET}",
+                        count=count,
+                    )
+                points.extend(zip(*map(repeat, head), range(first, last + 1)))
+        return points
+
+    def _rows(self, outer, low, high):
+        """Yield ``(head, certificate)`` for each row: each choice ``head``
+        of the leading coordinates from the ranges ``outer``, in
+        lexicographic order.  The row meets self in an interval of the last
+        coordinate within [low, high], read exactly off the inequalities.
+
+        The certificate says which inequalities set that interval:
+        ``(lower, first, upper, last)`` for the interval [first, last]
+        (empty when last < first), where ``upper`` is the index of the
+        inequality that set ``last`` and ``lower`` that of the one that set
+        ``first``, None where ``high`` or ``low`` did; or ``(index,)`` when
+        inequality ``index`` does not involve the last coordinate and fails
+        on the whole row.
+
+        Raises EnumerationBudgetError before the first row when the ranges
+        hold more than ENUMERATION_BUDGET rows.
+        """
+        rows = prod(max(values.stop - values.start, 0) for values in outer)
+        if rows > ENUMERATION_BUDGET:
+            raise EnumerationBudgetError(
+                f"enumeration would scan {rows} rows, over the budget of "
+                f"{ENUMERATION_BUDGET}",
+                count=rows,
+            )
         # <normal, x> * q <= p becomes n * q * x_last <= room
         split = [
             (normal[:-1], normal[-1] * q, p, q)
             for normal, p, q in self._integer_tests()
         ]
-        points = []
         for head in iter_product(*outer):
             first, last = low, high
             lower = upper = None
@@ -369,14 +409,10 @@ class LatticePolyhedron:
                     if (bound := -(room // -slope)) > first:
                         first, lower = bound, index
                 elif room < 0:
-                    certificate = (index,)
+                    yield head, (index,)
                     break
             else:
-                points.extend(zip(*map(repeat, head), range(first, last + 1)))
-                certificate = (lower, first, upper, last)
-            if certificates is not None:
-                certificates[head] = certificate
-        return points
+                yield head, (lower, first, upper, last)
 
     def violates(self, index, point):
         """True iff the integer ``point`` fails inequality number ``index``

@@ -5,6 +5,8 @@ expected values in the tests never depend on the library under test.
 """
 
 import json
+import os
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,6 +63,45 @@ NEGATIVE_FILES = [
 
 def corpus_path(name):
     return CORPUS / name
+
+
+def huge_box(rank, bound=10**12):
+    """A compact description of the box [0, bound]^rank: too many rows (rank
+    2 and up) or points (rank 1) to enumerate."""
+    inequalities = []
+    for axis in range(rank):
+        unit = [int(i == axis) for i in range(rank)]
+        inequalities.append({"normal": unit, "bound": bound})
+        inequalities.append({"normal": [-x for x in unit], "bound": 0})
+    return {
+        "schema": "bquant/1", "kind": "compact_toric", "rank": rank,
+        "polytope": {"rank": rank, "inequalities": inequalities},
+    }
+
+
+@contextmanager
+def address_space_cap(headroom=2**30):
+    """Cap this process's address space at its current size plus
+    `headroom` bytes while the block runs, so that a runaway enumeration
+    raises MemoryError instead of exhausting the machine.  Where the size
+    cannot be read (no /proc), the block runs uncapped."""
+    try:
+        import resource
+
+        with open("/proc/self/statm", encoding="ascii") as handle:
+            pages = int(handle.read().split()[0])
+    except (ImportError, OSError):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = pages * os.sysconf("SC_PAGE_SIZE") + headroom
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def raw_description(name):

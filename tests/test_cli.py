@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from conftest import corpus_path
+from conftest import address_space_cap, corpus_path, huge_box
 
 import bquant
 from bquant import __version__, load_description, local_model
@@ -337,6 +338,20 @@ def test_internal_error_is_not_a_usage_error(run, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "bquant: internal error: TypeError: unsupported operand\n"
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_huge_enumeration_is_usage_error(run, tmp_path, rank):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(huge_box(rank)), encoding="utf-8")
+    started = time.perf_counter()
+    with address_space_cap():
+        code, out, err = run("quantize", str(path))
+    assert time.perf_counter() - started < 5
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bquant: error: enumeration would ")
+    assert err.endswith(" over the budget of 1000000\n")
 
 
 def test_parse_error_reports_position(run, tmp_path):

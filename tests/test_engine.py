@@ -1,15 +1,23 @@
 """Quantization engine tests: compact counts, tail cancellation, reduction."""
 
 import dataclasses
+import itertools
 import json
+import math
 import random
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
 from conftest import (
+    COMPACT_FILES,
     VALID_B_FILES,
+    address_space_cap,
     corpus_path,
+    huge_box,
     raw_description,
     raw_multiplicity,
 )
@@ -20,6 +28,7 @@ from bquant import (
     BSpaceDescription,
     DescriptionKindError,
     DimensionMismatchError,
+    EnumerationBudgetError,
     LatticePolyhedron,
     NotFiniteError,
     NotValidatedError,
@@ -47,6 +56,7 @@ from bquant import (
 )
 
 from bquant.cli import main
+from bquant.polyhedra import ENUMERATION_BUDGET
 
 import make_corpus
 
@@ -336,17 +346,88 @@ def test_self_check_catches_corrupted_enumeration(monkeypatch):
 
 
 def test_self_check_catches_shortened_row_intervals(monkeypatch):
-    # lattice_points and points_in_box share the row scan, so a fault there
-    # shows up on both sides of the count; contains_point still sees it
+    # lattice_points lists the collapse's points through the row scan; the
+    # self-check reads the formal count off the row certificates instead,
+    # so a listing that drops points parts from it
     real = LatticePolyhedron._scan
 
-    def shortened(self, outer, low, high, certificates=None):
-        points = real(self, outer, low, high, certificates)
-        return points[:-1]
+    def shortened(self, outer, low, high):
+        return real(self, outer, low, high)[:-1]
 
     monkeypatch.setattr(LatticePolyhedron, "_scan", shortened)
+    with pytest.raises(SelfCheckError, match="formal signed count"):
+        quantize_b(load("sphere_a2_bm1.json"))
+
+
+def test_self_check_catches_shortened_row_certificates(monkeypatch):
+    # a row scan that ends every interval one step early shortens the
+    # listing and the certificate alike; the upper inequality it names then
+    # holds at the claimed end + 1
+    real = LatticePolyhedron._rows
+
+    def shortened(self, outer, low, high):
+        for head, claim in real(self, outer, low, high):
+            if len(claim) == 4 and claim[1] <= claim[3]:
+                lower, first, upper, final = claim
+                claim = lower, first, upper, final - 1
+            yield head, claim
+
+    monkeypatch.setattr(LatticePolyhedron, "_rows", shortened)
     with pytest.raises(SelfCheckError, match="disagrees with its inequalities"):
         quantize_b(load("sphere_a2_bm1.json"))
+
+
+def wrong_tables(table, rank):
+    """Single faults in a weight -> multiplicity table: each weight dropped,
+    bumped, or moved one step along the last coordinate, a weight added
+    just past each one, and one far outside any window."""
+    step = (0,) * (rank - 1) + (1,)
+    for weight, multiplicity in table.items():
+        after = tuple(map(sum, zip(weight, step)))
+        before = tuple(w - s for w, s in zip(weight, step))
+        rest = {w: m for w, m in table.items() if w != weight}
+        yield rest
+        yield {**table, weight: multiplicity + 1}
+        for moved in (after, before):
+            if moved not in table:
+                yield {**rest, moved: multiplicity}
+                yield {**table, moved: 1}
+    for weight in [(0,) * rank, (10**6,) * rank]:
+        if weight not in table:
+            yield {**table, weight: -1}
+
+
+@pytest.mark.parametrize("name", VALID_B_FILES)
+def test_self_check_names_the_first_wrong_weight(name):
+    # the run-by-run match must refuse every single fault in the character
+    # and name the least weight where it parts from the honest one
+    d = load(name)
+    formal = formal_character(d)
+    honest = quantize_b(d)
+    window = engine._verification_box(honest, [])
+    engine._self_check(formal, honest, window)
+    table = dict(honest.items())
+    for wrong in wrong_tables(table, d.rank):
+        weight = min(
+            w for w in table.keys() | wrong.keys()
+            if table.get(w, 0) != wrong.get(w, 0)
+        )
+        with pytest.raises(SelfCheckError) as info:
+            engine._self_check(formal, VirtualCharacter(d.rank, wrong), window)
+        assert str(info.value) == (
+            f"collapsed character gives {wrong.get(weight, 0)} at weight "
+            f"{weight} but the formal signed count is {table.get(weight, 0)}"
+        )
+
+
+def test_self_check_tests_rank_0_directly():
+    point = LatticePolyhedron(0, [])
+    formal = PolyhedralCharacter(0, [(1, point), (1, point)])
+    engine._self_check(formal, VirtualCharacter(0, {(): 2}), [])
+    with pytest.raises(SelfCheckError, match=(
+        r"gives 1 at weight \(\) but the formal signed count is 2"
+    )):
+        engine._self_check(formal, VirtualCharacter(0, {(): 1}), [])
 
 
 def _report_nonempty_row_empty(polyhedron, claim):
@@ -385,30 +466,36 @@ def _claim_a_point_on_an_empty_row(polyhedron, claim):
     ("skew.json", _claim_a_point_on_an_empty_row),
 ])
 def test_self_check_refuses_forged_row_certificates(monkeypatch, name, forge):
-    # the scan rewrites one row's certificate and lists that row's points to
-    # match, as a faulty scan would; only the certificate check can object
-    real = LatticePolyhedron._scan
+    # the row scan rewrites one row's certificate, as a faulty scan would;
+    # only the certificate check can object.  lattice_points scans with an
+    # open last coordinate, so only the self-check's windowed rows are
+    # forged and the collapsed character stays right
+    real = LatticePolyhedron._rows
     forged = []
 
-    def scan(self, outer, low, high, certificates=None):
-        points = real(self, outer, low, high, certificates)
-        if certificates is None or forged:
-            return points
-        for head, claim in certificates.items():
-            new = forge(self, claim)
+    def rows(self, outer, low, high):
+        for head, claim in real(self, outer, low, high):
+            new = None if forged or low == -math.inf else forge(self, claim)
             if new is not None:
                 forged.append((head, claim, new))
-                certificates[head] = new
-                points = [p for p in points if p[:-1] != head]
-                if len(new) == 4:
-                    points.extend(head + (x,) for x in range(new[1], new[3] + 1))
-                return sorted(points)
-        return points
+                claim = new
+            yield head, claim
 
-    monkeypatch.setattr(LatticePolyhedron, "_scan", scan)
+    monkeypatch.setattr(LatticePolyhedron, "_rows", rows)
     with pytest.raises(SelfCheckError, match="disagrees with its inequalities"):
         quantize_b(load(name))
     assert len(forged) == 1
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_huge_enumeration_fails_fast(rank):
+    # rank 1 lists 10**12 + 1 points on one row; rank 2 scans 10**12 + 1 rows
+    description = parse(huge_box(rank))
+    started = time.perf_counter()
+    with address_space_cap(), pytest.raises(EnumerationBudgetError) as info:
+        quantize_description(description)
+    assert time.perf_counter() - started < 5
+    assert info.value.count == 10**12 + 1 > ENUMERATION_BUDGET
 
 
 def test_quantize_b_zero_weights_is_other_dichotomy_branch():
@@ -462,6 +549,32 @@ def test_local_model_rejects_unequal_tails():
     with pytest.raises(NotFiniteError) as info:
         quantize_local_model(bad)
     assert "differ as sets" in str(info.value)
+
+
+@pytest.mark.parametrize("name", ["sphere_a2_bm1.json", "skew.json", "chain3.json"])
+def test_local_model_recheck_finds_uncancelled_points(monkeypatch, name):
+    # with the set-equality proof forced through, the row re-check still
+    # names the first point of the box, in lexicographic order, where the
+    # tails fail to cancel
+    model = local_model(load(name), 0)
+    (sa, tail_a), (sb, tail_b) = model.tails
+    shifted = tail_b.translate((1,) + (0,) * (tail_b.rank - 1))
+    ranges = [
+        range(math.floor(min(values)) - 1, math.ceil(max(values)) + 2)
+        for values in zip(*tail_a.vertices())
+    ]
+    point, total = next(
+        (point, total) for point in itertools.product(*ranges)
+        if (total := sa * tail_a.contains_point(point)
+            + sb * shifted.contains_point(point))
+    )
+    bad = dataclasses.replace(model, tails=((sa, tail_a), (sb, shifted)))
+    monkeypatch.setattr(LatticePolyhedron, "set_equals", lambda *_: True)
+    with pytest.raises(SelfCheckError) as info:
+        quantize_local_model(bad)
+    assert str(info.value).endswith(
+        f"at lattice point {point} (signed count {total})"
+    )
 
 
 def test_local_model_type_check():
@@ -595,6 +708,96 @@ def test_qr_product_builds_the_formal_character_once(monkeypatch):
     assert report.matches
     assert report.checked_weights > 1
     assert calls == [d]
+
+
+def route_two_oracle(description, partner, character):
+    """The report verify_qr_product must give, by the per-weight definition
+    of route two: the formal signed count at each lattice point of the
+    reflected partner, in lexicographic order."""
+    formal = formal_character(description)
+    geometry = checked = 0
+    first_mismatch = None
+    for weight in partner.polytope.reflect_through_origin().lattice_points():
+        direct = formal.multiplicity(weight)
+        geometry += direct
+        checked += 1
+        from_character = character.multiplicity(weight)
+        if first_mismatch is None and from_character != direct:
+            first_mismatch = (weight, from_character, direct)
+    return QRReport(
+        invariant_from_characters=character.invariant_pairing(
+            quantize_compact_toric(partner)
+        ),
+        invariant_from_geometry=geometry,
+        checked_weights=checked,
+        first_mismatch=first_mismatch,
+    )
+
+
+RANK_0_POINT = {
+    "schema": "bquant/1", "kind": "compact_toric", "rank": 0,
+    "polytope": {"rank": 0, "inequalities": []},
+}
+
+
+def qr_pairs():
+    """(description, partner) for every quantizable corpus description and
+    compact corpus partner of the same rank, and the rank-0 point twice."""
+    partners = [load(name) for name in COMPACT_FILES]
+    pairs = [(parse(RANK_0_POINT), parse(RANK_0_POINT))]
+    for name in VALID_B_FILES + COMPACT_FILES:
+        description = load(name)
+        pairs.extend(
+            (description, partner) for partner in partners
+            if partner.rank == description.rank
+        )
+    return pairs
+
+
+def test_qr_route_two_matches_the_per_weight_oracle():
+    rng = random.Random(31)
+    mismatches = 0
+    for description, partner in qr_pairs():
+        honest = quantize_description(description)
+        report = verify_qr_product(description, partner, character=honest)
+        assert report == route_two_oracle(description, partner, honest)
+        assert report.matches
+        # the same pair with 1-3 weights of the character corrupted
+        corrupted = honest
+        for _ in range(rng.randint(1, 3)):
+            weight = tuple(rng.randint(-6, 6) for _ in range(description.rank))
+            corrupted += VirtualCharacter.delta(
+                weight, rng.choice([-2, -1, 1, 2])
+            )
+        report = verify_qr_product(description, partner, character=corrupted)
+        assert report == route_two_oracle(description, partner, corrupted)
+        mismatches += report.first_mismatch is not None
+        # and with one seeded multiplicity moved a step along the last axis
+        if not honest.is_zero() and description.rank:
+            table = dict(honest.items())
+            weight = rng.choice(sorted(table))
+            moved = weight[:-1] + (weight[-1] + rng.choice([-1, 1]),)
+            table[moved] = table.get(moved, 0) + table.pop(weight)
+            shifted = VirtualCharacter(description.rank, table)
+            report = verify_qr_product(description, partner, character=shifted)
+            assert report == route_two_oracle(description, partner, shifted)
+            mismatches += report.first_mismatch is not None
+    assert mismatches > 40
+
+
+@pytest.mark.parametrize("seed", [7919, 11, 4242])
+def test_qr_route_two_matches_the_oracle_on_benchmark_cases(seed):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for case in workloads.generate("qr_verify", seed):
+        description, partner = map(parse_description, case.texts)
+        character = quantize_description(description)
+        report = verify_qr_product(description, partner)
+        assert report == route_two_oracle(description, partner, character)
+        assert report.payload() == case.expected()["report"]
 
 
 def test_qr_product_partner_must_be_compact():

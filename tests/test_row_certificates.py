@@ -1,24 +1,26 @@
 """Property tests of the row scan and the certificates it hands the
 self-check.
 
-`LatticePolyhedron._scan` reads each row's interval of the last coordinate
-off the inequalities and, when asked, names the inequalities that bound it;
-`engine._row_mismatch` checks those claims with single-inequality tests and
-contains_point, never with the scan's own arithmetic.  On random polyhedra
-of ranks 1-3 (empty, unbounded and lower-dimensional ones included) over
-random windows, the scan must agree with a brute-force contains_point filter
-and pass the check, and the check must refuse a listing with a point or a
-row missing, a certificate with one entry changed, and a point added to a
-row's listing and certificate together.
+`LatticePolyhedron._rows` reads each row's interval of the last coordinate
+off the inequalities and names the inequalities that bound it;
+`engine._row_steps` checks those claims with single-inequality tests and
+contains_point, never with the scan's own arithmetic, and turns them into
+step functions of the signed count.  On random polyhedra of ranks 1-3
+(empty, unbounded and lower-dimensional ones included) over random
+windows, the scan must agree with a brute-force contains_point filter and
+pass the check, and the check must refuse a row sequence with a point or a
+row missing, a certificate missing or with one entry changed, and a point
+added to a row's certificate.
 """
 
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from bquant import LatticePolyhedron
-from bquant.engine import _row_mismatch
+from bquant import LatticePolyhedron, PolyhedralCharacter, SelfCheckError
+from bquant.engine import _row_steps, _runs
 
 BOUNDS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
 
@@ -47,32 +49,33 @@ def polyhedra_in_windows(draw):
     return LatticePolyhedron(rank, inequalities), window
 
 
-def certified_scan(polyhedron, window):
+def steps_of(polyhedron, window, rows=None):
+    """_row_steps on `polyhedron` alone over `window`, with its row scan
+    replaced by the (head, certificate) pairs `rows` when given; None when
+    the check refuses."""
     *outer, last = window
-    certificates = {}
-    points = polyhedron._scan(outer, last.start, last.stop - 1, certificates)
-    return points, certificates
+    formal = PolyhedralCharacter(polyhedron.rank, [(1, polyhedron)])
+    with pytest.MonkeyPatch.context() as patch:
+        if rows is not None:
+            patch.setattr(LatticePolyhedron, "_rows", lambda *_: iter(rows))
+        try:
+            return _row_steps(formal, outer, last.start, last.stop - 1)
+        except SelfCheckError:
+            return None
 
 
-def tamperings(polyhedron, points, certificates, window):
-    """(label, points, certificates) for every single change the check must
-    refuse: one point dropped, one row's points or certificate dropped, one
-    certificate entry changed so that its claim is false, or one point
-    added to a row and to its certificate together."""
+def tamperings(polyhedron, rows, window):
+    """(label, rows) for every single change the check must refuse: one
+    point dropped from its row's interval, one row or one certificate
+    dropped, one certificate entry changed so that its claim is false, or
+    one point added to a row's interval."""
     low, high = window[-1].start, window[-1].stop - 1
     slopes = [normal[-1] for normal, _ in polyhedron.inequalities]
-    for point in points:
-        yield f"drop {point}", [p for p in points if p != point], certificates
-    for head, claim in certificates.items():
-        kept = [p for p in points if p[:-1] != head]
-        if len(kept) < len(points):
-            yield f"drop row {head}", kept, certificates
-        claims = {h: c for h, c in certificates.items() if h != head}
-        yield f"drop certificate {head}", points, claims
+    for at, (head, claim) in enumerate(rows):
+        def swap(label, *new):
+            return label, rows[:at] + [(head, c) for c in new] + rows[at + 1:]
 
-        def swap(label, new):
-            return label, points, {**certificates, head: new}
-
+        yield swap(f"drop certificate {head}", ())
         if len(claim) == 1:
             yield swap(f"{head}: whole row", (None, low, None, high))
             yield swap(f"{head}: unknown index", (len(slopes),))
@@ -81,22 +84,26 @@ def tamperings(polyhedron, points, certificates, window):
                     yield swap(f"{head}: sloped index {index}", (index,))
             continue
         lower, first, upper, final = claim
-        # a point past the row's end, listed and claimed alike
-        extra = final + 1 if final >= first else first
-        yield (
-            f"{head}: add {extra}",
-            sorted(points + [head + (extra,)]),
-            {**certificates, head: (lower, min(first, extra), upper, extra)},
-        )
+        for x in range(first, final + 1):
+            # the interval's pieces on either side of x, each as a row
+            pieces = [(lower, first, None, x - 1)] if x > first else []
+            if x < final:
+                pieces.append((None, x + 1, upper, final))
+            yield swap(f"drop {head + (x,)}", *pieces)
         if final >= first:
-            # the row's points dropped and the row claimed empty, bounded
-            # on both sides by one inequality that really fails there
+            yield swap(f"drop row {head}")
+        # a point past the row's end
+        extra = final + 1 if final >= first else first
+        yield swap(f"{head}: add {extra}", (lower, min(first, extra), upper, extra))
+        if final >= first:
+            # the row claimed empty, bounded on both sides by one inequality
+            # that really fails there
             if lower is not None:
-                yield (f"{head}: upper {lower} against the slope", kept,
-                       {**certificates, head: (lower, first, lower, first - 2)})
+                yield swap(f"{head}: upper {lower} against the slope",
+                           (lower, first, lower, first - 2))
             if upper is not None:
-                yield (f"{head}: lower {upper} against the slope", kept,
-                       {**certificates, head: (upper, final + 2, upper, final)})
+                yield swap(f"{head}: lower {upper} against the slope",
+                           (upper, final + 2, upper, final))
         yield swap(f"{head}: final - 1", (lower, first, upper, final - 1))
         yield swap(f"{head}: first + 1", (lower, first + 1, upper, final))
         if upper is not None:
@@ -114,26 +121,35 @@ def tamperings(polyhedron, points, certificates, window):
 @given(polyhedra_in_windows())
 def test_scan_agrees_with_brute_force_and_passes_the_check(case):
     polyhedron, window = case
-    points, certificates = certified_scan(polyhedron, window)
+    *outer, last = window
+    low, high = last.start, last.stop - 1
+    points = polyhedron._scan(outer, low, high)
     assert points == [
         point for point in product(*window) if polyhedron.contains_point(point)
     ]
     assert polyhedron.points_in_box(window) == points
-    assert set(certificates) == set(product(*window[:-1]))
-    assert _row_mismatch(polyhedron, points, certificates, window) is None
+    rows = list(polyhedron._rows(outer, low, high))
+    assert [head for head, _ in rows] == list(product(*outer))
+    steps = steps_of(polyhedron, window)
+    assert steps is not None
+    assert {
+        head + (x,): value
+        for head, jumps in steps.items()
+        for a, b, value in _runs(jumps, low, high + 1)
+        for x in range(a, b)
+    } == dict.fromkeys(points, 1)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(polyhedra_in_windows())
 def test_check_refuses_every_single_tampering(case):
     polyhedron, window = case
-    points, certificates = certified_scan(polyhedron, window)
+    *outer, last = window
+    rows = list(polyhedron._rows(outer, last.start, last.stop - 1))
+    assert steps_of(polyhedron, window, rows) is not None
     accepted = [
         label
-        for label, bad_points, bad_certificates in tamperings(
-            polyhedron, points, certificates, window
-        )
-        if _row_mismatch(polyhedron, bad_points, bad_certificates, window)
-        is None
+        for label, bad_rows in tamperings(polyhedron, rows, window)
+        if steps_of(polyhedron, window, bad_rows) is not None
     ]
     assert accepted == []
