@@ -1,7 +1,10 @@
 """Exact rational linear algebra helpers.
 
 Everything here works over Python ints and fractions.Fraction; nothing is
-ever rounded.  Scales are small (rank <= 3, handfuls of rows), so the
+ever rounded.  The eliminations are fraction-free: row reduction and the
+determinant work on integer rows and divide only where the quotient is
+exact, so a Fraction is built only for a rational answer (solve_unique's
+solution).  Scales are small (rank <= 3, handfuls of rows), so the
 algorithms favour clarity over asymptotics.
 """
 
@@ -123,30 +126,32 @@ def solve_unique(rows, rhs):
 
 
 def determinant(rows):
-    """Exact determinant via fraction-valued Gaussian elimination."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    mat = [[Fraction(entry) for entry in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
+    """Exact determinant of a square integer matrix, as an int.
+
+    Fraction-free Bareiss elimination: after step k, entry (i, j) with
+    i, j > k is the minor on rows 0..k, i and columns 0..k, j of the
+    row-swapped matrix, so each division by the previous pivot is exact,
+    every entry stays an int, and the last entry is the determinant up to
+    the sign of the swaps.
+    """
+    mat = [list(row) for row in rows]
+    n = len(mat)
+    sign, previous = 1, 1
+    for c in range(n - 1):
+        pivot_row = next((i for i in range(c, n) if mat[i][c]), None)
         if pivot_row is None:
-            return Fraction(0)
+            return 0
         if pivot_row != c:
             mat[c], mat[pivot_row] = mat[pivot_row], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = 1 / mat[c][c]
+            sign = -sign
+        pivot = mat[c]
+        p = pivot[c]
         for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                factor = mat[i][c] * inv
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[c])]
-    return det
+            a = mat[i][c]
+            mat[i] = [(p * x - a * y) // previous
+                      for x, y in zip(mat[i], pivot)]
+        previous = p
+    return sign * mat[-1][-1] if n else 1
 
 
 def rational_kernel_basis(rows, ncols):

@@ -9,6 +9,8 @@ polyhedron indicators; it performs no simplification, and collapsing one to
 a finite `VirtualCharacter` is the quantization engine's job.
 """
 
+from operator import neg
+
 from .errors import DimensionMismatchError
 from .polyhedra import LatticePolyhedron
 
@@ -39,7 +41,13 @@ def _as_weight(weight, rank):
 
 
 class VirtualCharacter:
-    """Finitely supported weight -> Z map in canonical form."""
+    """Finitely supported weight -> Z map in canonical form.
+
+    The constructor checks every weight and multiplicity it is given, so
+    a character built from outside input is canonical or refused.  Tables
+    the engine built itself (tuples of ints with nonzero int values) go
+    through :meth:`_from_table` instead, which only sorts them.
+    """
 
     __slots__ = ("rank", "_multiplicities")
 
@@ -63,6 +71,17 @@ class VirtualCharacter:
                     del table[weight]
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "_multiplicities", dict(sorted(table.items())))
+
+    @classmethod
+    def _from_table(cls, rank, table):
+        """Character of a weight -> multiplicity dict the engine built,
+        whose weights are tuples of `rank` ints and whose multiplicities
+        are nonzero ints.  Sorts once and tests no entry; anything from
+        outside the engine goes through the constructor."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "_multiplicities", dict(sorted(table.items())))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("VirtualCharacter is immutable")
@@ -154,7 +173,7 @@ class VirtualCharacter:
         if len(small) > len(large):
             small, large = large, small
         return sum(
-            multiplicity * large.get(tuple(-entry for entry in weight), 0)
+            multiplicity * large.get(tuple(map(neg, weight)), 0)
             for weight, multiplicity in small.items()
         )
 

@@ -16,6 +16,7 @@ import sys
 
 from . import __version__
 from .engine import (
+    first_support_mismatch,
     quantize_description,
     quantize_local_model,
     reduced_space_quantization,
@@ -195,12 +196,7 @@ def _cmd_check(args):
 def _verify_quantization(description, character):
     """Cross-check every support weight against the direct count and list
     the facet-boundary weights.  Returns (lines, ok)."""
-    mismatch = None
-    for weight in character.support():
-        direct = reduced_space_quantization(description, weight).count
-        if direct != character.multiplicity(weight):
-            mismatch = (weight, character.multiplicity(weight), direct)
-            break
+    mismatch = first_support_mismatch(description, character)
     boundary = facet_boundary_weights(description, character)
     total = len(character.support())
     lines = []

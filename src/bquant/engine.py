@@ -19,9 +19,9 @@ certified row intervals.
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from itertools import combinations, groupby, product as iter_product
 from math import ceil, floor
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from . import _linalg
 from .characters import PolyhedralCharacter, VirtualCharacter
@@ -53,6 +53,7 @@ __all__ = [
     "quantize_description",
     "quantize_local_model",
     "reduced_space_quantization",
+    "first_support_mismatch",
     "pointwise_multiplicity",
     "facet_boundary_weights",
     "verify_qr_product",
@@ -157,7 +158,7 @@ def quantize_compact_toric(space):
         raise TypeError("expected a CompactToricSpace")
     require_validated(space)
     points = space.polytope.lattice_points()
-    return VirtualCharacter(space.rank, ((point, 1) for point in points))
+    return VirtualCharacter._from_table(space.rank, dict.fromkeys(points, 1))
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +231,7 @@ def collapse_signed_tails(description, self_check=True):
     table = {}
     for coefficient, piece in zip(coefficients, pieces):
         _accumulate(table, piece.lattice_points(), coefficient)
-    character = VirtualCharacter(rank, table)
+    character = VirtualCharacter._from_table(rank, table)
 
     if self_check:
         _self_check(formal, character, _verification_box(character, pieces))
@@ -279,11 +280,15 @@ def _row_steps(formal, outer, low, high):
 
     A row fixes every coordinate but the last and meets each term in an
     interval.  LatticePolyhedron._rows names, per row, the inequalities
-    that bound it; each certificate is checked here with exact
-    single-inequality tests, never with the scan's floor division.  The
-    k-th certificate is checked against the k-th row of the window, so
-    whatever the scan calls the row, every window row gets a certificate
-    that holds there or the check fails:
+    that bound it; each certificate is checked here against the term's
+    integer tests <normal, x> * q <= p (_integer_tests, fetched once per
+    term), never with the scan's floor division.  The k-th certificate is
+    checked against the k-th row of the window, so whatever the scan calls
+    the row, every window row gets a certificate that holds there or the
+    check fails.  The tests are filed by index 0..m-1 and by the sign of
+    their last-coordinate slope, so an index that names no inequality
+    (negative or out of range) or one of the wrong slope finds no test and
+    is refused:
     - (index,): inequality `index` has last-coordinate slope 0 and fails
       on the row, so the row is empty;
     - (lower, first, upper, final): inequality `upper` has positive slope
@@ -292,43 +297,57 @@ def _row_steps(formal, outer, low, high):
       first - 1, hence at every x < first (None: first is at or before
       `low`).  When final < first the row is empty: by Helly's theorem in
       dimension 1, every integer fails one of the two.  Otherwise first
-      and final lie in [low, high] and, by contains_point, in the term, so
-      the row is exactly first..final, and the term's sign jumps in at
-      first and out at final + 1.
+      and final lie in [low, high] and pass every test of the term, so the
+      row is exactly first..final, and the term's sign jumps in at first
+      and out at final + 1.
     An empty row thus costs at most two single-inequality tests.  A
     certificate that fails raises SelfCheckError naming the term and a
     weight where it fails.
     """
     steps = {}
     for index, (sign, polyhedron) in enumerate(formal.terms):
-        slopes = {
-            number: normal[-1]
-            for number, (normal, _) in enumerate(polyhedron.inequalities)
-        }
-        violates, contains = polyhedron.violates, polyhedron.contains_point
+        tests = polyhedron._integer_tests()
+        level, rising, falling = {}, {}, {}
+        for number, test in enumerate(tests):
+            slope = test[0][-1]
+            filed = rising if slope > 0 else falling if slope < 0 else level
+            filed[number] = test
         rows = polyhedron._rows(outer, low, high)
         for head in iter_product(*outer):
             _, claim = next(rows, (None, ()))
             if len(claim) == 1:
-                if slopes.get(claim[0]) != 0 or not violates(
-                    claim[0], head + (low,)
-                ):
-                    raise _refused(index, head + (low,))
+                point = head + (low,)
+                test = level.get(claim[0])
+                if test is None or \
+                        sum(map(mul, test[0], point)) * test[2] <= test[1]:
+                    raise _refused(index, point)
                 continue
             if len(claim) != 4:
                 raise _refused(index, head + (low,))
             lower, first, upper, final = claim
-            if (final < high if upper is None else slopes.get(upper, 0) <= 0
-                    or not violates(upper, head + (final + 1,))):
-                raise _refused(index, head + (final + 1,))
-            if (first > low if lower is None else slopes.get(lower, 0) >= 0
-                    or not violates(lower, head + (first - 1,))):
-                raise _refused(index, head + (first - 1,))
+            point = head + (final + 1,)
+            if upper is None:
+                if final < high:
+                    raise _refused(index, point)
+            elif (test := rising.get(upper)) is None or \
+                    sum(map(mul, test[0], point)) * test[2] <= test[1]:
+                raise _refused(index, point)
+            point = head + (first - 1,)
+            if lower is None:
+                if first > low:
+                    raise _refused(index, point)
+            elif (test := falling.get(lower)) is None or \
+                    sum(map(mul, test[0], point)) * test[2] <= test[1]:
+                raise _refused(index, point)
             if final < first:
                 continue
             for x in (first, final):
-                if not (low <= x <= high and contains(head + (x,))):
-                    raise _refused(index, head + (x,))
+                point = head + (x,)
+                if not low <= x <= high:
+                    raise _refused(index, point)
+                for normal, p, q in tests:
+                    if sum(map(mul, normal, point)) * q > p:
+                        raise _refused(index, point)
             jumps = steps.setdefault(head, {})
             jumps[first] = jumps.get(first, 0) + sign
             jumps[final + 1] = jumps.get(final + 1, 0) - sign
@@ -544,6 +563,50 @@ def reduced_space_quantization(description, weight):
     return ReducedSpaceResult(
         weight=weight, count=sum(contributions), contributions=contributions
     )
+
+
+def first_support_mismatch(description, character):
+    """(weight, multiplicity in `character`, direct count) at the
+    lexicographically first support weight of `character` where the two
+    differ; None when they agree on the whole support.  Weights off the
+    support are not compared.
+
+    The direct count is reduced_space_quantization's: the signed number of
+    components that contain the weight.  It is read off the certified row
+    intervals of every component (_row_steps) over the rows of the
+    support's box, so no weight gets a membership test of its own.  Rank 0
+    has the one weight (), tested directly.
+    """
+    require_validated(description)
+    if character.rank != description.rank:
+        raise DimensionMismatchError(
+            f"rank {character.rank} character checked against rank "
+            f"{description.rank} description"
+        )
+    items = character.items()
+    if not items:
+        return None
+    formal = formal_character(description)
+    if not character.rank:
+        ((weight, found),) = items
+        direct = formal.multiplicity(weight)
+        return None if found == direct else (weight, found, direct)
+    *outer, last = [
+        range(min(values), max(values) + 1)
+        for values in zip(*character.support())
+    ]
+    steps = _row_steps(formal, outer, last.start, last.stop - 1)
+    for head, entries in groupby(items, key=lambda item: item[0][:-1]):
+        runs = _runs(steps.get(head, {}), last.start, last.stop)
+        at = 0
+        for weight, found in entries:
+            x = weight[-1]
+            while at < len(runs) and runs[at][1] <= x:
+                at += 1
+            direct = runs[at][2] if at < len(runs) and runs[at][0] <= x else 0
+            if found != direct:
+                return weight, found, direct
+    return None
 
 
 def facet_boundary_weights(description, character):

@@ -414,12 +414,6 @@ class LatticePolyhedron:
             else:
                 yield head, (lower, first, upper, last)
 
-    def violates(self, index, point):
-        """True iff the integer ``point`` fails inequality number ``index``
-        (an index into ``inequalities``), tested on its own."""
-        normal, p, q = self._integer_tests()[index]
-        return sum(map(mul, normal, point)) * q > p
-
     def is_lattice_polytope(self):
         if self.is_empty():
             raise EmptyPolyhedronError("empty polyhedron is not a lattice polytope")

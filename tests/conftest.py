@@ -4,6 +4,7 @@ The oracle reads description files with nothing but json and Fraction, so
 expected values in the tests never depend on the library under test.
 """
 
+import importlib.util
 import json
 import os
 from contextlib import contextmanager
@@ -63,6 +64,16 @@ NEGATIVE_FILES = [
 
 def corpus_path(name):
     return CORPUS / name
+
+
+def benchmark_workloads():
+    """The benchmark's stdlib-only case generator, perfbench/workloads.py,
+    loaded read-only as a module."""
+    path = CORPUS.parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def huge_box(rank, bound=10**12):

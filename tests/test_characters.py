@@ -4,11 +4,21 @@ import random
 
 import pytest
 
+from conftest import (
+    COMPACT_FILES,
+    VALID_B_FILES,
+    benchmark_workloads,
+    corpus_path,
+)
+
 from bquant import (
     DimensionMismatchError,
     LatticePolyhedron,
     PolyhedralCharacter,
     VirtualCharacter,
+    load_description,
+    parse_description,
+    quantize_description,
 )
 from bquant.characters import (
     dimension,
@@ -45,10 +55,43 @@ def test_zero_and_delta():
 def test_weight_validation():
     with pytest.raises(DimensionMismatchError):
         VirtualCharacter(1, [((1, 2), 1)])
+    with pytest.raises(DimensionMismatchError):
+        VirtualCharacter(2, [((1,), 1)])
     with pytest.raises(ValueError):
         VirtualCharacter(1, [((1,), "x")])
     with pytest.raises(ValueError):
         VirtualCharacter(1, {(True,): 1})
+    with pytest.raises(ValueError):
+        VirtualCharacter(2, {(0, 1.0): 1})
+    with pytest.raises(ValueError):
+        VirtualCharacter(1, {(0,): True})
+    with pytest.raises(ValueError):
+        VirtualCharacter(1, {(0,): 1.0})
+
+
+def engine_built_characters():
+    """(label, character) for every character the engine builds from the
+    quantizable corpus and from the benchmark's generated cases: the
+    compact ones through quantize_compact_toric, the singular ones through
+    collapse_signed_tails."""
+    for name in VALID_B_FILES + COMPACT_FILES:
+        yield name, quantize_description(load_description(corpus_path(name)))
+    workloads = benchmark_workloads()
+    for workload in workloads.WORKLOADS:
+        for case in workloads.generate(workload, 7919):
+            for text in case.texts:
+                yield case.label, quantize_description(parse_description(text))
+
+
+def test_engine_built_characters_are_canonical():
+    count = 0
+    for label, character in engine_built_characters():
+        items = character.items()
+        assert items == sorted(items), label
+        assert all(multiplicity for _, multiplicity in items), label
+        assert character == VirtualCharacter(character.rank, items), label
+        count += 1
+    assert count == len(VALID_B_FILES + COMPACT_FILES) + 820 + 4 * 2
 
 
 def test_addition_subtraction_negation():

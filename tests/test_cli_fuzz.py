@@ -3,8 +3,9 @@ with one to three random mutations by exiting 0, 1 or 2, never with an
 internal error (exit 3) or a traceback.
 
 A mutation drops, duplicates or shuffles list entries, deletes an object
-field, or sets a value to null, a string, a boolean, a 'p/q' literal or
-+-2**70.  Huge numbers must meet the enumeration budget, so the run is
+field, sets a value to null, a string, a boolean, a 'p/q' literal or
++-2**70, or flips the sign of a number or a 'p/q' literal (a normal entry,
+a bound, a component sign, a modular weight entry).  Huge numbers must meet the enumeration budget, so the run is
 capped in address space: a missing guard fails the test with a MemoryError
 instead of exhausting the machine.
 """
@@ -12,6 +13,7 @@ instead of exhausting the machine.
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,6 +33,8 @@ COMMANDS = (
 )
 
 VALUES = (None, "text", True, False, "3/2", "-7/4", 2**70, -(2**70))
+
+NUMBER = re.compile(r"^-?\d+(/\d+)?$")
 
 # the segment [-2**70, 0]: a listing of 2**70 + 1 points
 HUGE_SEGMENT = {
@@ -53,6 +57,15 @@ def locations(value, path=()):
             yield from locations(item, path + (index,))
 
 
+def negated(value):
+    """-value for an int or a 'p/q' (or 'p') literal, else None."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return -value
+    if isinstance(value, str) and NUMBER.match(value):
+        return value[1:] if value.startswith("-") else "-" + value
+    return None
+
+
 @st.composite
 def mutate(draw, data):
     """`data` with one mutation at a drawn node."""
@@ -69,11 +82,15 @@ def mutate(draw, data):
         moves.append("delete")
     if parent is not None:
         moves.append("set")
+        if negated(node) is not None:
+            moves.append("negate")
     if not moves:
         return data
     move = draw(st.sampled_from(moves))
     if move == "set":
         parent[path[-1]] = draw(st.sampled_from(VALUES))
+    elif move == "negate":
+        parent[path[-1]] = negated(node)
     elif move == "delete":
         del node[draw(st.sampled_from(sorted(node)))]
     elif move == "shuffle":

@@ -5,10 +5,8 @@ import itertools
 import json
 import math
 import random
-import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -16,6 +14,7 @@ from conftest import (
     COMPACT_FILES,
     VALID_B_FILES,
     address_space_cap,
+    benchmark_workloads,
     corpus_path,
     huge_box,
     raw_description,
@@ -787,17 +786,70 @@ def test_qr_route_two_matches_the_per_weight_oracle():
 
 @pytest.mark.parametrize("seed", [7919, 11, 4242])
 def test_qr_route_two_matches_the_oracle_on_benchmark_cases(seed):
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-    for case in workloads.generate("qr_verify", seed):
+    for case in benchmark_workloads().generate("qr_verify", seed):
         description, partner = map(parse_description, case.texts)
         character = quantize_description(description)
         report = verify_qr_product(description, partner)
         assert report == route_two_oracle(description, partner, character)
         assert report.payload() == case.expected()["report"]
+
+
+def support_mismatch_oracle(description, character):
+    """What first_support_mismatch must return, by the per-weight loop of
+    `bquant quantize --verify`: one reduced_space_quantization per support
+    weight, in lexicographic order, up to the first disagreement."""
+    for weight in character.support():
+        direct = reduced_space_quantization(description, weight).count
+        if direct != character.multiplicity(weight):
+            return weight, character.multiplicity(weight), direct
+    return None
+
+
+def test_support_mismatch_matches_the_per_weight_oracle():
+    rng = random.Random(37)
+    descriptions = [parse(RANK_0_POINT)]
+    descriptions += [load(name) for name in VALID_B_FILES + COMPACT_FILES]
+    descriptions += [
+        parse_description(case.texts[0])
+        for case in benchmark_workloads().generate("qr_verify", 7919)
+    ]
+    mismatches = 0
+    for description in descriptions:
+        honest = quantize_description(description)
+        assert engine.first_support_mismatch(description, honest) is None
+        wrong = []
+        # 1-3 seeded additive corruptions, on or off the support
+        for _ in range(4):
+            corrupted = honest
+            for _ in range(rng.randint(1, 3)):
+                weight = tuple(
+                    rng.randint(-6, 6) for _ in range(description.rank)
+                )
+                corrupted += VirtualCharacter.delta(
+                    weight, rng.choice([-2, -1, 1, 2])
+                )
+            wrong.append(corrupted)
+        if not honest.is_zero() and description.rank:
+            # one multiplicity moved a step along the last axis
+            table = dict(honest.items())
+            weight = rng.choice(sorted(table))
+            moved = weight[:-1] + (weight[-1] + rng.choice([-1, 1]),)
+            table[moved] = table.get(moved, 0) + table.pop(weight)
+            wrong.append(VirtualCharacter(description.rank, table))
+        for character in wrong:
+            expected = support_mismatch_oracle(description, character)
+            assert engine.first_support_mismatch(
+                description, character
+            ) == expected
+            mismatches += expected is not None
+    assert mismatches > 150
+
+
+def test_support_mismatch_refuses_a_character_of_another_rank():
+    with pytest.raises(DimensionMismatchError):
+        engine.first_support_mismatch(
+            load("c_seg_0_3.json"), VirtualCharacter.delta((0, 0))
+        )
 
 
 def test_qr_product_partner_must_be_compact():

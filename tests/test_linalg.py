@@ -55,6 +55,91 @@ def test_determinant():
     assert la.determinant([(1, 2), (2, 4)]) == 0
 
 
+def fraction_determinant(rows):
+    """Determinant by Fraction-valued Gaussian elimination, the reference
+    for the fraction-free one."""
+    n = len(rows)
+    mat = [[Fraction(entry) for entry in row] for row in rows]
+    det = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            mat[c], mat[pivot_row] = mat[pivot_row], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for i in range(c + 1, n):
+            factor = mat[i][c] / mat[c][c]
+            mat[i] = [x - factor * y for x, y in zip(mat[i], mat[c])]
+    return det
+
+
+def random_matrices(rng):
+    """(label, square integer matrix) of sizes 0-4: dense ones with entries
+    up to 3, 2**20 and 2**40 in size, singular ones (a row repeated up to a
+    multiple, or a combination of two others), unimodular ones (products
+    of elementary matrices and signed permutations) and ones with zero
+    columns or leading zeros that force a row swap."""
+    for n in range(5):
+        for bound in (3, 2**20, 2**40):
+            for _ in range(40):
+                yield "dense", [
+                    [rng.randint(-bound, bound) for _ in range(n)]
+                    for _ in range(n)
+                ]
+        for _ in range(40):
+            mat = [[rng.randint(-2**40, 2**40) for _ in range(n)]
+                   for _ in range(n)]
+            if n >= 2:
+                i, j = rng.sample(range(n), 2)
+                k = rng.randint(-5, 5)
+                mat[i] = [k * x for x in mat[j]]
+                yield "multiple", [row[:] for row in mat]
+            if n >= 3:
+                a, b, c = rng.sample(range(n), 3)
+                s, t = rng.randint(-9, 9), rng.randint(-9, 9)
+                mat[c] = [s * x + t * y for x, y in zip(mat[a], mat[b])]
+                yield "combination", [row[:] for row in mat]
+        for _ in range(40):
+            mat = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(3 * n):
+                if n >= 2:
+                    i, j = rng.sample(range(n), 2)
+                    k = rng.randint(-2**10, 2**10)
+                    mat[i] = [x + k * y for x, y in zip(mat[i], mat[j])]
+            order = list(range(n))
+            rng.shuffle(order)
+            signs = [rng.choice((-1, 1)) for _ in range(n)]
+            mat = [[sign * x for x in mat[i]] for i, sign in zip(order, signs)]
+            yield "unimodular", mat
+        for _ in range(20):
+            mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if n:
+                column = rng.randrange(n)
+                for row in mat[:rng.randint(1, n)]:
+                    row[column] = 0
+            yield "zeros", mat
+
+
+def test_determinant_matches_the_fraction_elimination():
+    rng = random.Random(2 ** 40)
+    seen = {}
+    for label, mat in random_matrices(rng):
+        det = la.determinant(mat)
+        assert type(det) is int
+        assert det == fraction_determinant(mat), (label, mat)
+        if label in ("multiple", "combination"):
+            assert det == 0, (label, mat)
+        if label == "unimodular":
+            assert abs(det) == 1, mat
+        # the Delzant messages print the determinant
+        assert str(det) == str(fraction_determinant(mat))
+        seen[label, det == 0] = seen.get((label, det == 0), 0) + 1
+    assert seen[("dense", True)] and seen[("zeros", True)]
+    assert seen[("zeros", False)] and seen[("dense", False)] > 500
+
+
 def test_rational_kernel_basis():
     basis = la.rational_kernel_basis([(1, 1)], 2)
     assert len(basis) == 1

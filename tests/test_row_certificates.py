@@ -9,17 +9,26 @@ step functions of the signed count.  On random polyhedra of ranks 1-3
 (empty, unbounded and lower-dimensional ones included) over random
 windows, the scan must agree with a brute-force contains_point filter and
 pass the check, and the check must refuse a row sequence with a point or a
-row missing, a certificate missing or with one entry changed, and a point
-added to a row's certificate.
+row missing, a certificate missing or with one entry changed, a point
+added to a row's certificate, and an index that names no inequality.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bquant import LatticePolyhedron, PolyhedralCharacter, SelfCheckError
+from conftest import corpus_path
+
+from bquant import (
+    LatticePolyhedron,
+    PolyhedralCharacter,
+    SelfCheckError,
+    load_description,
+    quantize_b,
+)
 from bquant.engine import _row_steps, _runs
 
 BOUNDS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
@@ -153,3 +162,71 @@ def test_check_refuses_every_single_tampering(case):
         if steps_of(polyhedron, window, bad_rows) is not None
     ]
     assert accepted == []
+
+
+def index_forgeries(polyhedron, rows):
+    """(label, rows) with one inequality index of one certificate replaced
+    by one that names no inequality: -1, len(inequalities), and the honest
+    index minus len(inequalities), which list indexing would wrap back onto
+    the honest inequality."""
+    count = len(polyhedron.inequalities)
+    for at, (head, claim) in enumerate(rows):
+        for position in (0,) if len(claim) == 1 else (0, 2):
+            honest = claim[position]
+            forged = {-1, count}
+            if honest is not None:
+                forged.add(honest - count)
+            for index in sorted(forged):
+                new = claim[:position] + (index,) + claim[position + 1:]
+                yield (
+                    f"{head}: index {position} of {claim} is {index}",
+                    rows[:at] + [(head, new)] + rows[at + 1:],
+                )
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(polyhedra_in_windows())
+def test_check_refuses_indices_that_name_no_inequality(case):
+    polyhedron, window = case
+    *outer, last = window
+    low, high = last.start, last.stop - 1
+    rows = list(polyhedron._rows(outer, low, high))
+    formal = PolyhedralCharacter(polyhedron.rank, [(1, polyhedron)])
+    for label, bad_rows in index_forgeries(polyhedron, rows):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(LatticePolyhedron, "_rows", lambda *_: iter(bad_rows))
+            with pytest.raises(
+                SelfCheckError, match="disagrees with its inequalities"
+            ):
+                _row_steps(formal, outer, low, high)
+                pytest.fail(f"accepted {label}")
+
+
+@pytest.mark.parametrize("name", ["skew.json", "product_k1.json"])
+@pytest.mark.parametrize("position", [0, 2])
+@pytest.mark.parametrize("index", ["-1", "len", "wrapped"])
+def test_self_check_refuses_indices_that_name_no_inequality(
+    monkeypatch, name, position, index
+):
+    # one certificate of the self-check's windowed rows names an index
+    # past either end of the inequalities; "wrapped" is the honest index
+    # minus their number, which a list lookup would wrap onto the honest
+    # inequality.  lattice_points scans with an open last coordinate, so
+    # the collapsed character stays right
+    real = LatticePolyhedron._rows
+    forged = []
+
+    def rows(self, outer, low, high):
+        count = len(self.inequalities)
+        for head, claim in real(self, outer, low, high):
+            honest = claim[position] if len(claim) == 4 else None
+            if not forged and low != -inf and honest is not None:
+                new = {"-1": -1, "len": count, "wrapped": honest - count}
+                claim = claim[:position] + (new[index],) + claim[position + 1:]
+                forged.append(claim)
+            yield head, claim
+
+    monkeypatch.setattr(LatticePolyhedron, "_rows", rows)
+    with pytest.raises(SelfCheckError, match="disagrees with its inequalities"):
+        quantize_b(load_description(corpus_path(name)))
+    assert len(forged) == 1
