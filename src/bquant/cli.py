@@ -12,6 +12,7 @@ other exception, reported as ``bquant: internal error: <type>:
 
 import argparse
 import json
+import re
 import sys
 
 from . import __version__
@@ -41,6 +42,7 @@ from .spaces import (
     validate_description,
 )
 
+_INTEGER_TOKEN = re.compile(r"-?[0-9]+")
 _USAGE_ERRORS = (
     ParseError,
     DimensionMismatchError,
@@ -162,7 +164,9 @@ def _weight_text(weight):
 def _parse_weight(text, rank):
     parts = text.split(",")
     try:
-        weight = tuple(int(part) for part in parts)
+        if not all(map(_INTEGER_TOKEN.fullmatch, parts)):
+            raise ValueError
+        weight = tuple(map(int, parts))
     except ValueError:
         raise ParseError(f"--weight: {text!r} is not a comma-separated "
                          "integer vector") from None

@@ -13,7 +13,9 @@ the cancellation and hands over the tail ends; the collapse certifies that
 every surviving piece is bounded, raising NotFiniteError with the offending
 piece otherwise.  The final character is re-checked against the formal
 character on a window twice the size of its support, row by row from
-certified row intervals.
+certified row intervals.  Every check reads the formal count that way:
+_box_rows gives a box's nonzero rows as runs, and _first_difference (in
+rank 0, _point_mismatch) names the least weight where a character parts.
 """
 
 from bisect import bisect_left
@@ -243,34 +245,46 @@ def _self_check(formal, character, window):
     count at every point of `window` (one range per coordinate) and has no
     weight outside it.
 
-    The formal count is never listed point by point: _row_steps reads it
-    off the row certificates of every term as one step function per row of
-    the window, checking each certificate with exact single-inequality
-    tests and contains_point rather than with the scan's own arithmetic.
-    The constant stretches of those steps are then matched against the
-    character's sorted entries a stretch at a time, so a fault in the scan
+    The formal count is never listed point by point: _box_rows reads it
+    off the row certificates of every term, checking each certificate with
+    exact single-inequality tests and contains_point rather than with the
+    scan's own arithmetic, and _first_difference matches its runs against
+    the character's sorted entries a run at a time, so a fault in the scan
     shows up here even though the character came from the same scan.  In
-    rank 0 the window is empty and the one weight is tested directly.
+    rank 0 the window is empty and _point_mismatch tests the one weight.
     """
-    if window:
-        *outer, last = window
-        low, stop = last.start, last.stop
-        steps = _row_steps(formal, outer, low, stop - 1)
-        rows = [(head, _runs(steps[head], low, stop)) for head in sorted(steps)]
-        items = character.items()
-        multiplicities = list(map(itemgetter(1), items))
-        if _match_runs(rows, character.support(), multiplicities, 0) == len(items):
-            return
-        weight, found, expected = _first_mismatch(dict(items), rows)
-    else:
-        weight = ()
-        found, expected = character.multiplicity(()), formal.multiplicity(())
-        if found == expected:
-            return
-    raise SelfCheckError(
-        f"collapsed character gives {found} at weight {weight} but the "
-        f"formal signed count is {expected}"
+    mismatch = (
+        _first_difference(_box_rows(formal, window), character.items())
+        if window else _point_mismatch(formal, character)
     )
+    if mismatch is not None:
+        weight, found, expected = mismatch
+        raise SelfCheckError(
+            f"collapsed character gives {found} at weight {weight} but the "
+            f"formal signed count is {expected}"
+        )
+
+
+def _point_mismatch(formal, character):
+    """Rank 0: ((), multiplicity in `character`, formal signed count) at
+    the one weight () when the two differ, else None."""
+    found, expected = character.multiplicity(()), formal.multiplicity(())
+    return None if found == expected else ((), found, expected)
+
+
+def _box_rows(formal, box):
+    """(head, runs) for each row of `box` (one range per coordinate, rank
+    at least 1) where the signed count of `formal` is not zero, in order:
+    _row_steps reads the count off certified row intervals and _runs cuts
+    it into runs."""
+    *outer, last = box
+    steps = _row_steps(formal, outer, last.start, last.stop - 1)
+    rows = []
+    for head in sorted(steps):
+        runs = _runs(steps[head], last.start, last.stop)
+        if runs:
+            rows.append((head, runs))
+    return rows
 
 
 def _row_steps(formal, outer, low, high):
@@ -376,28 +390,29 @@ def _runs(jumps, start, stop):
     return runs
 
 
-def _match_runs(rows, weights, multiplicities, at):
-    """The index past the entries, from `at` on, of the sorted distinct
-    `weights` and their `multiplicities` that list exactly the weights of
-    `rows` ((head, runs) pairs in lexicographic order) with their values;
-    None where the two part.  Between a run's first and last weight the
-    sorted entries can hold no other weight, so two lookups and a count
-    check a whole run."""
-    for head, runs in rows:
-        for a, b, value in runs:
-            end = at + b - a
-            if (end > len(weights) or weights[at] != head + (a,)
-                    or weights[end - 1] != head + (b - 1,)
-                    or multiplicities[at:end].count(value) != b - a):
-                return None
-            at = end
-    return at
-
-
-def _first_mismatch(found, rows):
-    """(weight, value in `found`, value of `rows`) at the least weight where
-    the weight -> value table `found` and the (head, runs) rows differ;
-    called only once _match_runs has failed, so some weight does."""
+def _first_difference(rows, items):
+    """(weight, value in `items`, value of `rows`) at the least weight where
+    the sorted (weight, nonzero value) `items` and (head, runs) rows in
+    _box_rows's form differ; None where they agree.  Between a run's first
+    and last weight the sorted entries can hold no other weight, so two
+    lookups and a count check a whole run; only a failure is named weight
+    by weight."""
+    weights = list(map(itemgetter(0), items))
+    values = list(map(itemgetter(1), items))
+    at = 0
+    for head, a, b, value in (
+        (head, *run) for head, runs in rows for run in runs
+    ):
+        end = at + b - a
+        if (end > len(weights) or weights[at] != head + (a,)
+                or weights[end - 1] != head + (b - 1,)
+                or values[at:end].count(value) != b - a):
+            break
+        at = end
+    else:
+        if at == len(weights):
+            return None
+    found = dict(items)
     expected = {
         head + (x,): value
         for head, runs in rows
@@ -439,7 +454,7 @@ def _verification_box(character, pieces):
     return ranges
 
 
-def quantize_b(description, self_check=True):
+def quantize_b(description):
     """Finite character of a validated singular description.
 
     Validation certifies that the tails at each hypersurface are set-equal
@@ -460,16 +475,16 @@ def quantize_b(description, self_check=True):
             "cancel"
         )
     require_validated(description)
-    return collapse_signed_tails(description, self_check=self_check)
+    return collapse_signed_tails(description)
 
 
-def quantize_description(description, threads=1, self_check=True):
+def quantize_description(description, threads=1):
     """Character of a compact or singular description.  `threads` is
     accepted and ignored: enumeration is one sequential pass."""
     if isinstance(description, CompactToricSpace):
         return quantize_compact_toric(description)
     if isinstance(description, BSpaceDescription):
-        return quantize_b(description, self_check=self_check)
+        return quantize_b(description)
     raise TypeError(
         f"cannot quantize {type(description).__name__}; expected "
         "CompactToricSpace or BSpaceDescription"
@@ -482,7 +497,7 @@ def quantize_local_model(model):
     The two tails must agree as sets and carry opposite signs; anything else
     leaves an unbounded remainder and raises NotFiniteError.  The signed
     count is additionally re-checked on a box around the truncation face,
-    row by row from certified row intervals (see _row_steps), so a long
+    row by row from certified row intervals (see _box_rows), so a long
     tail costs its rows, not its points.
     """
     if not isinstance(model, LocalModel):
@@ -507,22 +522,16 @@ def quantize_local_model(model):
         except NoVerticesError:
             corners = ()
     if corners and tail_a.rank > 0:
-        *outer, last = [
+        rows = _box_rows(PolyhedralCharacter(tail_a.rank, model.tails), [
             range(floor(min(values)) - 1, ceil(max(values)) + 2)
             for values in zip(*corners)
-        ]
-        steps = _row_steps(
-            PolyhedralCharacter(tail_a.rank, model.tails),
-            outer, last.start, last.stop - 1,
-        )
-        for head in sorted(steps):
-            runs = _runs(steps[head], last.start, last.stop)
-            if runs:
-                start, _, total = runs[0]
-                raise SelfCheckError(
-                    f"local model tails fail to cancel at lattice point "
-                    f"{head + (start,)} (signed count {total})"
-                )
+        ])
+        if rows:
+            head, ((start, _, total), *_) = rows[0]
+            raise SelfCheckError(
+                f"local model tails fail to cancel at lattice point "
+                f"{head + (start,)} (signed count {total})"
+            )
     return VirtualCharacter.zero(tail_a.rank)
 
 
@@ -553,13 +562,10 @@ def reduced_space_quantization(description, weight):
     """Quantization of the reduced space at one weight, counted directly."""
     require_validated(description)
     weight = _as_integer_weight(weight, description.rank)
-    if isinstance(description, CompactToricSpace):
-        contributions = (int(description.polytope.contains_point(weight)),)
-    else:
-        contributions = tuple(
-            sign * int(polyhedron.contains_point(weight))
-            for sign, polyhedron in description.components
-        )
+    contributions = tuple(
+        sign * int(polyhedron.contains_point(weight))
+        for sign, polyhedron in formal_character(description).terms
+    )
     return ReducedSpaceResult(
         weight=weight, count=sum(contributions), contributions=contributions
     )
@@ -573,9 +579,9 @@ def first_support_mismatch(description, character):
 
     The direct count is reduced_space_quantization's: the signed number of
     components that contain the weight.  It is read off the certified row
-    intervals of every component (_row_steps) over the rows of the
-    support's box, so no weight gets a membership test of its own.  Rank 0
-    has the one weight (), tested directly.
+    intervals of every component (_box_rows) over the support's box, so no
+    weight gets a membership test of its own.  Rank 0 has the one weight
+    (), tested by _point_mismatch.
     """
     require_validated(description)
     if character.rank != description.rank:
@@ -588,16 +594,13 @@ def first_support_mismatch(description, character):
         return None
     formal = formal_character(description)
     if not character.rank:
-        ((weight, found),) = items
-        direct = formal.multiplicity(weight)
-        return None if found == direct else (weight, found, direct)
-    *outer, last = [
+        return _point_mismatch(formal, character)
+    runs_at = dict(_box_rows(formal, [
         range(min(values), max(values) + 1)
         for values in zip(*character.support())
-    ]
-    steps = _row_steps(formal, outer, last.start, last.stop - 1)
+    ]))
     for head, entries in groupby(items, key=lambda item: item[0][:-1]):
-        runs = _runs(steps.get(head, {}), last.start, last.stop)
+        runs = runs_at.get(head, ())
         at = 0
         for weight, found in entries:
             x = weight[-1]
@@ -613,10 +616,7 @@ def facet_boundary_weights(description, character):
     """Support weights lying on a facet hyperplane of some component they
     belong to.  Only these weights are sensitive to the closed-boundary
     membership convention, so they are reported for audit."""
-    if isinstance(description, CompactToricSpace):
-        terms = ((1, description.polytope),)
-    else:
-        terms = description.components
+    terms = formal_character(description).terms
     out = []
     for weight in character.support():
         for _, polyhedron in terms:
@@ -641,11 +641,12 @@ def verify_qr_product(description, partner, character=None):
     forming the tensor.  Route two never forms the first character: it
     counts reduced-space points of `description` directly on the weights of
     the reflected partner polytope, a row at a time.  Each component's
-    certified row intervals (checked as in the self-check) give the signed
-    count on a row as a step function.  It is clipped to the partner's
-    interval on that row and summed, and matched against the character's
-    entries there to pin down the first disagreement, if any.  Rank 0 has
-    the one weight (), tested directly.
+    certified row intervals (_box_rows, as in the self-check) give the
+    signed count on a row as runs.  They are clipped to the partner's
+    interval on that row and summed, and compared once with the character's
+    entries inside the partner (_first_difference) to pin down the first
+    disagreement, if any.  Rank 0 has the one weight (), tested by
+    _point_mismatch.
 
     `character` substitutes a precomputed character for `description`
     (route one and the row comparison then test that value), so a stale or
@@ -669,39 +670,34 @@ def verify_qr_product(description, partner, character=None):
     formal = formal_character(description)
     reflected = partner.polytope.reflect_through_origin()
     if not reflected.rank:
-        direct, found = formal.multiplicity(()), character.multiplicity(())
-        invariant_from_geometry, checked = direct, 1
-        first_mismatch = None if found == direct else ((), found, direct)
+        invariant_from_geometry, checked = formal.multiplicity(()), 1
+        first_mismatch = _point_mismatch(formal, character)
     else:
         # the reflected box is the partner's, negated
-        *outer, last = [
+        box = [
             range(1 - values.stop, 1 - values.start)
             for values in partner.polytope._vertex_box()
         ]
-        low, high = last.start, last.stop - 1
-        steps = _row_steps(formal, outer, low, high)
-        weights = character.support()
-        multiplicities = list(map(itemgetter(1), character.items()))
-        invariant_from_geometry = checked = 0
-        first_mismatch = None
-        for head, claim in reflected._rows(outer, low, high):
-            if len(claim) == 1 or claim[3] < claim[1]:
-                continue
-            _, first, _, final = claim
-            runs = _runs(steps.get(head, {}), first, final + 1)
-            checked += final + 1 - first
-            invariant_from_geometry += sum(
-                value * (b - a) for a, b, value in runs
-            )
-            if first_mismatch is not None:
-                continue
-            start = bisect_left(weights, head + (first,))
-            end = bisect_left(weights, head + (final + 1,), start)
-            if _match_runs([(head, runs)], weights, multiplicities, start) != end:
-                first_mismatch = _first_mismatch(
-                    dict(zip(weights[start:end], multiplicities[start:end])),
-                    [(head, runs)],
-                )
+        runs_at = dict(_box_rows(formal, box))
+        *outer, last = box
+        weights, items = character.support(), character.items()
+        rows, inside, checked = [], [], 0
+        for head, claim in reflected._rows(outer, last.start, last.stop - 1):
+            if len(claim) == 4 and claim[1] <= claim[3]:
+                first, final = claim[1], claim[3]
+                checked += final + 1 - first
+                start = bisect_left(weights, head + (first,))
+                end = bisect_left(weights, head + (final + 1,), start)
+                inside += items[start:end]
+                rows.append((head, [
+                    (max(a, first), min(b, final + 1), value)
+                    for a, b, value in runs_at.get(head, ())
+                    if a <= final and b > first
+                ]))
+        invariant_from_geometry = sum(
+            value * (b - a) for _, runs in rows for a, b, value in runs
+        )
+        first_mismatch = _first_difference(rows, inside)
     return QRReport(
         invariant_from_characters=invariant_from_characters,
         invariant_from_geometry=invariant_from_geometry,

@@ -34,7 +34,7 @@ __all__ = ["LatticePolyhedron"]
 # enumeration raises EnumerationBudgetError instead of exhausting memory
 ENUMERATION_BUDGET = 10**6
 
-_FRACTION_TOKEN = re.compile(r"^-?\d+(/\d+)?$")
+_FRACTION_TOKEN = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _parse_exact_number(value, where):
@@ -44,7 +44,7 @@ def _parse_exact_number(value, where):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _FRACTION_TOKEN.match(value):
+        if not _FRACTION_TOKEN.fullmatch(value):
             raise ParseError(
                 f"{where}: {value!r} is not an exact rational literal 'p/q'"
             )
@@ -300,11 +300,7 @@ class LatticePolyhedron:
         ENUMERATION_BUDGET rows or points; returns [] for the empty
         polyhedron.
         """
-        cached = self._cache.get("lattice")
-        if cached is not None:
-            return list(cached)
         if self.is_empty():
-            self._cache["lattice"] = ()
             return []
         rays = self.recession_rays()
         if rays:
@@ -314,15 +310,12 @@ class LatticePolyhedron:
                 ray=rays[0],
             )
         if self.rank == 0:
-            points = [()]
-        else:
-            # the vertex bounding box limits the outer coordinates; the last
-            # one is cut from the inequalities alone, which bound it on every
-            # slice because self is bounded
-            outer = self._vertex_box()[:-1] if self.rank > 1 else []
-            points = self._scan(outer, -inf, inf)
-        self._cache["lattice"] = tuple(points)
-        return points
+            return [()]
+        # the vertex bounding box limits the outer coordinates; the last
+        # one is cut from the inequalities alone, which bound it on every
+        # slice because self is bounded
+        outer = self._vertex_box()[:-1] if self.rank > 1 else []
+        return self._scan(outer, -inf, inf)
 
     def _vertex_box(self):
         """One range per coordinate, from the least to the greatest integer
@@ -432,27 +425,27 @@ class LatticePolyhedron:
     # smoothness
 
     def irredundant_inequalities(self):
-        """Subset of inequalities defining the same set, none implied by the rest."""
-        cached = self._cache.get("irredundant")
-        if cached is not None:
-            return cached
+        """Subset of inequalities defining the same set, none implied by the rest.
+
+        One pass drops, in order, each inequality that the others still
+        kept imply.  An inequality kept once is never implied later: some
+        point meets all the others and breaks it, and that point still
+        meets every subset of the others.  So one pass keeps what
+        restarting from the first inequality after each deletion would.
+        """
         kept = list(self.inequalities)
-        changed = True
-        while changed:
-            changed = False
-            for index in range(len(kept)):
-                normal, bound = kept[index]
-                rest = kept[:index] + kept[index + 1:]
-                negated = tuple(-x for x in normal)
-                system = [(n, b, False) for n, b in rest]
-                system.append((negated, -bound, True))
-                if not _linalg.fm_feasible(system, self.rank):
-                    del kept[index]
-                    changed = True
-                    break
-        result = tuple(kept)
-        self._cache["irredundant"] = result
-        return result
+        index = 0
+        while index < len(kept):
+            normal, bound = kept[index]
+            rest = kept[:index] + kept[index + 1:]
+            negated = tuple(-x for x in normal)
+            system = [(n, b, False) for n, b in rest]
+            system.append((negated, -bound, True))
+            if _linalg.fm_feasible(system, self.rank):
+                index += 1
+            else:
+                del kept[index]
+        return tuple(kept)
 
     def delzant_failure(self):
         """None when every vertex is smooth, else (vertex, reason).

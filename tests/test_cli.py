@@ -231,9 +231,12 @@ def test_reduce_json(run):
 
 
 def test_reduce_rejects_malformed_weight(run):
-    code, out, err = run("reduce", SPHERE, "--weight", "x")
-    assert code == 2
-    assert err.startswith("bquant: error: --weight")
+    # entries are ASCII integers: no underscores, spaces, plus signs or
+    # other scripts' digits, all of which int() would take
+    for weight in ["x", "1_0", " 1", "+1", "\u0663", "1,"]:
+        code, out, err = run("reduce", SPHERE, "--weight", weight)
+        assert code == 2
+        assert err.startswith("bquant: error: --weight")
 
 
 def test_reduce_rejects_wrong_arity(run):

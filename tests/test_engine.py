@@ -333,7 +333,8 @@ def test_overlap_correction_restores_double_counted_points(monkeypatch):
 
 
 def test_self_check_catches_corrupted_enumeration(monkeypatch):
-    # the self-check counts with points_in_box, not lattice_points
+    # the self-check reads the formal count off the row certificates
+    # (_row_steps), not off lattice_points
     real = LatticePolyhedron.lattice_points
 
     def corrupted(self):
@@ -427,6 +428,101 @@ def test_self_check_tests_rank_0_directly():
         r"gives 1 at weight \(\) but the formal signed count is 2"
     )):
         engine._self_check(formal, VirtualCharacter(0, {(): 1}), [])
+
+
+def first_difference_oracle(rows, items, box):
+    """The least weight of `box`, in lexicographic order, where the table
+    `items` and the (head, runs) rows give different values, with both
+    values; None where they agree on the whole box."""
+    found = dict(items)
+    for weight in itertools.product(*box):
+        expected = sum(
+            value for head, runs in rows if head == weight[:-1]
+            for a, b, value in runs if a <= weight[-1] < b
+        )
+        if found.get(weight, 0) != expected:
+            return weight, found.get(weight, 0), expected
+    return None
+
+
+def random_rows(rng, rank):
+    """Rows of rank `rank` inside [-3, 3]^rank: some with no runs, runs
+    that meet end to end, often with equal values, and gaps."""
+    heads = sorted(
+        rng.sample(list(itertools.product(range(-2, 3), repeat=rank - 1)),
+                   rng.randint(0, min(4, 5 ** (rank - 1))))
+    )
+    rows = []
+    for head in heads:
+        cuts = sorted(rng.sample(range(-3, 5), rng.randint(0, 5)))
+        runs = [
+            (a, b, rng.choice([-2, -1, 1, 1, 1, 2]))
+            for a, b in zip(cuts, cuts[1:])
+            if rng.random() < 0.8
+        ]
+        rows.append((head, runs))
+    return rows
+
+
+def test_first_difference_matches_the_per_weight_oracle():
+    rng = random.Random(43)
+    differences = 0
+    for _ in range(3000):
+        rank = rng.randint(1, 3)
+        rows = random_rows(rng, rank)
+        table = {
+            head + (x,): value
+            for head, runs in rows for a, b, value in runs
+            for x in range(a, b)
+        }
+        assert engine._first_difference(rows, sorted(table.items())) is None
+        box = [range(-4, 5)] * rank
+        weights = list(itertools.product(*box))
+        kind = rng.randrange(4)
+        if kind == 0:
+            table = {}  # an empty table
+        elif kind == 1:
+            # entries anywhere in the box, inside or outside every row
+            for weight in rng.sample(weights, rng.randint(1, 3)):
+                table[weight] = table.get(weight, 0) + rng.choice([-1, 1])
+        elif kind == 2 and table:
+            # one entry dropped, bumped or moved one step along the last axis
+            weight = rng.choice(sorted(table))
+            value = table.pop(weight)
+            change = rng.randrange(3)
+            if change == 1:
+                table[weight] = value + rng.choice([-1, 1])
+            elif change == 2:
+                moved = weight[:-1] + (weight[-1] + rng.choice([-1, 1]),)
+                table[moved] = table.get(moved, 0) + value
+        else:
+            # a fresh random table
+            table = {
+                weight: rng.choice([-1, 1])
+                for weight in rng.sample(weights, rng.randint(0, 6))
+            }
+        items = sorted((w, v) for w, v in table.items() if v)
+        expected = first_difference_oracle(rows, items, box)
+        assert engine._first_difference(rows, items) == expected
+        differences += expected is not None
+    assert differences > 2000
+
+
+def test_point_mismatch_compares_the_one_weight_of_rank_0():
+    point = LatticePolyhedron(0, [])
+    twice = PolyhedralCharacter(0, [(1, point), (1, point)])
+    assert engine._point_mismatch(twice, VirtualCharacter(0, {(): 2})) is None
+    assert engine._point_mismatch(twice, VirtualCharacter(0, {(): 1})) == (
+        (), 1, 2
+    )
+    assert engine._point_mismatch(twice, VirtualCharacter.zero(0)) == (
+        (), 0, 2
+    )
+    cancelled = PolyhedralCharacter(0, [(1, point), (-1, point)])
+    assert engine._point_mismatch(cancelled, VirtualCharacter.zero(0)) is None
+    assert engine._point_mismatch(
+        cancelled, VirtualCharacter(0, {(): -1})
+    ) == ((), -1, 0)
 
 
 def _report_nonempty_row_empty(polyhedron, claim):

@@ -1,10 +1,12 @@
 """LatticePolyhedron construction, predicates and lattice enumeration."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from bquant import _linalg
 from bquant import (
     DimensionMismatchError,
     EmptyPolyhedronError,
@@ -263,6 +265,51 @@ def test_irredundant_inequalities():
     assert q.irredundant_inequalities() == p.inequalities
 
 
+def irredundant_by_restarts(polyhedron):
+    """The oracle: drop the first inequality the others imply, then start
+    over from the first, until none is implied."""
+    kept = list(polyhedron.inequalities)
+    changed = True
+    while changed:
+        changed = False
+        for index in range(len(kept)):
+            normal, bound = kept[index]
+            rest = kept[:index] + kept[index + 1:]
+            system = [(n, b, False) for n, b in rest]
+            system.append((tuple(-x for x in normal), -bound, True))
+            if not _linalg.fm_feasible(system, polyhedron.rank):
+                del kept[index]
+                changed = True
+                break
+    return tuple(kept)
+
+
+def test_irredundant_inequalities_match_the_restart_oracle():
+    # random polyhedra of ranks 1-3, bounded or not, empty or not; a third
+    # also hold an inequality together with its negation, so they are
+    # lower-dimensional or empty
+    rng = random.Random(41)
+    dropped = 0
+    for _ in range(3000):
+        rank = rng.randint(1, 3)
+        inequalities = [
+            (normal, Fraction(rng.randint(-6, 6), rng.randint(1, 2)))
+            for normal in (
+                tuple(rng.randint(-2, 2) for _ in range(rank))
+                for _ in range(rng.randint(1, 6))
+            )
+            if any(normal)
+        ]
+        if inequalities and rng.random() < 1 / 3:
+            normal, bound = rng.choice(inequalities)
+            inequalities.append((tuple(-x for x in normal), -bound))
+        polyhedron = LatticePolyhedron(rank, inequalities)
+        expected = irredundant_by_restarts(polyhedron)
+        assert polyhedron.irredundant_inequalities() == expected
+        dropped += len(polyhedron.inequalities) - len(expected)
+    assert dropped > 1000
+
+
 def test_delzant_segment_and_square():
     assert segment(0, 3).is_delzant()
     assert box(0, 1, 0, 1).is_delzant()
@@ -383,6 +430,10 @@ def test_from_payload_accepts_int_and_fraction_strings():
         ({"rank": 1, "inequalities": [{"normal": [1], "bound": "1/0"}]}, "zero"),
         ({"rank": 1, "inequalities": [{"normal": [1], "bound": True}]}, "boolean"),
         ({"rank": 1, "inequalities": [{"normal": [1.0], "bound": 1}]}, "integers"),
+        # exact literals are ASCII digits only, with nothing after them
+        ({"rank": 1, "inequalities": [{"normal": [1], "bound": "\u0663/\u0664"}]},
+         "exact"),
+        ({"rank": 1, "inequalities": [{"normal": [1], "bound": "3\n"}]}, "exact"),
         ("nope", "expected an object"),
     ],
 )
