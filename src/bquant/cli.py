@@ -162,7 +162,7 @@ def _weight_text(weight):
 
 
 def _parse_weight(text, rank):
-    parts = text.split(",")
+    parts = text.split(",") if text != _weight_text(()) else []
     try:
         if not all(map(_INTEGER_TOKEN.fullmatch, parts)):
             raise ValueError

@@ -49,11 +49,13 @@ def _parse_exact_number(value, where):
                 f"{where}: {value!r} is not an exact rational literal 'p/q'"
             )
         numerator, _, denominator = value.partition("/")
-        if denominator:
-            if int(denominator) == 0:
-                raise ParseError(f"{where}: zero denominator in {value!r}")
-            return Fraction(int(numerator), int(denominator))
-        return Fraction(int(numerator))
+        try:
+            numerator, denominator = int(numerator), int(denominator or "1")
+        except ValueError as exc:  # over Python's int-string digit limit
+            raise ParseError(f"{where}: {str(exc).split(';')[0]}") from None
+        if denominator == 0:
+            raise ParseError(f"{where}: zero denominator in {value!r}")
+        return Fraction(numerator, denominator)
     raise ParseError(
         f"{where}: expected an integer or 'p/q' string, got {type(value).__name__}"
     )

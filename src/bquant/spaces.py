@@ -17,9 +17,10 @@ hypersurface.  Each hypersurface record carries
   the signs, not the order, say which tail is the plus one.
 
 Validation certifies, with exact arithmetic, that beyond the computed
-integer threshold each matched tail is a product of a half-line with a
-common translate of the leaf polytope, and that every unbounded direction
-of every component is claimed by exactly one hypersurface end.  Those are
+integer threshold the first adjacent tail is a product of a half-line with
+a lattice translate of the leaf polytope and the second tail is set-equal
+to it, so a product too, and that every unbounded direction of every
+component is claimed by exactly one hypersurface end.  Those are
 precisely the facts the quantization engine's tail cancellation consumes:
 a passing report carries one :class:`TailEnd` per hypersurface, and the
 engine reads its tail ends from there.
@@ -239,6 +240,10 @@ def parse_description(text):
         raise ParseError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ParseError:
+        raise  # a float or non-finite literal, named by its hook
+    except ValueError as exc:  # an integer over Python's int-string digit limit
+        raise ParseError(f"integer literal: {str(exc).split(';')[0]}") from None
     if not isinstance(data, dict):
         raise ParseError("top level: expected an object")
     if data.get("schema") != SCHEMA:
@@ -452,17 +457,51 @@ def _check_orientation(description):
     return CheckReport(name, True)
 
 
+def _product_tail(polyhedron, record, threshold, basis, leaf_anchor):
+    """The tail of `polyhedron` beyond `threshold` if it is a half-line times
+    a lattice translate of the record's leaf, else the first failed test's
+    message.  Each test reads the tail only as a set, given the record and
+    threshold (emptiness, the shifted versus the deeper tail, the slice at
+    the threshold, its boundedness and least vertex), and a component with
+    a nonempty tail is nonempty: a tail set-equal to a passing one passes."""
+    if polyhedron.is_empty():
+        return "adjacent component is empty"
+    tail = tail_cut(polyhedron, record.splitting, threshold)
+    if tail.is_empty():
+        return "component has no tail beyond the threshold"
+    shifted = tail.translate(tuple(-x for x in record.modular_weight))
+    deeper = tail.with_inequality(
+        tuple(record.splitting), Fraction(-threshold - 1)
+    )
+    if not shifted.set_equals(deeper):
+        return "tail is not translation-invariant along the modular direction"
+    section = cross_section(
+        tail, record.modular_weight, record.splitting, basis, -threshold
+    )
+    if section is None or section.is_empty():
+        return "tail cross-section is empty"
+    if not section.is_bounded():
+        return "tail cross-section is unbounded"
+    anchor = min(section.vertices())
+    offset = tuple(a - b for a, b in zip(anchor, leaf_anchor))
+    if not section.set_equals(record.leaf.translate(offset)):
+        return "tail cross-section is not a translate of the leaf polytope"
+    return tail
+
+
 def _check_tail_product(description):
-    """The tail-product row and, when it passes, each hypersurface's TailEnd."""
+    """The tail-product row and, when it passes, each hypersurface's TailEnd.
+
+    The first adjacent tail is tested on its own, and the second is
+    certified by one `set_equals` against it (see `_product_tail`).  Only
+    when they differ is the second tested on its own, so its failures keep
+    their witness, and "differ as sets" means that both tails pass."""
     name = "tail-product"
+    components = description.components
     ends = []
     for index, record in enumerate(description.hypersurfaces):
         if _record_is_degenerate(record):
             continue
-        v = record.modular_weight
-        splitting = record.splitting
-        threshold = tail_threshold(description, index)
-        basis = leaf_embedding_basis(splitting)
         leaf = record.leaf
         try:
             leaf_anchor = min(leaf.vertices()) if leaf.is_bounded() else None
@@ -470,73 +509,24 @@ def _check_tail_product(description):
             leaf_anchor = None
         if leaf_anchor is None:
             continue  # a broken leaf polytope is the integrality row's business
-        tails = []
-        for side in record.adjacent:
-            _, polyhedron = description.components[side]
-            if polyhedron.is_empty():
-                return CheckReport(
-                    name,
-                    False,
-                    witness=(index, side),
-                    message="adjacent component is empty",
-                ), ()
-            tail = tail_cut(polyhedron, splitting, threshold)
-            if tail.is_empty():
-                return CheckReport(
-                    name,
-                    False,
-                    witness=(index, side),
-                    message="component has no tail beyond the threshold",
-                ), ()
-            shifted = tail.translate(tuple(-x for x in v))
-            deeper = tail.with_inequality(
-                tuple(splitting), Fraction(-threshold - 1)
-            )
-            if not shifted.set_equals(deeper):
-                return CheckReport(
-                    name,
-                    False,
-                    witness=(index, side),
-                    message="tail is not translation-invariant along the "
-                            "modular direction",
-                ), ()
-            section = cross_section(tail, v, splitting, basis, -threshold)
-            if section is None or section.is_empty():
-                return CheckReport(
-                    name,
-                    False,
-                    witness=(index, side),
-                    message="tail cross-section is empty",
-                ), ()
-            if not section.is_bounded():
-                return CheckReport(
-                    name,
-                    False,
-                    witness=(index, side),
-                    message="tail cross-section is unbounded",
-                ), ()
-            anchor = min(section.vertices())
-            offset = tuple(a - b for a, b in zip(anchor, leaf_anchor))
-            if not section.set_equals(leaf.translate(offset)):
-                return CheckReport(
-                    name,
-                    False,
-                    witness=(index, side),
-                    message="tail cross-section is not a translate of the "
-                            "leaf polytope",
-                ), ()
-            tails.append(tail)
-        if not tails[0].set_equals(tails[1]):
-            return CheckReport(
-                name,
-                False,
-                witness=(index,),
-                message="the two matched tails differ as sets",
-            ), ()
-        plus, minus = record.adjacent
-        if description.components[plus][0] == -1:
-            plus, minus = minus, plus
-        tail_ray = tuple(-x for x in v)  # primitive, since v is
+        splitting = record.splitting
+        threshold = tail_threshold(description, index)
+        frame = (record, threshold, leaf_embedding_basis(splitting), leaf_anchor)
+        first, second = record.adjacent
+        verdict = _product_tail(components[first][1], *frame)
+        witness = (index, first)
+        if not isinstance(verdict, str):
+            partner = components[second][1]
+            if not verdict.set_equals(tail_cut(partner, splitting, threshold)):
+                verdict, witness = _product_tail(partner, *frame), (index, second)
+                if not isinstance(verdict, str):
+                    verdict = "the two matched tails differ as sets"
+                    witness = (index,)
+        if isinstance(verdict, str):
+            return CheckReport(name, False, witness=witness, message=verdict), ()
+        sign = components[first][0]
+        plus, minus = (first, second) if sign == 1 else (second, first)
+        tail_ray = tuple(-x for x in record.modular_weight)  # primitive: gcd 1
         ends.append(TailEnd(index, plus, minus, splitting, tail_ray, threshold))
     return CheckReport(name, True), tuple(ends)
 

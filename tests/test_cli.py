@@ -245,6 +245,21 @@ def test_reduce_rejects_wrong_arity(run):
     assert "expected 1 coordinates" in err
 
 
+def test_reduce_takes_the_rank_0_weight_quantize_prints(run, tmp_path):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({
+        "schema": "bquant/1", "kind": "compact_toric", "rank": 0,
+        "polytope": {"rank": 0, "inequalities": []},
+    }), encoding="utf-8")
+    code, out, _ = run("quantize", str(path), "--no-header")
+    assert code == 0
+    weight = out.splitlines()[1].split()[0]
+    assert weight == "()"
+    code, out, err = run("reduce", str(path), "--weight", weight, "--no-header")
+    assert (code, err) == (0, "")
+    assert out == "weight = ()\ncount = 1 (P0:+1)\n"
+
+
 # ----------------------------------------------------------------------
 # verify-qr
 
@@ -373,6 +388,26 @@ def test_huge_enumeration_is_usage_error(run, tmp_path, rank):
     assert out == ""
     assert err.startswith("bquant: error: enumeration would ")
     assert err.endswith(" over the budget of 1000000\n")
+
+
+@pytest.mark.parametrize("literal, where", [
+    ("9" * 5001, "integer literal: "),
+    ('"' + "9" * 5001 + '/2"', "polytope.inequalities[0].bound: "),
+], ids=["json-integer", "p-q-string"])
+def test_over_long_literal_is_usage_error(run, tmp_path, literal, where):
+    # Python will not turn a string of more than 4,300 digits into an int;
+    # that is a fault of the input, not an internal error
+    text = Path(SEGMENT).read_text(encoding="utf-8")
+    assert '"bound": 3' in text
+    path = tmp_path / "long.json"
+    path.write_text(text.replace('"bound": 3', '"bound": ' + literal),
+                    encoding="utf-8")
+    code, out, err = run("check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bquant: error: " + where)
+    assert "internal error" not in err
+    assert "value has 5001 digits" in err
 
 
 def test_parse_error_reports_position(run, tmp_path):

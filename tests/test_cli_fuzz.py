@@ -3,9 +3,10 @@ with one to three random mutations by exiting 0, 1 or 2, never with an
 internal error (exit 3) or a traceback.
 
 A mutation drops, duplicates or shuffles list entries, deletes an object
-field, sets a value to null, a string, a boolean, a 'p/q' literal or
-+-2**70, or flips the sign of a number or a 'p/q' literal (a normal entry,
-a bound, a component sign, a modular weight entry).  Huge numbers must meet the enumeration budget, so the run is
+field, sets a value to null, a string, a boolean, a 'p/q' literal, +-2**70
+or a 5,001-digit integer or 'p/q' literal, or flips the sign of a number or
+a 'p/q' literal (a normal entry, a bound, a component sign, a modular weight
+entry).  Huge numbers must meet the enumeration budget, so the run is
 capped in address space: a missing guard fails the test with a MemoryError
 instead of exhausting the machine.
 """
@@ -32,7 +33,12 @@ COMMANDS = (
     ("reduce", "--weight"),
 )
 
-VALUES = (None, "text", True, False, "3/2", "-7/4", 2**70, -(2**70))
+# json.dumps cannot write an int of more than 4,300 digits, so a 5,001-digit
+# JSON integer is drawn as this token and written in by `dumps`
+LONG_INTEGER = "<5001-digit integer>"
+
+VALUES = (None, "text", True, False, "3/2", "-7/4", 2**70, -(2**70),
+          LONG_INTEGER, "9" * 5001 + "/2")
 
 NUMBER = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -117,6 +123,16 @@ def mutated_runs(draw):
     return command, data
 
 
+def with_first_bound(name, bound):
+    data = json.loads((CORPUS / name).read_text(encoding="utf-8"))
+    data["polytope"]["inequalities"][0]["bound"] = bound
+    return data
+
+
+def dumps(data):
+    return json.dumps(data).replace(json.dumps(LONG_INTEGER), "9" * 5001)
+
+
 @pytest.fixture(scope="module")
 def input_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input.json"
@@ -125,9 +141,11 @@ def input_path(tmp_path_factory):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(mutated_runs())
 @example((("quantize",), HUGE_SEGMENT))
+@example((("check",), with_first_bound("c_seg_0_3.json", LONG_INTEGER)))
+@example((("check",), with_first_bound("c_seg_0_3.json", VALUES[-1])))
 def test_mutated_input_exits_cleanly(input_path, case):
     command, data = case
-    input_path.write_text(json.dumps(data), encoding="utf-8")
+    input_path.write_text(dumps(data), encoding="utf-8")
     argv = [command[0], str(input_path), *command[1:]]
     out, err = io.StringIO(), io.StringIO()
     with address_space_cap(), contextlib.redirect_stdout(out), \

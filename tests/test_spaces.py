@@ -29,8 +29,10 @@ from bquant import (
     tail_threshold,
     validate_description,
 )
-from bquant.spaces import cross_section, tail_cut
-from bquant import _linalg
+from bquant.checks import CheckReport
+from bquant.errors import EmptyPolyhedronError, NoVerticesError
+from bquant.spaces import TailEnd, cross_section, tail_cut
+from bquant import _linalg, spaces
 
 
 def parse(data):
@@ -331,6 +333,11 @@ def test_tail_product_detects_asymmetric_tails():
     report = validate_description(parse(data))
     rows = {c.name: c for c in report.checks}
     assert not rows["tail-product"].passed
+    # the first tail passes, so the bounded second one is the witness
+    assert rows["tail-product"].witness == (0, 1)
+    assert rows["tail-product"].message == (
+        "component has no tail beyond the threshold"
+    )
 
 
 def test_tail_product_detects_wrong_leaf():
@@ -339,7 +346,10 @@ def test_tail_product_detects_wrong_leaf():
     report = validate_description(parse(raw))
     rows = {c.name: c for c in report.checks}
     assert not rows["tail-product"].passed
-    assert "translate of the leaf" in rows["tail-product"].message
+    assert rows["tail-product"].witness == (0, 0)
+    assert rows["tail-product"].message == (
+        "tail cross-section is not a translate of the leaf polytope"
+    )
 
 
 def test_tail_product_detects_non_invariant_tail():
@@ -364,6 +374,175 @@ def test_tail_product_detects_non_invariant_tail():
     report = validate_description(parse(wedge))
     rows = {c.name: c for c in report.checks}
     assert not rows["tail-product"].passed
+    assert rows["tail-product"].witness == (0, 0)
+    assert rows["tail-product"].message == (
+        "tail is not translation-invariant along the modular direction"
+    )
+
+
+def _two_sided_tail_product(description):
+    """The tail-product row as it was before it certified the second tail
+    by set equality: every test on both tails, then their set equality.
+    The oracle for `spaces._check_tail_product`."""
+    name = "tail-product"
+    ends = []
+    for index, record in enumerate(description.hypersurfaces):
+        if spaces._record_is_degenerate(record):
+            continue
+        v = record.modular_weight
+        splitting = record.splitting
+        threshold = tail_threshold(description, index)
+        basis = leaf_embedding_basis(splitting)
+        leaf = record.leaf
+        try:
+            leaf_anchor = min(leaf.vertices()) if leaf.is_bounded() else None
+        except (EmptyPolyhedronError, NoVerticesError):
+            leaf_anchor = None
+        if leaf_anchor is None:
+            continue
+        tails = []
+        for side in record.adjacent:
+            def fail(message):
+                return CheckReport(name, False, (index, side), message), ()
+
+            _, polyhedron = description.components[side]
+            if polyhedron.is_empty():
+                return fail("adjacent component is empty")
+            tail = tail_cut(polyhedron, splitting, threshold)
+            if tail.is_empty():
+                return fail("component has no tail beyond the threshold")
+            shifted = tail.translate(tuple(-x for x in v))
+            deeper = tail.with_inequality(
+                tuple(splitting), Fraction(-threshold - 1)
+            )
+            if not shifted.set_equals(deeper):
+                return fail("tail is not translation-invariant along the "
+                            "modular direction")
+            section = cross_section(tail, v, splitting, basis, -threshold)
+            if section is None or section.is_empty():
+                return fail("tail cross-section is empty")
+            if not section.is_bounded():
+                return fail("tail cross-section is unbounded")
+            anchor = min(section.vertices())
+            offset = tuple(a - b for a, b in zip(anchor, leaf_anchor))
+            if not section.set_equals(leaf.translate(offset)):
+                return fail("tail cross-section is not a translate of the "
+                            "leaf polytope")
+            tails.append(tail)
+        if not tails[0].set_equals(tails[1]):
+            return CheckReport(name, False, (index,),
+                               "the two matched tails differ as sets"), ()
+        plus, minus = record.adjacent
+        if description.components[plus][0] == -1:
+            plus, minus = minus, plus
+        tail_ray = tuple(-x for x in v)
+        ends.append(TailEnd(index, plus, minus, splitting, tail_ray, threshold))
+    return CheckReport(name, True), tuple(ends)
+
+
+def _mutated(rng, raw):
+    """`raw`, a decoded b_toric file, with one drawn mutation: a bound
+    shifted or moved by a half, a normal nudged, an inequality added or
+    dropped, a leaf bound changed or an `adjacent` pair reversed."""
+    move = rng.choice(
+        ("shift", "half", "nudge", "add", "drop", "leaf", "reverse")
+    )
+    if move in ("leaf", "reverse"):
+        record = rng.choice(raw["hypersurfaces"])
+        inequalities = record["leaf"]["inequalities"]
+        if move == "reverse" or not inequalities:
+            record["adjacent"].reverse()
+            return raw
+        move = "shift"
+    else:
+        component = rng.choice(raw["components"])
+        inequalities = component["polyhedron"]["inequalities"]
+    if move == "add" or not inequalities:
+        # often the opposite of a present inequality, which can bound a
+        # tail or empty the component
+        if inequalities and rng.random() < 0.6:
+            normal = [-x for x in rng.choice(inequalities)["normal"]]
+        else:
+            normal = [rng.choice((-1, 0, 1)) for _ in range(raw["rank"])]
+            normal[rng.randrange(len(normal))] = rng.choice((-1, 1))
+        inequalities.append({"normal": normal, "bound": rng.randint(-12, 12)})
+        return raw
+    item = rng.choice(inequalities)
+    if move == "drop":
+        inequalities.remove(item)
+    elif move == "nudge":
+        normal = item["normal"]
+        normal[rng.randrange(len(normal))] += rng.choice((-1, 1))
+        if not any(normal):
+            normal[0] = 1
+    else:
+        step = rng.choice((-2, -1, 1, 2)) if move == "shift" else Fraction(
+            rng.choice((-1, 1)), 2)
+        bound = Fraction(str(item["bound"])) + step
+        item["bound"] = str(bound)
+    return raw
+
+
+def tail_product_mutants(count, seed):
+    """`count` descriptions made from the valid b_toric corpus files by one
+    to three mutations each, drawn from `random.Random(seed)`."""
+    rng = random.Random(seed)
+    files = [raw_description(name) for name in VALID_B_FILES]
+    made = 0
+    while made < count:
+        raw = json.loads(json.dumps(rng.choice(files)))
+        for _ in range(rng.randint(1, 3)):
+            raw = _mutated(rng, raw)
+        try:
+            description = parse(raw)
+        except ParseError:
+            continue
+        made += 1
+        yield description
+
+
+def test_tail_product_matches_the_two_sided_row():
+    # the one-sided row gives the two-sided row's report and tail ends on
+    # every mutant, and the mutants reach each failure on the second tail
+    # (the first passing) and the set-equality failure
+    reached = set()
+    for description in tail_product_mutants(10_000, seed=11):
+        expected = _two_sided_tail_product(description)
+        assert spaces._check_tail_product(description) == expected
+        report = expected[0]
+        if report.passed:
+            continue
+        index, *side = report.witness
+        first, second = description.hypersurfaces[index].adjacent
+        if side in ([], [second]) and first != second:
+            reached.add(report.message)
+    # "tail cross-section is empty" cannot follow a passing translation
+    # test: a nonempty tail T with T - v = T & {<s, x> <= -t - 1} attains
+    # the level -t, so only the other five per-tail failures are reachable
+    assert reached == {
+        "adjacent component is empty",
+        "component has no tail beyond the threshold",
+        "tail is not translation-invariant along the modular direction",
+        "tail cross-section is unbounded",
+        "tail cross-section is not a translate of the leaf polytope",
+        "the two matched tails differ as sets",
+    }
+
+
+@pytest.mark.parametrize("name", VALID_B_FILES)
+def test_tail_product_slices_one_tail_per_hypersurface(name, monkeypatch):
+    # the second tail is certified by set equality, not sliced again; the
+    # uncached validation runs, whatever earlier tests validated
+    slices = []
+
+    def counting_cross_section(*args):
+        slices.append(args)
+        return cross_section(*args)
+
+    monkeypatch.setattr(spaces, "cross_section", counting_cross_section)
+    description = load_description(corpus_path(name))
+    assert validate_description.__wrapped__(description).passed
+    assert len(slices) == len(description.hypersurfaces)
 
 
 def test_validate_rejects_unknown_type():
