@@ -1,13 +1,14 @@
 """Exact rational linear algebra helpers.
 
 Everything here works over Python ints and fractions.Fraction; nothing is
-ever rounded.  The eliminations are fraction-free: row reduction and the
-determinant work on integer rows and divide only where the quotient is
-exact, so a Fraction is built only for a rational answer (solve_unique's
-solution).  Scales are small (rank <= 3, handfuls of rows), so the
-algorithms favour clarity over asymptotics.
+ever rounded.  The eliminations are fraction-free: row reduction, the
+determinant and Fourier-Motzkin work on integer rows and divide only where
+the quotient is exact, so a Fraction is built only for a rational answer
+(solve_unique's solution, fm_box's ranges).  Scales are small (rank <= 3,
+handfuls of rows), so the algorithms favour clarity over asymptotics.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -15,6 +16,7 @@ __all__ = [
     "vector_gcd",
     "make_primitive",
     "exact",
+    "exact_text",
     "integer_scaled",
     "dot",
     "solve_unique",
@@ -24,6 +26,7 @@ __all__ = [
     "hnf_rows",
     "reduce_mod_hnf",
     "fm_feasible",
+    "fm_box",
 ]
 
 
@@ -45,6 +48,20 @@ def make_primitive(vec):
 def exact(value):
     """``value`` as a Fraction; Fractions are returned as they are."""
     return value if type(value) is Fraction else Fraction(value)
+
+
+def exact_text(value):
+    """``str(value)`` for an int or a Fraction, also past Python's limit on
+    int-to-decimal conversion (``sys.get_int_max_str_digits``), which a
+    number derived from literals under the limit can pass: there the
+    digits come from decimal.Decimal, which converts exactly and has no
+    such limit."""
+    try:
+        return str(value)
+    except ValueError:
+        if type(value) is Fraction and value.denominator != 1:
+            return f"{exact_text(value.numerator)}/{exact_text(value.denominator)}"
+        return str(Decimal(int(value)))
 
 
 def integer_scaled(vec):
@@ -280,6 +297,10 @@ def reduce_mod_hnf(vec, hnf_basis):
 def _canonical_constraint(coeffs, bound):
     """Scale (coeffs, bound) by a positive rational so coeffs are coprime
     ints; the bound comes back as a reduced pair (numerator, denominator)."""
+    if all(type(x) is int for x in coeffs) and gcd(*coeffs) == 1:
+        # already canonical, as every inequality of a polyhedron is
+        bound = exact(bound)
+        return tuple(coeffs), bound.numerator, bound.denominator
     ints, scale = integer_scaled(coeffs)
     bound = exact(bound)
     if scale != 1:
@@ -291,65 +312,114 @@ def _canonical_constraint(coeffs, bound):
     return tuple(ints), bound.numerator, bound.denominator
 
 
+def _absorb(system, coeffs, num, den, strict):
+    """Add <coeffs, x> <= num/den (< if strict) to ``system``, a dict of
+    coeffs -> (num, den, strict), keeping the tightest row per direction."""
+    held = system.get(coeffs)
+    if held is not None:
+        held_num, held_den, held_strict = held
+        if num * held_den > held_num * den or (
+            num * held_den == held_num * den and not strict
+        ):
+            return
+    system[coeffs] = (num, den, strict)
+
+
+def _eliminate(system, var):
+    """One Fourier-Motzkin step: the system, in the same form, that the
+    projection eliminating variable ``var`` satisfies, or None when a
+    combination reads 0 <= negative (or 0 < 0), so the system is
+    infeasible.
+
+    Coefficients are coprime ints and each bound is a reduced pair
+    (numerator, positive denominator), so the step never builds a
+    Fraction; the combination of two rows is strict when either is.
+    """
+    positive, negative, carried = [], [], {}
+    for coeffs, held in system.items():
+        coefficient = coeffs[var]
+        if coefficient > 0:
+            positive.append((coeffs, *held))
+        elif coefficient < 0:
+            negative.append((coeffs, *held))
+        else:
+            carried[coeffs] = held
+    for up_coeffs, up_num, up_den, up_strict in positive:
+        alpha = up_coeffs[var]
+        for lo_coeffs, lo_num, lo_den, lo_strict in negative:
+            beta = -lo_coeffs[var]  # > 0
+            combo = [beta * u + alpha * l for u, l in zip(up_coeffs, lo_coeffs)]
+            num = beta * up_num * lo_den + alpha * lo_num * up_den
+            den = up_den * lo_den
+            strict = up_strict or lo_strict
+            g = vector_gcd(combo)
+            if g == 0:
+                if num < 0 or (strict and num == 0):
+                    return None
+                continue
+            if g > 1:
+                combo = [x // g for x in combo]
+                den *= g
+            common = gcd(num, den)
+            if common > 1:
+                num //= common
+                den //= common
+            _absorb(carried, tuple(combo), num, den, strict)
+    return carried
+
+
 def fm_feasible(constraints, nvars):
     """Exact feasibility of {x : <coeffs, x> <= bound (or < bound if strict)}.
 
-    Fourier-Motzkin elimination with strictness tracking: the combination of
-    two constraints is strict when either input is.  Fine at desk scale.
-    Coefficients are coprime ints and each bound is a reduced pair
-    (numerator, positive denominator), so the elimination never builds a
-    Fraction.
+    Fourier-Motzkin elimination (:func:`_eliminate`, one variable at a
+    time) with strictness tracking.  Fine at desk scale.
     """
     system = {}
-
-    def absorb(coeffs, num, den, strict):
-        # keep only the tightest constraint per direction
-        held = system.get(coeffs)
-        if held is not None:
-            held_num, held_den, held_strict = held
-            if num * held_den > held_num * den or (
-                num * held_den == held_num * den and not strict
-            ):
-                return
-        system[coeffs] = (num, den, strict)
-
     for coeffs, bound, strict in constraints:
-        absorb(*_canonical_constraint(coeffs, bound), strict)
-
+        _absorb(system, *_canonical_constraint(coeffs, bound), strict)
     for var in reversed(range(nvars)):
-        positive, negative, carried = [], [], {}
-        for coeffs, held in system.items():
-            coefficient = coeffs[var]
-            if coefficient > 0:
-                positive.append((coeffs, *held))
-            elif coefficient < 0:
-                negative.append((coeffs, *held))
-            else:
-                carried[coeffs] = held
-        system = carried
-        for up_coeffs, up_num, up_den, up_strict in positive:
-            alpha = up_coeffs[var]
-            for lo_coeffs, lo_num, lo_den, lo_strict in negative:
-                beta = -lo_coeffs[var]  # > 0
-                combo = [beta * u + alpha * l for u, l in zip(up_coeffs, lo_coeffs)]
-                num = beta * up_num * lo_den + alpha * lo_num * up_den
-                den = up_den * lo_den
-                strict = up_strict or lo_strict
-                g = vector_gcd(combo)
-                if g == 0:
-                    if num < 0 or (strict and num == 0):
-                        return False
-                    continue
-                if g > 1:
-                    combo = [x // g for x in combo]
-                    den *= g
-                common = gcd(num, den)
-                if common > 1:
-                    num //= common
-                    den //= common
-                absorb(tuple(combo), num, den, strict)
-
+        system = _eliminate(system, var)
+        if system is None:
+            return False
     for num, _, strict in system.values():
         if num < 0 or (strict and num == 0):
             return False
     return True
+
+
+def fm_box(rows, nvars):
+    """Exact range of each coordinate over {x : <normal, x> * q <= p}, one
+    ``(low, high)`` pair of Fractions per coordinate, with None for an
+    unbounded end; None when the set is empty.
+
+    ``rows`` are integer triples ``(normal, p, q)`` with coprime normal
+    entries, q > 0 and p/q reduced.  The range of x_i is the projection of
+    the set onto that axis: Fourier-Motzkin elimination (:func:`_eliminate`)
+    of every other variable leaves at most the two rows x_i <= p/q and
+    -x_i <= p/q, since normals stay primitive and only the tightest row per
+    direction is kept.  The projection is exact, so the set is empty iff an
+    elimination meets a contradiction or a range is empty.
+    """
+    system = {}
+    for normal, p, q in rows:
+        _absorb(system, normal, p, q, False)
+    box = []
+    for var in range(nvars):
+        projected = system
+        for other in range(nvars):
+            if other != var:
+                projected = _eliminate(projected, other)
+                if projected is None:
+                    return None
+        unit = tuple(int(i == var) for i in range(nvars))
+        upper = projected.get(unit)
+        lower = projected.get(tuple(-x for x in unit))
+        if upper is not None and lower is not None and (
+            upper[0] * lower[1] < -lower[0] * upper[1]  # up < -lo
+        ):
+            return None
+        box.append((
+            None if lower is None else Fraction(-lower[0], lower[1]),
+            None if upper is None else Fraction(upper[0], upper[1]),
+        ))
+    return tuple(box)

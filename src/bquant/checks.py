@@ -29,12 +29,18 @@ __all__ = [
 
 def _jsonable(value):
     if isinstance(value, Fraction):
-        return str(value)
+        return _linalg.exact_text(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(entry) for entry in value]
     if isinstance(value, dict):
         return {str(key): _jsonable(entry) for key, entry in value.items()}
-    if isinstance(value, (int, str, bool)) or value is None:
+    if isinstance(value, int) and not isinstance(value, bool):
+        try:
+            str(value)
+        except ValueError:  # past the int-string digit limit json.dumps keeps
+            return _linalg.exact_text(value)
+        return value
+    if isinstance(value, (str, bool)) or value is None:
         return value
     return str(value)
 
@@ -42,6 +48,8 @@ def _jsonable(value):
 def _witness_text(value):
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_witness_text(entry) for entry in value) + "]"
+    if isinstance(value, (int, Fraction)):
+        return _linalg.exact_text(value)
     return str(value)
 
 
@@ -187,7 +195,7 @@ def check_mu_integrality(description):
                 False,
                 witness=(index, pairing),
                 message="modular weight pairs with the splitting to "
-                        f"{pairing}, expected 1",
+                        f"{_linalg.exact_text(pairing)}, expected 1",
             )
     return CheckReport(name, True)
 

@@ -6,15 +6,22 @@ closed subset of R^rank.  Boundary points count as inside everywhere; the
 quantization layer reports which support weights sit on facet boundaries so
 that sensitivity to this convention can be audited.
 
-All predicates are decided exactly: emptiness and inclusion through
-Fourier-Motzkin feasibility, vertices through exhaustive facet-subset
-intersection, recession rays through cone analysis over the lineality space.
+All predicates are decided exactly.  Emptiness and inclusion go through
+Fourier-Motzkin feasibility.  Boundedness, the box a lattice-point scan
+runs over and the vertices of a polyhedron in a line come from one exact
+bounding box per nonempty instance (`_box`): the range of each coordinate,
+read off the Fourier-Motzkin projection of the polyhedron onto that axis,
+so the polyhedron is bounded iff every range is.  Other vertices come from
+exhaustive facet-subset intersection, and recession rays from cone
+analysis over the lineality space; rays are listed only where they are
+asked for, never to decide boundedness.  The kernels read the inequalities
+in the integer form <normal, x> * q <= p of a bound p/q (`_integer_tests`).
 Instances are immutable and safe to share across threads.
 """
 
 from fractions import Fraction
 from itertools import combinations, product as iter_product, repeat
-from math import ceil, floor, inf, prod
+from math import ceil, floor, gcd, inf, prod
 from operator import mul
 import re
 
@@ -73,9 +80,15 @@ def _merge_inequality(merged, rank, normal, bound):
                for entry in normal):
         raise ValueError(f"normal {normal!r} must have integer entries")
     bound = _linalg.exact(bound)
-    g = _linalg.vector_gcd(normal)
-    if g == 0:
+    if not any(normal):
         raise ValueError("inequality normals must be nonzero")
+    _merge_checked(merged, normal, bound)
+
+
+def _merge_checked(merged, normal, bound):
+    """`_merge_inequality` for a nonzero int tuple ``normal`` of the right
+    length and a Fraction ``bound``."""
+    g = gcd(*normal)
     if g > 1:
         normal = tuple(entry // g for entry in normal)
         bound /= g
@@ -85,7 +98,7 @@ def _merge_inequality(merged, rank, normal, bound):
 
 
 def _format_exact_number(value):
-    return str(Fraction(value))
+    return _linalg.exact_text(Fraction(value))
 
 
 class LatticePolyhedron:
@@ -128,7 +141,10 @@ class LatticePolyhedron:
         return self.rank == other.rank and self.inequalities == other.inequalities
 
     def __hash__(self):
-        return hash((self.rank, self.inequalities))
+        cached = self._cache.get("hash")
+        if cached is None:
+            cached = self._cache["hash"] = hash((self.rank, self.inequalities))
+        return cached
 
     def __repr__(self):
         return f"LatticePolyhedron(rank={self.rank}, inequalities={self.inequalities!r})"
@@ -196,6 +212,18 @@ class LatticePolyhedron:
             self._cache["empty"] = cached
         return cached
 
+    def _box(self):
+        """The exact range of each coordinate over self, as one ``(low,
+        high)`` pair of Fractions per coordinate with None for an unbounded
+        end, or None when self is empty (`_linalg.fm_box`).  For a bounded
+        nonempty self the ranges are the extent of its vertices."""
+        cache = self._cache
+        if "box" not in cache:
+            cache["box"] = None if self.is_empty() else _linalg.fm_box(
+                self._integer_tests(), self.rank
+            )
+        return cache["box"]
+
     def implies(self, normal, bound):
         """True iff every point of self satisfies <normal, x> <= bound."""
         normal = tuple(normal)
@@ -231,15 +259,22 @@ class LatticePolyhedron:
             return cached
         if self.is_empty():
             raise EmptyPolyhedronError("empty polyhedron has no vertices")
-        normals = [n for n, _ in self.inequalities]
-        bounds = [b for _, b in self.inequalities]
         found = set()
-        for subset in combinations(range(len(normals)), self.rank):
-            point = _linalg.solve_unique(
-                [normals[i] for i in subset], [bounds[i] for i in subset]
-            )
-            if point is not None and self.contains_point(point):
-                found.add(point)
+        if self.rank == 1:
+            # in a line, the vertices are the finite ends of the range
+            (ends,) = self._box()
+            found.update((end,) for end in ends if end is not None)
+        else:
+            # the integer rows (q * normal | p) of the bounds p/q
+            tests = self._integer_tests()
+            rows = [tuple(q * n for n in normal) for normal, _, q in tests]
+            sides = [p for _, p, _ in tests]
+            for subset in combinations(range(len(rows)), self.rank):
+                point = _linalg.solve_unique(
+                    [rows[i] for i in subset], [sides[i] for i in subset]
+                )
+                if point is not None and self.contains_point(point):
+                    found.add(point)
         result = tuple(sorted(found))
         self._cache["vertices"] = result
         return result
@@ -285,9 +320,10 @@ class LatticePolyhedron:
         return result
 
     def is_bounded(self):
-        if self.is_empty():
-            return True
-        return not self.recession_rays()
+        box = self._box()
+        return box is None or all(
+            low is not None and high is not None for low, high in box
+        )
 
     # ------------------------------------------------------------------
     # lattice points
@@ -295,38 +331,34 @@ class LatticePolyhedron:
     def lattice_points(self):
         """All integer points, in lexicographic order.
 
-        Scans the bounding box of the vertices in all but the last
+        Scans the exact bounding box (`_box`) in all but the last
         coordinate and reads the last coordinate's exact interval off the
-        inequalities.  Raises UnboundedPolyhedronError when a recession ray
-        exists and EnumerationBudgetError when the scan would go over
-        ENUMERATION_BUDGET rows or points; returns [] for the empty
-        polyhedron.
+        inequalities.  Raises UnboundedPolyhedronError, with a recession ray
+        as witness, when self is unbounded and EnumerationBudgetError when
+        the scan would go over ENUMERATION_BUDGET rows or points; returns []
+        for the empty polyhedron.
         """
         if self.is_empty():
             return []
-        rays = self.recession_rays()
-        if rays:
+        if not self.is_bounded():
+            ray = self.recession_rays()[0]
             raise UnboundedPolyhedronError(
                 f"cannot enumerate lattice points of an unbounded polyhedron "
-                f"(recession ray {rays[0]})",
-                ray=rays[0],
+                f"(recession ray {ray})",
+                ray=ray,
             )
         if self.rank == 0:
             return [()]
-        # the vertex bounding box limits the outer coordinates; the last
-        # one is cut from the inequalities alone, which bound it on every
-        # slice because self is bounded
-        outer = self._vertex_box()[:-1] if self.rank > 1 else []
-        return self._scan(outer, -inf, inf)
+        # the box limits the outer coordinates; the last one is cut from
+        # the inequalities alone, which bound it on every slice because
+        # self is bounded
+        return self._scan(self._vertex_box()[:-1], -inf, inf)
 
     def _vertex_box(self):
         """One range per coordinate, from the least to the greatest integer
-        within the vertices' extent; it holds every lattice point of a
-        bounded nonempty self."""
-        return [
-            range(ceil(min(values)), floor(max(values)) + 1)
-            for values in zip(*self.vertices())
-        ]
+        in its exact range (`_box`), which for a bounded nonempty self is
+        the vertices' extent; it holds every lattice point of self."""
+        return [range(ceil(low), floor(high) + 1) for low, high in self._box()]
 
     def points_in_box(self, ranges):
         """Integer points of self inside the box ``ranges`` (one range per
@@ -468,18 +500,31 @@ class LatticePolyhedron:
             )
         if len(corners) == 1 and self.is_bounded():
             return None
-        facets = self.irredundant_inequalities()
+        tests = self._integer_tests()
+        actives = []
         for vertex in corners:
-            active = [
-                normal
-                for normal, bound in facets
-                if sum(n * x for n, x in zip(normal, vertex)) == bound
+            point, scale = _linalg.integer_scaled(vertex)
+            actives.append([
+                normal for normal, p, q in tests
+                if sum(map(mul, normal, point)) * q == p * scale
+            ])
+        # A vertex on exactly `rank` inequalities has independent normals,
+        # and near it self is the cone they cut out, so each of them defines
+        # a facet and `irredundant_inequalities` keeps it.  Only when some
+        # vertex is on more are the facets needed to tell which count.
+        if any(len(active) != self.rank for active in actives):
+            facets = {normal for normal, _ in self.irredundant_inequalities()}
+            actives = [
+                [normal for normal in active if normal in facets]
+                for active in actives
             ]
+        for vertex, active in zip(corners, actives):
             if len(active) != self.rank:
                 return vertex, f"vertex lies on {len(active)} facets, expected {self.rank}"
             det = _linalg.determinant(active)
             if abs(det) != 1:
-                return vertex, f"vertex cone has determinant {det}, expected +-1"
+                return vertex, (f"vertex cone has determinant "
+                                f"{_linalg.exact_text(det)}, expected +-1")
         return None
 
     def is_delzant(self):
@@ -494,10 +539,19 @@ class LatticePolyhedron:
             raise DimensionMismatchError(
                 f"shift of length {len(shift)} applied to rank {self.rank}"
             )
-        shift = tuple(
-            entry if type(entry) is int else _linalg.exact(entry)
-            for entry in shift
-        )
+        if all(type(entry) is int for entry in shift):
+            # the bound p/q moves to (p + q * <normal, shift>) / q, still
+            # reduced, so the integer tests carry over without Fractions
+            tests = tuple(
+                (normal, p + q * sum(map(mul, normal, shift)), q)
+                for normal, p, q in self._integer_tests()
+            )
+            moved = LatticePolyhedron._from_merged(
+                self.rank, {normal: Fraction(p, q) for normal, p, q in tests}
+            )
+            moved._cache["tests"] = tests
+            return moved
+        shift = tuple(_linalg.exact(entry) for entry in shift)
         return LatticePolyhedron._from_merged(
             self.rank,
             {
@@ -563,7 +617,7 @@ class LatticePolyhedron:
         raw = data["inequalities"]
         if not isinstance(raw, list):
             raise ParseError(f"{where}.inequalities: expected a list")
-        inequalities = []
+        merged = {}
         for index, item in enumerate(raw):
             spot = f"{where}.inequalities[{index}]"
             if not isinstance(item, dict):
@@ -585,11 +639,8 @@ class LatticePolyhedron:
                 )
             if not any(normal):
                 raise ParseError(f"{spot}.normal: must be nonzero")
-            inequalities.append((tuple(normal), bound))
-        try:
-            return cls(rank, inequalities)
-        except (ValueError, DimensionMismatchError) as exc:
-            raise ParseError(f"{where}: {exc}") from exc
+            _merge_checked(merged, tuple(normal), bound)
+        return cls._from_merged(rank, merged)
 
 
 def _inequality_text(normal, bound):

@@ -244,6 +244,8 @@ def parse_description(text):
         raise  # a float or non-finite literal, named by its hook
     except ValueError as exc:  # an integer over Python's int-string digit limit
         raise ParseError(f"integer literal: {str(exc).split(';')[0]}") from None
+    except RecursionError:  # arrays or objects nested past the recursion limit
+        raise ParseError("JSON nested too deeply to decode") from None
     if not isinstance(data, dict):
         raise ParseError("top level: expected an object")
     if data.get("schema") != SCHEMA:
@@ -463,23 +465,33 @@ def _product_tail(polyhedron, record, threshold, basis, leaf_anchor):
     message.  Each test reads the tail only as a set, given the record and
     threshold (emptiness, the shifted versus the deeper tail, the slice at
     the threshold, its boundedness and least vertex), and a component with
-    a nonempty tail is nonempty: a tail set-equal to a passing one passes."""
+    a nonempty tail is nonempty: a tail set-equal to a passing one passes.
+
+    Write v for the modular weight, s for the splitting (<v, s> = 1) and t
+    for the threshold.  When <normal, v> >= 0 for every inequality, -v is a
+    recession direction of the component, which therefore reaches every
+    level of s and has a nonempty tail; only otherwise is the tail's
+    emptiness decided by elimination.  The slice of the tail T at level -t
+    is never empty once T passes the translation test, T - v equal to the
+    part of T where s.x <= -t-1: then T - v lies in T, so s is unbounded
+    below on T and takes every level up to its supremum sigma <= -t; the
+    supremum of s on T - v is sigma - 1 and on that part min(sigma, -t-1),
+    so sigma = -t, and a linear function bounded above on a nonempty
+    polyhedron attains its supremum."""
     if polyhedron.is_empty():
         return "adjacent component is empty"
     tail = tail_cut(polyhedron, record.splitting, threshold)
-    if tail.is_empty():
+    weight = record.modular_weight
+    if any(_linalg.dot(normal, weight) < 0
+           for normal, _ in polyhedron.inequalities) and tail.is_empty():
         return "component has no tail beyond the threshold"
-    shifted = tail.translate(tuple(-x for x in record.modular_weight))
+    shifted = tail.translate(tuple(-x for x in weight))
     deeper = tail.with_inequality(
         tuple(record.splitting), Fraction(-threshold - 1)
     )
     if not shifted.set_equals(deeper):
         return "tail is not translation-invariant along the modular direction"
-    section = cross_section(
-        tail, record.modular_weight, record.splitting, basis, -threshold
-    )
-    if section is None or section.is_empty():
-        return "tail cross-section is empty"
+    section = cross_section(tail, weight, record.splitting, basis, -threshold)
     if not section.is_bounded():
         return "tail cross-section is unbounded"
     anchor = min(section.vertices())
@@ -565,12 +577,11 @@ def _check_compactness(space):
     polytope = space.polytope
     if polytope.is_empty():
         return CheckReport(name, False, message="moment polytope is empty")
-    rays = polytope.recession_rays()
-    if rays:
+    if not polytope.is_bounded():
         return CheckReport(
             name,
             False,
-            witness=rays[0],
+            witness=polytope.recession_rays()[0],
             message="moment polytope is unbounded",
         )
     return CheckReport(name, True)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -408,6 +409,105 @@ def test_over_long_literal_is_usage_error(run, tmp_path, literal, where):
     assert err.startswith("bquant: error: " + where)
     assert "internal error" not in err
     assert "value has 5001 digits" in err
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"a":' * 100_000],
+                         ids=["arrays", "objects"])
+def test_nesting_past_the_recursion_limit_is_usage_error(run, tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run("check", str(path))
+    assert (code, out) == (2, "")
+    assert err == "bquant: error: JSON nested too deeply to decode\n"
+
+
+def _decimal_digits(n):
+    """Decimal text of the int n, a 1,000-digit chunk at a time, so no
+    single int-to-string conversion passes Python's 4,300-digit limit."""
+    sign, n, chunks = "-" * (n < 0), abs(n), []
+    while True:
+        n, chunk = divmod(n, 10**1000)
+        chunks.append(chunk)
+        if not n:
+            break
+    head, *rest = reversed(chunks)
+    return sign + str(head) + "".join(f"{chunk:01000d}" for chunk in rest)
+
+
+def _fraction_text(value):
+    text = _decimal_digits(value.numerator)
+    if value.denominator == 1:
+        return text
+    return f"{text}/{_decimal_digits(value.denominator)}"
+
+
+def test_number_derived_past_the_digit_limit_is_reported(run, tmp_path):
+    # each literal is under 4,300 digits, but the vertex on x + y = a and
+    # x - y = b, where the delzant row fails (determinant 2), has a
+    # 4,790-digit numerator; the report writes it out in full
+    a = Fraction(10**2400 + 1, 2**8000)
+    b = Fraction(10**2400 + 7, 3**5000)
+    path = tmp_path / "derived.json"
+    path.write_text(json.dumps({
+        "schema": "bquant/1", "kind": "compact_toric", "rank": 2,
+        "polytope": {"rank": 2, "inequalities": [
+            {"normal": [1, 1], "bound": _fraction_text(a)},
+            {"normal": [1, -1], "bound": _fraction_text(b)},
+            {"normal": [-1, 0], "bound": 0},
+        ]},
+    }), encoding="utf-8")
+    vertex = ((a + b) / 2, (a - b) / 2)
+    assert vertex[0].numerator.bit_length() > 4300 * 3.33
+    witness = ["polytope", [_fraction_text(x) for x in vertex]]
+    code, out, err = run("check", str(path), "--no-header")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[2] == (
+        "delzant FAIL witness=[polytope,[" + ",".join(witness[1]) + "]] "
+        "(vertex cone has determinant 2, expected +-1)"
+    )
+    code, out, err = run("check", str(path), "--format", "json")
+    assert (code, err) == (1, "")
+    rows = {row["check"]: row for row in json.loads(out)["checks"]}
+    assert rows["delzant"]["witness"] == witness
+
+
+def test_pairing_derived_past_the_digit_limit_is_reported(run, tmp_path):
+    # a primitive rank-2 modular weight and a splitting of 2,500-digit
+    # entries pair to a number of about 5,000 digits
+    weight = [10**2500, 10**2500 + 1]
+    splitting = [3**5000, 7**3000]
+    pairing = weight[0] * splitting[0] + weight[1] * splitting[1]
+    strip = {"rank": 2, "inequalities": [
+        {"normal": [0, 1], "bound": 1}, {"normal": [0, -1], "bound": 0}]}
+    path = tmp_path / "pairing.json"
+    path.write_text(
+        json.dumps({
+            "schema": "bquant/1", "kind": "b_toric", "rank": 2,
+            "components": [{"sign": 1, "polyhedron": strip},
+                           {"sign": -1, "polyhedron": strip}],
+            "hypersurfaces": [{
+                "modular_weight": ["W0", "W1"], "splitting": ["S0", "S1"],
+                "leaf": {"rank": 1, "inequalities": [
+                    {"normal": [1], "bound": 1}, {"normal": [-1], "bound": 0}]},
+                "adjacent": [0, 1]}],
+        })
+        .replace('"W0"', _decimal_digits(weight[0]))
+        .replace('"W1"', _decimal_digits(weight[1]))
+        .replace('"S0"', _decimal_digits(splitting[0]))
+        .replace('"S1"', _decimal_digits(splitting[1])),
+        encoding="utf-8",
+    )
+    digits = _decimal_digits(pairing)
+    code, out, err = run("check", str(path), "--no-header")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[2] == (
+        f"mu-integrality FAIL witness=[0,{digits}] (modular weight pairs "
+        f"with the splitting to {digits}, expected 1)"
+    )
+    code, out, err = run("check", str(path), "--format", "json")
+    assert (code, err) == (1, "")
+    rows = {row["check"]: row for row in json.loads(out)["checks"]}
+    assert rows["mu-integrality"]["witness"] == [0, digits]
 
 
 def test_parse_error_reports_position(run, tmp_path):

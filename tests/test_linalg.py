@@ -230,3 +230,46 @@ def test_fm_feasible_2d_wedge():
     system = [((1, 1), 2, False), ((-1, 0), 0, False), ((0, -1), 0, False)]
     assert la.fm_feasible(system, 2)
     assert not la.fm_feasible(system + [((1, 1), -1, True)], 2)
+
+
+def test_fm_box():
+    # the triangle x, y >= 0, x + y <= 2: each coordinate ranges over [0, 2]
+    rows = [((-1, 0), 0, 1), ((0, -1), 0, 1), ((1, 1), 2, 1)]
+    assert la.fm_box(rows, 2) == ((0, 2), (0, 2))
+    # the wedge without its cap is unbounded above on both axes
+    assert la.fm_box(rows[:2], 2) == ((0, None), (0, None))
+    # 2x <= 1 and y <= 5/3 with y >= x: ranges (-oo, 1/2] and (-oo, 5/3]
+    rows = [((1, 0), 1, 2), ((0, 1), 5, 3), ((1, -1), 0, 1)]
+    assert la.fm_box(rows, 2) == (
+        (None, Fraction(1, 2)), (None, Fraction(5, 3)),
+    )
+    # x + y <= 0 and x + y >= 1: empty, found while eliminating
+    assert la.fm_box([((1, 1), 0, 1), ((-1, -1), -1, 1)], 2) is None
+    # x <= 0 and x >= 1/2: empty, found when the range is read
+    assert la.fm_box([((1,), 0, 1), ((-1,), -1, 2)], 1) is None
+    assert la.fm_box([], 0) == ()
+    assert la.fm_box([], 2) == ((None, None), (None, None))
+
+
+def _canonical_by_fractions(coeffs, bound):
+    """The oracle for `_canonical_constraint`: the general route alone."""
+    ints, scale = la.integer_scaled(coeffs)
+    bound = Fraction(bound) * scale
+    g = la.vector_gcd(ints)
+    if g > 1:
+        ints = [x // g for x in ints]
+        bound /= g
+    return tuple(ints), bound.numerator, bound.denominator
+
+
+def test_canonical_constraint_matches_the_general_route():
+    # primitive integer rows take the shortcut; the rest do not
+    rng = random.Random(5)
+    for _ in range(2000):
+        coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            coeffs[0] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        bound = rng.choice((rng.randint(-9, 9),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+        assert la._canonical_constraint(coeffs, bound) == \
+            _canonical_by_fractions(coeffs, bound)

@@ -1,8 +1,10 @@
 """LatticePolyhedron construction, predicates and lattice enumeration."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from operator import add, mul
 
 import pytest
 
@@ -448,3 +450,141 @@ def test_str():
     assert str(LatticePolyhedron(2, [((2, -3), Fraction(1, 2))])) == \
         "{2*x1 - 3*x2 <= 1/2}"
     assert str(LatticePolyhedron(1, [])) == "{x in R^1}"
+
+
+# ----------------------------------------------------------------------
+# the bounding box and the integer kernels against their former routes
+
+
+def random_polyhedra(count, seed):
+    """`count` polyhedra of ranks 0-3 drawn from `random.Random(seed)`:
+    small normals and bounds; a quarter also hold the negation of one of
+    their inequalities, moved by 0 or -1/2 (lower-dimensional or empty), a
+    fifth the sum of two of them (redundant, and through every point where
+    both are tight), and a fifth leave the last coordinate free (a
+    lineality line)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rank = rng.randint(0, 3)
+        free_last = rank > 1 and rng.random() < 0.2
+        inequalities = []
+        for _ in range(rng.randint(0, 7) if rank else 0):
+            normal = [rng.randint(-2, 2) for _ in range(rank)]
+            if free_last:
+                normal[-1] = 0
+            if any(normal):
+                bound = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                inequalities.append((tuple(normal), bound))
+        if inequalities and rng.random() < 0.25:
+            normal, bound = rng.choice(inequalities)
+            inequalities.append((tuple(-x for x in normal),
+                                 -bound - rng.choice((0, Fraction(1, 2)))))
+        if len(inequalities) > 1 and rng.random() < 0.2:
+            (a, b), (c, d) = rng.sample(inequalities, 2)
+            if any(map(add, a, c)):
+                inequalities.append((tuple(map(add, a, c)), b + d))
+        yield LatticePolyhedron(rank, inequalities)
+
+
+def vertices_by_fractions(polyhedron):
+    """The former `vertices`: every `rank` inequalities solved with their
+    Fraction bounds, kept when the solution is a point of the polyhedron."""
+    normals = [n for n, _ in polyhedron.inequalities]
+    bounds = [b for _, b in polyhedron.inequalities]
+    found = set()
+    for subset in combinations(range(len(normals)), polyhedron.rank):
+        point = _linalg.solve_unique(
+            [normals[i] for i in subset], [bounds[i] for i in subset]
+        )
+        if point is not None and polyhedron.contains_point(point):
+            found.add(point)
+    return tuple(sorted(found))
+
+
+def delzant_by_facets(polyhedron):
+    """The former `delzant_failure` after its guards: the facets at each
+    vertex are always read off `irredundant_inequalities`."""
+    facets = polyhedron.irredundant_inequalities()
+    for vertex in polyhedron.vertices():
+        active = [
+            normal
+            for normal, bound in facets
+            if sum(n * x for n, x in zip(normal, vertex)) == bound
+        ]
+        if len(active) != polyhedron.rank:
+            return vertex, (f"vertex lies on {len(active)} facets, "
+                            f"expected {polyhedron.rank}")
+        det = _linalg.determinant(active)
+        if abs(det) != 1:
+            return vertex, f"vertex cone has determinant {det}, expected +-1"
+    return None
+
+
+def test_box_and_integer_kernels_match_their_oracles(monkeypatch):
+    seen = Counter()
+    passes = []  # polyhedra whose facets were listed
+    irredundant = LatticePolyhedron.irredundant_inequalities
+    monkeypatch.setattr(
+        LatticePolyhedron, "irredundant_inequalities",
+        lambda self: passes.append(self) or irredundant(self),
+    )
+    shifts = random.Random(4)
+    for polyhedron in random_polyhedra(10_000, seed=3):
+        rank = polyhedron.rank
+        constraints = [(n, b, False) for n, b in polyhedron.inequalities]
+        empty = not _linalg.fm_feasible(constraints, rank)
+        box = polyhedron._box()
+        assert polyhedron.is_empty() == empty == (box is None)
+        shift = tuple(shifts.randint(-3, 3) for _ in range(rank))
+        moved = polyhedron.translate(shift)
+        assert moved == LatticePolyhedron(rank, [
+            (n, b + sum(map(mul, n, shift))) for n, b in polyhedron.inequalities
+        ])
+        assert moved._integer_tests() == tuple(
+            (n, b.numerator, b.denominator) for n, b in moved.inequalities
+        )
+        if empty:
+            seen["empty"] += 1
+            assert polyhedron.is_bounded()
+            continue
+        rays = polyhedron.recession_rays()
+        assert polyhedron.is_bounded() == (not rays)
+        corners = polyhedron.vertices()
+        assert corners == vertices_by_fractions(polyhedron)
+        assert len(box) == rank
+        for axis, ends in enumerate(box):
+            for sign, end in zip((-1, 1), ends):
+                # the end is None iff a generator of the recession cone
+                # moves the coordinate that way
+                assert (end is None) == any(sign * r[axis] > 0 for r in rays)
+                if end is not None:
+                    # sign * x_axis <= sign * end holds and is attained
+                    unit = tuple(sign * (i == axis) for i in range(rank))
+                    assert polyhedron.implies(unit, sign * end)
+                    attained = constraints + [
+                        (tuple(-x for x in unit), -sign * end, False)
+                    ]
+                    assert _linalg.fm_feasible(attained, rank)
+        if rays:
+            seen["unbounded"] += 1
+        else:
+            seen["bounded"] += 1
+            assert list(box) == [(min(v), max(v)) for v in zip(*corners)]
+        if not corners:
+            seen["lineality"] += 1
+        elif not (len(corners) == 1 and not rays):
+            # delzant_failure's own guards passed: the shortcut applies
+            # when every vertex is on exactly `rank` inequalities
+            listed = len(passes)
+            failure = polyhedron.delzant_failure()
+            route = "facets" if len(passes) > listed else "shortcut"
+            assert failure == delzant_by_facets(polyhedron)
+            outcome = "pass" if failure is None else failure[1].split()[1]
+            seen[f"delzant {outcome} by {route}"] += 1
+    assert seen.keys() == {
+        "empty", "unbounded", "bounded", "lineality",
+        "delzant pass by shortcut", "delzant pass by facets",
+        "delzant cone by shortcut", "delzant cone by facets",
+        "delzant lies by facets",
+    }, seen
+    assert min(seen.values()) >= 50, seen

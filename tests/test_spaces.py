@@ -265,6 +265,86 @@ def test_cross_section_empty_slice_is_none():
     assert section is not None and section.rank == 0
 
 
+def random_tail_frames(count, seed):
+    """`count` (component, modular weight v, splitting s, threshold t) in
+    ranks 1-3 with a nonempty component, drawn from `random.Random(seed)`:
+    v has an entry +-1 and
+    <v, s> = 1; the component is cut by normals n with <n, v> = 0 (the
+    sides of a cylinder along v), > 0 (caps that -v moves away from) and,
+    now and then, < 0 (walls that -v runs into)."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        rank = rng.randint(1, 3)
+        weight = [rng.randint(-2, 2) for _ in range(rank)]
+        unit = rng.randrange(rank)
+        weight[unit] = rng.choice((-1, 1))
+        kernel = _linalg.lattice_kernel_basis(weight)
+        splitting = [weight[unit] * (i == unit) for i in range(rank)]
+        for row in kernel:
+            step = rng.randint(-1, 1)
+            splitting = [a + step * b for a, b in zip(splitting, row)]
+        inequalities = []
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.choice(("side", "side", "cap", "wall"))
+            if kind == "side" and kernel:
+                normal = [0] * rank
+                for row in kernel:
+                    step = rng.randint(-2, 2)
+                    normal = [a + step * b for a, b in zip(normal, row)]
+            else:
+                normal = [rng.randint(-2, 2) for _ in range(rank)]
+                pairing = _linalg.dot(normal, weight)
+                if pairing == 0 or (pairing < 0) != (kind == "wall"):
+                    normal = [-x for x in normal]
+            if any(normal):
+                bound = Fraction(rng.randint(-6, 6), rng.randint(1, 2))
+                inequalities.append((tuple(normal), bound))
+        threshold = rng.randint(1, 5)
+        constraints = [(n, b, False) for n, b in inequalities]
+        if _linalg.fm_feasible(constraints, rank):
+            made += 1
+            component = LatticePolyhedron(rank, inequalities)
+            yield component, tuple(weight), tuple(splitting), threshold
+
+
+def test_tail_shortcut_and_nonempty_slice():
+    # _product_tail decides a tail's emptiness only when -v is not a
+    # recession direction of the component, and never asks whether the
+    # slice at -t of a tail passing the translation test is empty; both
+    # against elimination on 10,000 tails
+    seen = {"recedes": 0, "elimination": 0, "no tail": 0,
+            "not invariant": 0, "invariant": 0}
+    for component, v, s, t in random_tail_frames(10_000, seed=17):
+        constraints = [(n, b, False) for n, b in component.inequalities]
+        tail = tail_cut(component, s, t)
+        empty = not _linalg.fm_feasible(
+            constraints + [(s, Fraction(-t), False)], component.rank
+        )
+        assert tail.is_empty() == empty
+        if all(_linalg.dot(n, v) >= 0 for n, _ in component.inequalities):
+            seen["recedes"] += 1
+            assert not empty
+        else:
+            seen["elimination"] += 1
+        if empty:
+            seen["no tail"] += 1
+            continue
+        shifted = tail.translate(tuple(-x for x in v))
+        deeper = tail.with_inequality(s, Fraction(-t - 1))
+        if not shifted.set_equals(deeper):
+            seen["not invariant"] += 1
+            continue
+        seen["invariant"] += 1
+        basis = leaf_embedding_basis(s)
+        section = cross_section(tail, v, s, basis, -t)
+        assert section is not None
+        assert _linalg.fm_feasible(
+            [(n, b, False) for n, b in section.inequalities], section.rank
+        )
+    assert min(seen.values()) >= 1000, seen
+
+
 # ----------------------------------------------------------------------
 # validation
 
