@@ -51,14 +51,17 @@ def exact(value):
 
 
 def exact_text(value):
-    """``str(value)`` for an int or a Fraction, also past Python's limit on
-    int-to-decimal conversion (``sys.get_int_max_str_digits``), which a
-    number derived from literals under the limit can pass: there the
-    digits come from decimal.Decimal, which converts exactly and has no
-    such limit."""
+    """``str(value)`` for an int, a Fraction or a tuple of ints, also past
+    Python's limit on int-to-decimal conversion
+    (``sys.get_int_max_str_digits``), which a number derived from literals
+    under the limit can pass: there the digits come from decimal.Decimal,
+    which converts exactly and has no such limit."""
     try:
         return str(value)
     except ValueError:
+        if type(value) is tuple:
+            inner = ", ".join(map(exact_text, value))
+            return f"({inner},)" if len(value) == 1 else f"({inner})"
         if type(value) is Fraction and value.denominator != 1:
             return f"{exact_text(value.numerator)}/{exact_text(value.denominator)}"
         return str(Decimal(int(value)))

@@ -204,7 +204,8 @@ def collapse_signed_tails(description, self_check=True):
         if not core.is_bounded():
             ray = core.recession_rays()[0]
             raise NotFiniteError(
-                f"term {index} keeps unbounded direction {ray} after every "
+                f"term {index} keeps unbounded direction "
+                f"{_linalg.exact_text(ray)} after every "
                 "matched tail is cut off; no hypersurface end claims it",
                 witness=(("term", index), ray),
             )
@@ -224,7 +225,8 @@ def collapse_signed_tails(description, self_check=True):
                     labels = tuple(end.hypersurface for end in subset)
                     raise NotFiniteError(
                         f"tails of hypersurfaces {labels} overlap in term "
-                        f"{index} along unbounded direction {ray}",
+                        f"{index} along unbounded direction "
+                        f"{_linalg.exact_text(ray)}",
                         witness=(("term", index) + labels, ray),
                     )
                 pieces.append(overlap)
@@ -260,7 +262,8 @@ def _self_check(formal, character, window):
     if mismatch is not None:
         weight, found, expected = mismatch
         raise SelfCheckError(
-            f"collapsed character gives {found} at weight {weight} but the "
+            f"collapsed character gives {found} at weight "
+            f"{_linalg.exact_text(weight)} but the "
             f"formal signed count is {expected}"
         )
 
@@ -371,7 +374,7 @@ def _row_steps(formal, outer, low, high):
 def _refused(index, weight):
     return SelfCheckError(
         f"enumeration of term {index} over the check window disagrees with "
-        f"its inequalities at weight {weight}"
+        f"its inequalities at weight {_linalg.exact_text(weight)}"
     )
 
 
@@ -530,7 +533,7 @@ def quantize_local_model(model):
             head, ((start, _, total), *_) = rows[0]
             raise SelfCheckError(
                 f"local model tails fail to cancel at lattice point "
-                f"{head + (start,)} (signed count {total})"
+                f"{_linalg.exact_text(head + (start,))} (signed count {total})"
             )
     return VirtualCharacter.zero(tail_a.rank)
 

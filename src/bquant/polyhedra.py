@@ -8,15 +8,18 @@ that sensitivity to this convention can be audited.
 
 All predicates are decided exactly.  Emptiness and inclusion go through
 Fourier-Motzkin feasibility.  Boundedness, the box a lattice-point scan
-runs over and the vertices of a polyhedron in a line come from one exact
-bounding box per nonempty instance (`_box`): the range of each coordinate,
-read off the Fourier-Motzkin projection of the polyhedron onto that axis,
-so the polyhedron is bounded iff every range is.  Other vertices come from
-exhaustive facet-subset intersection, and recession rays from cone
-analysis over the lineality space; rays are listed only where they are
-asked for, never to decide boundedness.  The kernels read the inequalities
-in the integer form <normal, x> * q <= p of a bound p/q (`_integer_tests`).
-Instances are immutable and safe to share across threads.
+runs over and, in rank 1, the vertices and the recession rays come from
+one exact bounding box per instance (`_box`): the range of each
+coordinate, read off the Fourier-Motzkin projection of the polyhedron onto
+that axis, so the polyhedron is bounded iff every range is.  The
+projection is exact, so it also decides emptiness: a box asked for before
+`is_empty` costs one elimination, not a feasibility test and then an
+elimination.  Vertices in rank >= 2 come from exhaustive facet-subset
+intersection, and recession rays from cone analysis over the lineality
+space; rays are listed only where they are asked for, never to decide
+boundedness.  The kernels read the inequalities in the integer form
+<normal, x> * q <= p of a bound p/q (`_integer_tests`).  Instances are
+immutable and safe to share across threads.
 """
 
 from fractions import Fraction
@@ -216,12 +219,17 @@ class LatticePolyhedron:
         """The exact range of each coordinate over self, as one ``(low,
         high)`` pair of Fractions per coordinate with None for an unbounded
         end, or None when self is empty (`_linalg.fm_box`).  For a bounded
-        nonempty self the ranges are the extent of its vertices."""
+        nonempty self the ranges are the extent of its vertices.
+
+        `fm_box` returns None iff self is empty, so a box asked for first
+        also settles `is_empty` without a separate feasibility test."""
         cache = self._cache
         if "box" not in cache:
-            cache["box"] = None if self.is_empty() else _linalg.fm_box(
-                self._integer_tests(), self.rank
-            )
+            if cache.get("empty"):
+                cache["box"] = None
+            else:
+                box = _linalg.fm_box(self._integer_tests(), self.rank)
+                cache["box"], cache["empty"] = box, box is None
         return cache["box"]
 
     def implies(self, normal, bound):
@@ -287,6 +295,11 @@ class LatticePolyhedron:
         torus-type components) the result is +-(a basis of that space) plus
         the extreme rays of the pointed remainder, which still generates the
         cone.  Empty iff the polyhedron is bounded.
+
+        In rank 1 the rays are read off the exact range (`_box`): (-1,) for
+        a missing lower end and (1,) for a missing upper end, since the
+        recession cone of a nonempty interval is the set of directions in
+        which it is unbounded.
         """
         cached = self._cache.get("rays")
         if cached is not None:
@@ -294,6 +307,11 @@ class LatticePolyhedron:
         if self.is_empty():
             raise EmptyPolyhedronError("empty polyhedron has no recession cone")
         n = self.rank
+        if n == 1:
+            ((low, high),) = self._box()
+            result = ((-1,),) * (low is None) + ((1,),) * (high is None)
+            self._cache["rays"] = result
+            return result
         normals = [normal for normal, _ in self.inequalities]
         lineality = _linalg.rational_kernel_basis(normals, n)
         cone_normals = list(normals)
@@ -338,13 +356,13 @@ class LatticePolyhedron:
         the scan would go over ENUMERATION_BUDGET rows or points; returns []
         for the empty polyhedron.
         """
-        if self.is_empty():
+        if self._box() is None:
             return []
         if not self.is_bounded():
             ray = self.recession_rays()[0]
             raise UnboundedPolyhedronError(
                 f"cannot enumerate lattice points of an unbounded polyhedron "
-                f"(recession ray {ray})",
+                f"(recession ray {_linalg.exact_text(ray)})",
                 ray=ray,
             )
         if self.rank == 0:

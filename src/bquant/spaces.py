@@ -467,31 +467,57 @@ def _product_tail(polyhedron, record, threshold, basis, leaf_anchor):
     the threshold, its boundedness and least vertex), and a component with
     a nonempty tail is nonempty: a tail set-equal to a passing one passes.
 
-    Write v for the modular weight, s for the splitting (<v, s> = 1) and t
-    for the threshold.  When <normal, v> >= 0 for every inequality, -v is a
-    recession direction of the component, which therefore reaches every
-    level of s and has a nonempty tail; only otherwise is the tail's
-    emptiness decided by elimination.  The slice of the tail T at level -t
-    is never empty once T passes the translation test, T - v equal to the
-    part of T where s.x <= -t-1: then T - v lies in T, so s is unbounded
-    below on T and takes every level up to its supremum sigma <= -t; the
-    supremum of s on T - v is sigma - 1 and on that part min(sigma, -t-1),
-    so sigma = -t, and a linear function bounded above on a nonempty
-    polyhedron attains its supremum."""
+    Write P for the component, v for the modular weight, s for the
+    splitting (<v, s> = 1), t for the threshold, T for the tail P &
+    {s.x <= -t} and D for the deeper tail T & {s.x <= -t-1}.  The
+    translation test is T - v = D, decided without building T - v:
+    - If <n, v> < 0 for some inequality of P, a nonempty T fails the
+      test.  A nonempty T with T - v = D, a subset of T, holds x - kv for
+      every k, so -v is a recession direction of T, and <n, -v> <= 0 for
+      every inequality of T, which holds P's.  So an empty T fails "no
+      tail" and a nonempty one "not translation-invariant", with no
+      elimination but T's emptiness.
+    - Otherwise -v is a recession direction of P, which therefore reaches
+      every level of s, so T is nonempty.  T - v lies in D: for x in T,
+      <n, x - v> <= b - <n, v> <= b and s.(x - v) <= -t-1.  And D lies in
+      T - v iff D + v lies in T, that is iff D implies <n, x> <= b - <n, v>
+      for each inequality <n, x> <= b of T; D does for <n, v> = 0, and for
+      the cut row n = s with b = -t, since D holds s.x <= -t-1.  Each
+      other row costs one `implies`, and D is built only when one is left.
+
+    The slice at level -t is cut from P, not T, and the two are
+    structurally equal.  P and T differ at most in the row of normal s,
+    which projects to the zero normal with slack b + t for its bound b.
+    When P has no such row or its bound is at least -t, T's bound is -t
+    and both slices drop the row; otherwise both bounds are P's, below -t,
+    and both slices are None.  The slice is never None once T passes
+    the translation test: then T - v lies in T, so s is unbounded below on
+    T and takes every level up to its supremum sigma <= -t; the supremum of
+    s on T - v is sigma - 1 and on D min(sigma, -t-1), so sigma = -t, and a
+    linear function bounded above on a nonempty polyhedron attains its
+    supremum."""
     if polyhedron.is_empty():
         return "adjacent component is empty"
-    tail = tail_cut(polyhedron, record.splitting, threshold)
-    weight = record.modular_weight
-    if any(_linalg.dot(normal, weight) < 0
-           for normal, _ in polyhedron.inequalities) and tail.is_empty():
-        return "component has no tail beyond the threshold"
-    shifted = tail.translate(tuple(-x for x in weight))
-    deeper = tail.with_inequality(
-        tuple(record.splitting), Fraction(-threshold - 1)
+    splitting, weight = record.splitting, record.modular_weight
+    tail = tail_cut(polyhedron, splitting, threshold)
+    not_invariant = (
+        "tail is not translation-invariant along the modular direction"
     )
-    if not shifted.set_equals(deeper):
-        return "tail is not translation-invariant along the modular direction"
-    section = cross_section(tail, weight, record.splitting, basis, -threshold)
+    if any(_linalg.dot(normal, weight) < 0
+           for normal, _ in polyhedron.inequalities):
+        if tail.is_empty():
+            return "component has no tail beyond the threshold"
+        return not_invariant
+    deeper = None
+    for normal, bound in tail.inequalities:
+        step = _linalg.dot(normal, weight)
+        if step == 0 or (normal == splitting and bound == -threshold):
+            continue
+        if deeper is None:
+            deeper = tail_cut(tail, splitting, threshold + 1)
+        if not deeper.implies(normal, bound - step):
+            return not_invariant
+    section = cross_section(polyhedron, weight, splitting, basis, -threshold)
     if not section.is_bounded():
         return "tail cross-section is unbounded"
     anchor = min(section.vertices())

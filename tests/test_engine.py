@@ -7,6 +7,7 @@ import math
 import random
 import threading
 import time
+from decimal import Decimal
 
 import pytest
 
@@ -23,6 +24,7 @@ from conftest import (
 
 import bquant.engine as engine
 import bquant.spaces as spaces
+from bquant import _linalg
 from bquant import (
     BSpaceDescription,
     DescriptionKindError,
@@ -56,6 +58,7 @@ from bquant import (
 
 from bquant.cli import main
 from bquant.polyhedra import ENUMERATION_BUDGET
+from bquant.spaces import LocalModel
 
 import make_corpus
 
@@ -1009,3 +1012,99 @@ def test_random_products_match_oracle():
             assert character.multiplicity(weight) == raw_multiplicity(
                 data, weight
             )
+
+
+# ----------------------------------------------------------------------
+# numbers derived past Python's int-to-text limit
+
+
+HUGE = 10**4400  # 4,401 digits: str() of it raises ValueError
+
+
+def test_collapse_messages_write_derived_rays_in_full(monkeypatch):
+    # both NotFiniteError messages of the collapse name a recession ray;
+    # one far past the digit limit is written in full
+    d = load("btorus.json")
+    first, second = tail_matching(d)
+    ray = (-HUGE,)
+    text = "(-" + str(Decimal(HUGE)) + ",)"
+    monkeypatch.setattr(LatticePolyhedron, "recession_rays", lambda self: (ray,))
+    inject_matching(monkeypatch, (first,))
+    with pytest.raises(NotFiniteError) as info:
+        collapse_signed_tails(d)
+    assert f"keeps unbounded direction {text} after every" in str(info.value)
+    assert info.value.witness == (("term", 0), ray)
+    # a second end with the first one's cut: the core {0} is bounded, but
+    # the two tails overlap on the half-line x <= -1
+    inject_matching(
+        monkeypatch, (first, second, dataclasses.replace(first, hypersurface=2))
+    )
+    with pytest.raises(NotFiniteError) as info:
+        collapse_signed_tails(d)
+    assert str(info.value) == (
+        "tails of hypersurfaces (0, 2) overlap in term 0 along unbounded "
+        f"direction {text}"
+    )
+
+
+def test_self_check_messages_write_derived_weights_in_full(monkeypatch):
+    text = "(" + str(Decimal(HUGE)) + ",)"
+    point = LatticePolyhedron(1, [((1,), HUGE), ((-1,), -HUGE)])
+    formal = PolyhedralCharacter(1, ((1, point),))
+    with pytest.raises(SelfCheckError) as info:
+        engine._self_check(
+            formal, VirtualCharacter.zero(1), [range(HUGE, HUGE + 1)]
+        )
+    assert str(info.value) == (
+        f"collapsed character gives 0 at weight {text} but the formal "
+        "signed count is 1"
+    )
+    assert str(engine._refused(0, (HUGE,))).endswith(
+        f"its inequalities at weight {text}"
+    )
+    # a local model at a huge level whose second tail is moved by one:
+    # with the set-equality proof forced through, the re-check names the
+    # first point that fails to cancel
+    tail = LatticePolyhedron(1, [((1,), -HUGE)])
+    model = LocalModel(0, HUGE, ((1, tail), (-1, tail.translate((1,)))))
+    monkeypatch.setattr(LatticePolyhedron, "set_equals", lambda *_: True)
+    with pytest.raises(SelfCheckError) as info:
+        quantize_local_model(model)
+    assert str(info.value).endswith(
+        f"at lattice point (-{str(Decimal(HUGE - 1))},) (signed count -1)"
+    )
+
+
+# ----------------------------------------------------------------------
+# the fixed cost of one description
+
+
+def test_one_cold_sphere_has_a_fixed_cost(monkeypatch):
+    # a timing-free guard on the per-description work of acceptance
+    # criterion 1: one rank-1 sphere, validated from a cold cache and
+    # quantized, builds at most 9 polyhedra and makes at most 3
+    # feasibility tests, 6 box projections and no kernel computation
+    limits = {
+        "polyhedra": 9, "fm_feasible": 3, "fm_box": 6,
+        "rational_kernel_basis": 0,
+    }
+    counts = dict.fromkeys(limits, 0)
+    for name in ("fm_feasible", "fm_box", "rational_kernel_basis"):
+        real = getattr(_linalg, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(_linalg, name, counted)
+    assign = LatticePolyhedron._assign
+
+    def counted_assign(self, *args):
+        counts["polyhedra"] += 1
+        return assign(self, *args)
+
+    monkeypatch.setattr(LatticePolyhedron, "_assign", counted_assign)
+    validate_description.cache_clear()
+    character = quantize_b(parse(make_corpus.sphere(7, -3)))
+    assert character.support() == [(k,) for k in range(-2, 8)]
+    assert all(counts[name] <= limits[name] for name in limits), counts

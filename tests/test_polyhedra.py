@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
 from operator import add, mul
@@ -528,13 +529,30 @@ def test_box_and_integer_kernels_match_their_oracles(monkeypatch):
         LatticePolyhedron, "irredundant_inequalities",
         lambda self: passes.append(self) or irredundant(self),
     )
+    feasible, calls = _linalg.fm_feasible, Counter()
+    for name in ("fm_feasible", "fm_box"):
+        real = getattr(_linalg, name)
+        monkeypatch.setattr(
+            _linalg, name,
+            lambda *args, _real=real, _name=name:
+                calls.update((_name,)) or _real(*args),
+        )
     shifts = random.Random(4)
     for polyhedron in random_polyhedra(10_000, seed=3):
         rank = polyhedron.rank
         constraints = [(n, b, False) for n, b in polyhedron.inequalities]
-        empty = not _linalg.fm_feasible(constraints, rank)
+        empty = not feasible(constraints, rank)
+        # a box asked for first settles emptiness with one elimination;
+        # emptiness asked for first is one feasibility test, and the box
+        # after it one more elimination, or none when the set is empty
+        calls.clear()
         box = polyhedron._box()
         assert polyhedron.is_empty() == empty == (box is None)
+        assert calls == {"fm_box": 1}
+        empty_first = LatticePolyhedron(rank, polyhedron.inequalities)
+        assert empty_first.is_empty() == empty
+        assert empty_first._box() == box
+        assert calls == {"fm_box": 2 - empty, "fm_feasible": 1}
         shift = tuple(shifts.randint(-3, 3) for _ in range(rank))
         moved = polyhedron.translate(shift)
         assert moved == LatticePolyhedron(rank, [
@@ -588,3 +606,75 @@ def test_box_and_integer_kernels_match_their_oracles(monkeypatch):
         "delzant lies by facets",
     }, seen
     assert min(seen.values()) >= 50, seen
+
+
+def rays_by_cones(polyhedron):
+    """The cone route of `recession_rays`, which rank 1 no longer takes:
+    +-(a basis of the lineality space) and every kernel generator of
+    `rank - 1` cone normals that all the normals keep nonpositive."""
+    n = polyhedron.rank
+    normals = [normal for normal, _ in polyhedron.inequalities]
+    lineality = _linalg.rational_kernel_basis(normals, n)
+    cone_normals = list(normals)
+    rays = set()
+    for direction in lineality:
+        opposite = tuple(-x for x in direction)
+        cone_normals += [direction, opposite]
+        rays.update((direction, opposite))
+    for subset in combinations(range(len(cone_normals)), n - 1):
+        kernel = _linalg.rational_kernel_basis(
+            [cone_normals[i] for i in subset], n
+        )
+        if len(kernel) == 1:
+            for candidate in (kernel[0], tuple(-x for x in kernel[0])):
+                if all(_linalg.dot(a, candidate) <= 0 for a in cone_normals):
+                    rays.add(candidate)
+    return tuple(sorted(rays))
+
+
+def test_rank_one_rays_are_read_off_the_box(monkeypatch):
+    rng = random.Random(29)
+    oracle_kernel = _linalg.rational_kernel_basis
+    kernel_calls = []
+    monkeypatch.setattr(
+        _linalg, "rational_kernel_basis",
+        lambda *args: kernel_calls.append(args) or oracle_kernel(*args),
+    )
+    seen = Counter()
+    for _ in range(5_000):
+        inequalities = [
+            ((rng.choice((-2, -1, 1, 3)),),
+             Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        polyhedron = LatticePolyhedron(1, inequalities)
+        if polyhedron.is_empty():
+            seen["empty"] += 1
+            with pytest.raises(EmptyPolyhedronError):
+                polyhedron.recession_rays()
+            continue
+        listed = len(kernel_calls)
+        rays = polyhedron.recession_rays()
+        assert len(kernel_calls) == listed
+        assert rays == rays_by_cones(polyhedron)
+        assert polyhedron.recession_rays() is rays  # cached
+        seen[rays] += 1
+    assert seen.keys() == {"empty", (), ((-1,),), ((1,),), ((-1,), (1,))}
+    assert min(seen.values()) >= 200, seen
+
+
+def test_unbounded_error_writes_a_derived_ray_in_full():
+    # the recession ray is the cross product of two normals, about 5,000
+    # digits long, past Python's int-to-text limit; the message still
+    # names it in full instead of failing with a bare ValueError
+    big = 10**2500 + 1
+    polyhedron = LatticePolyhedron(3, [
+        ((big, 10**2499 + 7, 1), 0), ((1, big, 10**2499 + 7), 0),
+    ])
+    with pytest.raises(UnboundedPolyhedronError) as caught:
+        polyhedron.lattice_points()
+    ray = caught.value.ray
+    assert max(abs(x) for x in ray) > 10**4300
+    text = _linalg.exact_text(ray)
+    assert str(caught.value).endswith(f"(recession ray {text})")
+    assert text == "(" + ", ".join(str(Decimal(x)) for x in ray) + ")"

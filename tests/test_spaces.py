@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -343,6 +344,140 @@ def test_tail_shortcut_and_nonempty_slice():
             [(n, b, False) for n, b in section.inequalities], section.rank
         )
     assert min(seen.values()) >= 1000, seen
+
+
+def random_tail_descriptions(count, seed):
+    """`count` one-hypersurface descriptions built on `random_tail_frames`
+    (the threshold is the description's own), skipping most frames with a
+    wall that -v runs into, which fail at once.  The leaf is the slice of
+    the first adjacent component at the threshold moved by a lattice
+    vector, now and then with one more inequality, or a unit box when that
+    slice is None or unbounded.  Now and then the first adjacent component
+    is empty.  The second is mostly the first, else the first with one
+    more inequality (now and then a far wall that -v runs into), one
+    fewer, one moved, one side tilted by the splitting (a wedge), moved
+    along the leaf, or an empty one.  The two are stored in either
+    order."""
+    rng = random.Random(seed)
+    made = 0
+    for component, v, s, _ in random_tail_frames(10 * count, seed):
+        if made == count:
+            return
+        if any(_linalg.dot(n, v) < 0 for n, _ in component.inequalities) \
+                and rng.random() < 0.6:
+            continue  # a wall that -v runs into fails the first test
+        made += 1
+        rank = component.rank
+        axis = (1,) + (0,) * (rank - 1)
+        empty = LatticePolyhedron(
+            rank, [(axis, -1), (tuple(-x for x in axis), 0)]
+        )
+        if rng.random() < 0.03:
+            component = empty
+        rows = list(component.inequalities)
+        basis = leaf_embedding_basis(s)
+        sides = [i for i, (n, _) in enumerate(rows) if _linalg.dot(n, v) == 0]
+        kind = rng.choice(("same",) * 6 + (
+            "extra", "fewer", "moved", "tilted", "along", "empty"
+        ))
+        partner = component
+        if kind == "extra":
+            normal = tuple(rng.randint(-2, 2) for _ in range(rank))
+            far = _linalg.dot(normal, v) < 0 and rng.random() < 0.5
+            if any(normal):
+                partner = component.with_inequality(
+                    normal, rng.randint(10, 20) if far else rng.randint(-6, 6)
+                )
+        elif kind == "fewer" and rows:
+            del rows[rng.randrange(len(rows))]
+            partner = LatticePolyhedron(rank, rows)
+        elif kind == "moved" and rows:
+            index = rng.randrange(len(rows))
+            normal, bound = rows[index]
+            rows[index] = (normal, bound + rng.choice((-1, 1)))
+            partner = LatticePolyhedron(rank, rows)
+        elif kind == "tilted" and sides:
+            index = rng.choice(sides)
+            normal, bound = rows[index]
+            tilted = tuple(map(add, normal, s))
+            if any(tilted):
+                rows[index] = (tilted, bound)
+                partner = LatticePolyhedron(rank, rows)
+        elif kind == "along" and basis:
+            partner = component.translate(rng.choice(basis))
+        elif kind == "empty":
+            partner = empty
+        unit = LatticePolyhedron(rank - 1, [
+            (tuple(int(i == j) * sign for j in range(rank - 1)), int(sign > 0))
+            for i in range(rank - 1) for sign in (-1, 1)
+        ])
+        if rng.random() < 0.5:
+            components, adjacent = ((1, component), (-1, partner)), (0, 1)
+        else:
+            components, adjacent = ((1, partner), (-1, component)), (1, 0)
+        draft = BSpaceDescription(rank, components, (
+            HypersurfaceRecord(v, s, unit, adjacent),
+        ))
+        threshold = tail_threshold(draft, 0)
+        section = None if component.is_empty() else cross_section(
+            component, v, s, basis, -threshold
+        )
+        leaf = unit
+        if section is not None and section.is_bounded() \
+                and not section.is_empty():
+            leaf = section.translate(
+                tuple(rng.randint(-2, 2) for _ in range(rank - 1))
+            )
+            if rank > 1 and rng.random() < 0.3:
+                normal = tuple(rng.randint(-1, 1) for _ in range(rank - 1))
+                if any(normal):
+                    leaf = leaf.with_inequality(normal, rng.randint(-1, 1))
+        yield BSpaceDescription(rank, components, (
+            HypersurfaceRecord(v, s, leaf, adjacent),
+        ))
+
+
+def test_tail_product_row_matches_the_set_equality_route():
+    # the row proves translation invariance with `implies` alone and cuts
+    # the slice from the component; on 10,000 descriptions of ranks 1-3 it
+    # gives the set-equality route's verdict, message, witness and tail
+    # ends (`_two_sided_tail_product`, defined below)
+    seen = {}
+    for description in random_tail_descriptions(10_000, seed=53):
+        report, ends = spaces._check_tail_product(description)
+        assert (report, ends) == _two_sided_tail_product(description)
+        key = report.message or "pass"
+        if report.witness is not None and len(report.witness) == 2:
+            second = description.hypersurfaces[0].adjacent[1]
+            side = "second" if report.witness[1] == second else "first"
+            key += f" at the {side}"
+        seen[key] = seen.get(key, 0) + 1
+    messages = (
+        "adjacent component is empty",
+        "component has no tail beyond the threshold",
+        "tail is not translation-invariant along the modular direction",
+        "tail cross-section is unbounded",
+        "tail cross-section is not a translate of the leaf polytope",
+    )
+    assert seen.keys() == {"pass", "the two matched tails differ as sets"} | {
+        f"{message} at the {side}"
+        for message in messages for side in ("first", "second")
+    }, sorted(seen.items())
+    assert min(seen.values()) >= 10, sorted(seen.items())
+
+
+def test_slice_of_the_component_is_the_slice_of_its_tail():
+    # the cut row s.x <= -t projects to the zero normal with slack >= 0 at
+    # level -t, or the component's own tighter row on s makes both None
+    seen = {"equal": 0, "none": 0}
+    for component, v, s, t in random_tail_frames(3_000, seed=59):
+        basis = leaf_embedding_basis(s)
+        for cut_level in (t, t + 1):
+            tail = tail_cut(component, s, cut_level)
+            section = cross_section(component, v, s, basis, -cut_level)
+            assert section == cross_section(tail, v, s, basis, -cut_level)
+            seen["none" if section is None else "equal"] += 1
+    assert min(seen.values()) >= 300, seen
 
 
 # ----------------------------------------------------------------------
