@@ -4,7 +4,9 @@ Everything here works over Python ints and fractions.Fraction; nothing is
 ever rounded.  The eliminations are fraction-free: row reduction, the
 determinant and Fourier-Motzkin work on integer rows and divide only where
 the quotient is exact, so a Fraction is built only for a rational answer
-(solve_unique's solution, fm_box's ranges).  Scales are small (rank <= 3,
+(solve_unique's solution, fm_box's ranges).  Both Fourier-Motzkin entry
+points, fm_feasible and fm_box, take a polyhedron's stored rows ``(normal,
+p, q)`` for <normal, x> * q <= p as they are.  Scales are small (rank <= 3,
 handfuls of rows), so the algorithms favour clarity over asymptotics.
 """
 
@@ -46,8 +48,8 @@ def make_primitive(vec):
 
 
 def exact(value):
-    """``value`` as a Fraction; Fractions are returned as they are."""
-    return value if type(value) is Fraction else Fraction(value)
+    """``value`` as an int or a Fraction; those are returned as they are."""
+    return value if type(value) in (int, Fraction) else Fraction(value)
 
 
 def exact_text(value):
@@ -72,15 +74,9 @@ def integer_scaled(vec):
     ``scale`` that makes every entry an integer."""
     if all(type(x) is int for x in vec):
         return list(vec), 1
-    entries = [x if type(x) is int else exact(x) for x in vec]
-    scale = lcm(*[x.denominator for x in entries if type(x) is not int])
-    if scale == 1:
-        return [x if type(x) is int else x.numerator for x in entries], 1
-    ints = [
-        x * scale if type(x) is int else x.numerator * (scale // x.denominator)
-        for x in entries
-    ]
-    return ints, scale
+    entries = [exact(x) for x in vec]
+    scale = lcm(*[x.denominator for x in entries])
+    return [x.numerator * (scale // x.denominator) for x in entries], scale
 
 
 def dot(a, b):
@@ -297,24 +293,6 @@ def reduce_mod_hnf(vec, hnf_basis):
     return tuple(out)
 
 
-def _canonical_constraint(coeffs, bound):
-    """Scale (coeffs, bound) by a positive rational so coeffs are coprime
-    ints; the bound comes back as a reduced pair (numerator, denominator)."""
-    if all(type(x) is int for x in coeffs) and gcd(*coeffs) == 1:
-        # already canonical, as every inequality of a polyhedron is
-        bound = exact(bound)
-        return tuple(coeffs), bound.numerator, bound.denominator
-    ints, scale = integer_scaled(coeffs)
-    bound = exact(bound)
-    if scale != 1:
-        bound *= scale
-    g = vector_gcd(ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-        bound /= g
-    return tuple(ints), bound.numerator, bound.denominator
-
-
 def _absorb(system, coeffs, num, den, strict):
     """Add <coeffs, x> <= num/den (< if strict) to ``system``, a dict of
     coeffs -> (num, den, strict), keeping the tightest row per direction."""
@@ -371,21 +349,24 @@ def _eliminate(system, var):
     return carried
 
 
-def fm_feasible(constraints, nvars):
-    """Exact feasibility of {x : <coeffs, x> <= bound (or < bound if strict)}.
+def fm_feasible(rows, nvars, strict=None):
+    """Exact feasibility of {x : <normal, x> * q <= p for each row}, with
+    the one row ``strict``, if given, held strictly: <normal, x> * q < p.
 
+    Rows are integer triples ``(normal, p, q)`` as in :func:`fm_box`.
     Fourier-Motzkin elimination (:func:`_eliminate`, one variable at a
-    time) with strictness tracking.  Fine at desk scale.
+    time) with strictness tracking.  Each step drops every row that
+    involves its variable and no normal is zero, so the set is feasible
+    iff no step meets a contradiction.  Fine at desk scale.
     """
     system = {}
-    for coeffs, bound, strict in constraints:
-        _absorb(system, *_canonical_constraint(coeffs, bound), strict)
+    for normal, p, q in rows:
+        _absorb(system, normal, p, q, False)
+    if strict is not None:
+        _absorb(system, *strict, True)
     for var in reversed(range(nvars)):
         system = _eliminate(system, var)
         if system is None:
-            return False
-    for num, _, strict in system.values():
-        if num < 0 or (strict and num == 0):
             return False
     return True
 

@@ -11,7 +11,7 @@ a finite `VirtualCharacter` is the quantization engine's job.
 
 from operator import neg
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ParseError
 from .polyhedra import LatticePolyhedron
 
 __all__ = [
@@ -26,6 +26,11 @@ __all__ = [
 ]
 
 Weight = tuple  # tuple[int, ...]
+
+
+def _check_rank(rank):
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
+        raise ValueError(f"rank must be a nonnegative integer, got {rank!r}")
 
 
 def _as_weight(weight, rank):
@@ -52,8 +57,7 @@ class VirtualCharacter:
     __slots__ = ("rank", "_multiplicities")
 
     def __init__(self, rank, multiplicities=None):
-        if not isinstance(rank, int) or rank < 0:
-            raise ValueError(f"rank must be a nonnegative integer, got {rank!r}")
+        _check_rank(rank)
         table = {}
         if multiplicities:
             items = multiplicities.items() if isinstance(multiplicities, dict) \
@@ -202,12 +206,23 @@ class VirtualCharacter:
 
     @classmethod
     def from_payload(cls, data):
-        rank = data["rank"]
-        pairs = [
-            (tuple(entry["weight"]), entry["mult"])
-            for entry in data["multiplicities"]
-        ]
-        return cls(rank, pairs)
+        """Character of a `to_payload` object; ParseError naming the field
+        when the payload is malformed."""
+        if not isinstance(data, dict) or not {"rank", "multiplicities"} <= data.keys():
+            raise ParseError(
+                "character: needs an object with 'rank' and 'multiplicities'"
+            )
+        raw = data["multiplicities"]
+        if not isinstance(raw, list) or not all(
+            isinstance(entry, dict) and {"weight", "mult"} <= entry.keys()
+            for entry in raw
+        ):
+            raise ParseError("character.multiplicities: needs a list of "
+                             "objects with 'weight' and 'mult'")
+        try:
+            return cls(data["rank"], [(e["weight"], e["mult"]) for e in raw])
+        except (TypeError, ValueError) as exc:  # rank, weight or multiplicity
+            raise ParseError(f"character: {exc}") from None
 
 
 class PolyhedralCharacter:
@@ -221,6 +236,7 @@ class PolyhedralCharacter:
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank, terms):
+        _check_rank(rank)
         terms = tuple((sign, polyhedron) for sign, polyhedron in terms)
         for sign, polyhedron in terms:
             if sign not in (1, -1):

@@ -20,7 +20,6 @@ rank 0, _point_mismatch) names the least weight where a character parts.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, groupby, product as iter_product
 from math import ceil, floor
 from operator import itemgetter, mul
@@ -199,7 +198,7 @@ def collapse_signed_tails(description, self_check=True):
         for end in ends:
             # keep <cut_normal, x> >= -threshold + 1; exact on lattice points
             core = core.with_inequality(
-                tuple(-x for x in end.cut_normal), Fraction(end.threshold - 1)
+                tuple(-x for x in end.cut_normal), end.threshold - 1
             )
         if not core.is_bounded():
             ray = core.recession_rays()[0]
@@ -216,7 +215,7 @@ def collapse_signed_tails(description, self_check=True):
                 overlap = polyhedron
                 for end in subset:
                     overlap = overlap.with_inequality(
-                        end.cut_normal, Fraction(-end.threshold)
+                        end.cut_normal, -end.threshold
                     )
                 if overlap.is_empty():
                     continue
@@ -298,14 +297,14 @@ def _row_steps(formal, outer, low, high):
     A row fixes every coordinate but the last and meets each term in an
     interval.  LatticePolyhedron._rows names, per row, the inequalities
     that bound it; each certificate is checked here against the term's
-    integer tests <normal, x> * q <= p (_integer_tests, fetched once per
-    term), never with the scan's floor division.  The k-th certificate is
-    checked against the k-th row of the window, so whatever the scan calls
-    the row, every window row gets a certificate that holds there or the
-    check fails.  The tests are filed by index 0..m-1 and by the sign of
-    their last-coordinate slope, so an index that names no inequality
-    (negative or out of range) or one of the wrong slope finds no test and
-    is refused:
+    integer rows <normal, x> * q <= p (integer_inequalities), never with
+    the scan's floor division.  The k-th certificate is checked against
+    the k-th row of the window, so whatever the scan calls the row, every
+    window row gets a certificate that holds there or the check fails.
+    The tests are filed by index 0..m-1 and by the sign of their
+    last-coordinate slope, so an index that names no inequality (negative
+    or out of range) or one of the wrong slope finds no test and is
+    refused:
     - (index,): inequality `index` has last-coordinate slope 0 and fails
       on the row, so the row is empty;
     - (lower, first, upper, final): inequality `upper` has positive slope
@@ -323,7 +322,7 @@ def _row_steps(formal, outer, low, high):
     """
     steps = {}
     for index, (sign, polyhedron) in enumerate(formal.terms):
-        tests = polyhedron._integer_tests()
+        tests = polyhedron.integer_inequalities
         level, rising, falling = {}, {}, {}
         for number, test in enumerate(tests):
             slope = test[0][-1]
@@ -626,8 +625,8 @@ def facet_boundary_weights(description, character):
             if not polyhedron.contains_point(weight):
                 continue
             if any(
-                _linalg.dot(normal, weight) == bound
-                for normal, bound in polyhedron.inequalities
+                _linalg.dot(normal, weight) * q == p
+                for normal, p, q in polyhedron.integer_inequalities
             ):
                 out.append(weight)
                 break

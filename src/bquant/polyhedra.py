@@ -1,10 +1,14 @@
 """Rational polyhedra in H-representation with exact lattice-point machinery.
 
-A `LatticePolyhedron` is a finite set of inequalities <normal, x> <= bound
-with primitive integer normals and exact rational bounds, interpreted as a
-closed subset of R^rank.  Boundary points count as inside everywhere; the
-quantization layer reports which support weights sit on facet boundaries so
-that sensitivity to this convention can be audited.
+A `LatticePolyhedron` is a finite set of inequalities <normal, x> <= p/q,
+interpreted as a closed subset of R^rank.  It stores them in one form,
+`integer_inequalities`: one row ``(normal, p, q)`` per normal, with a
+primitive int normal and a reduced bound p/q, q > 0, sorted by normal;
+every kernel reads the rows as <normal, x> * q <= p.  `inequalities`, the
+``(normal, Fraction bound)`` pairs, is a view built for the public API.
+Boundary points count as inside everywhere; the quantization layer reports
+which support weights sit on facet boundaries so that sensitivity to this
+convention can be audited.
 
 All predicates are decided exactly.  Emptiness and inclusion go through
 Fourier-Motzkin feasibility.  Boundedness, the box a lattice-point scan
@@ -17,14 +21,13 @@ projection is exact, so it also decides emptiness: a box asked for before
 elimination.  Vertices in rank >= 2 come from exhaustive facet-subset
 intersection, and recession rays from cone analysis over the lineality
 space; rays are listed only where they are asked for, never to decide
-boundedness.  The kernels read the inequalities in the integer form
-<normal, x> * q <= p of a bound p/q (`_integer_tests`).  Instances are
-immutable and safe to share across threads.
+boundedness.  Instances are immutable and safe to share across threads.
 """
 
 from fractions import Fraction
 from itertools import combinations, product as iter_product, repeat
 from math import ceil, floor, gcd, inf, prod
+from numbers import Number
 from operator import mul
 import re
 
@@ -52,7 +55,7 @@ def _parse_exact_number(value, where):
     if isinstance(value, bool):
         raise ParseError(f"{where}: expected an exact number, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         if not _FRACTION_TOKEN.fullmatch(value):
             raise ParseError(
@@ -71,9 +74,11 @@ def _parse_exact_number(value, where):
     )
 
 
-def _merge_inequality(merged, rank, normal, bound):
-    """Add <normal, x> <= bound to ``merged`` (primitive normal -> bound),
-    keeping the tightest bound per normal."""
+def _integer_row(rank, normal, bound):
+    """The row ``(normal, p, q)`` of <normal, x> <= bound, for a nonzero
+    int ``normal`` of length ``rank`` and an exact ``bound``: the normal
+    divided by the gcd g of its entries, and p/q, with q > 0, the bound
+    divided by g, reduced."""
     normal = tuple(normal)
     if len(normal) != rank:
         raise DimensionMismatchError(
@@ -85,54 +90,70 @@ def _merge_inequality(merged, rank, normal, bound):
     bound = _linalg.exact(bound)
     if not any(normal):
         raise ValueError("inequality normals must be nonzero")
-    _merge_checked(merged, normal, bound)
-
-
-def _merge_checked(merged, normal, bound):
-    """`_merge_inequality` for a nonzero int tuple ``normal`` of the right
-    length and a Fraction ``bound``."""
+    p, q = bound.numerator, bound.denominator
     g = gcd(*normal)
     if g > 1:
         normal = tuple(entry // g for entry in normal)
-        bound /= g
+        common = gcd(p, g)
+        p, q = p // common, q * (g // common)
+    return normal, p, q
+
+
+def _merge_row(merged, row):
+    """Add a reduced row to ``merged`` (primitive normal -> row), keeping
+    the tightest bound per normal."""
+    normal, p, q = row
     held = merged.get(normal)
-    if held is None or bound < held:
-        merged[normal] = bound
+    if held is None or p * held[2] < held[1] * q:
+        merged[normal] = row
 
 
-def _format_exact_number(value):
-    return _linalg.exact_text(Fraction(value))
+def _implied(rows, rank, row):
+    """True iff every point of {x : <normal, x> * q <= p for each of
+    ``rows``} satisfies the reduced ``row``: its violation set, where
+    <-normal, x> < -p/q, is infeasible."""
+    normal, p, q = row
+    return not _linalg.fm_feasible(rows, rank, (tuple(-x for x in normal), -p, q))
+
+
+def _as_pairs(rows):
+    """``(normal, Fraction bound)`` pairs of integer rows."""
+    return tuple((normal, Fraction(p, q)) for normal, p, q in rows)
 
 
 class LatticePolyhedron:
     """Closed rational polyhedron {x in R^rank : <normal_i, x> <= bound_i}."""
 
-    __slots__ = ("rank", "inequalities", "_cache")
+    __slots__ = ("rank", "integer_inequalities", "_cache")
 
     def __init__(self, rank, inequalities):
-        if not isinstance(rank, int) or rank < 0:
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
             raise ValueError(f"rank must be a nonnegative integer, got {rank!r}")
         merged = {}
         for normal, bound in inequalities:
-            _merge_inequality(merged, rank, normal, bound)
-        self._assign(rank, merged)
+            _merge_row(merged, _integer_row(rank, normal, bound))
+        self._assign(rank, merged.values())
 
     @classmethod
-    def _from_merged(cls, rank, merged):
-        """Instance from a dict of primitive normal -> Fraction bound."""
+    def _from_rows(cls, rank, rows):
+        """Instance from reduced rows with pairwise distinct normals."""
         self = object.__new__(cls)
-        self._assign(rank, merged)
+        self._assign(rank, rows)
         return self
 
-    def _assign(self, rank, merged):
+    def _assign(self, rank, rows):
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(
-            self, "inequalities", tuple(sorted(merged.items()))
-        )
+        object.__setattr__(self, "integer_inequalities", tuple(sorted(rows)))
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticePolyhedron is immutable")
+
+    @property
+    def inequalities(self):
+        """The inequalities as ``(normal, Fraction bound)`` pairs, sorted by
+        normal: a view built from `integer_inequalities` on each call."""
+        return _as_pairs(self.integer_inequalities)
 
     # ------------------------------------------------------------------
     # basics
@@ -141,22 +162,20 @@ class LatticePolyhedron:
         """Structural equality of canonical forms; see set_equals for set equality."""
         if not isinstance(other, LatticePolyhedron):
             return NotImplemented
-        return self.rank == other.rank and self.inequalities == other.inequalities
+        return self.rank == other.rank and \
+            self.integer_inequalities == other.integer_inequalities
 
     def __hash__(self):
-        cached = self._cache.get("hash")
-        if cached is None:
-            cached = self._cache["hash"] = hash((self.rank, self.inequalities))
-        return cached
+        return hash((self.rank, self.integer_inequalities))
 
     def __repr__(self):
         return f"LatticePolyhedron(rank={self.rank}, inequalities={self.inequalities!r})"
 
     def __str__(self):
-        if not self.inequalities:
+        if not self.integer_inequalities:
             return f"{{x in R^{self.rank}}}"
         return "{" + "; ".join(
-            _inequality_text(normal, bound) for normal, bound in self.inequalities
+            _inequality_text(*row) for row in self.integer_inequalities
         ) + "}"
 
     def _check_rank(self, other):
@@ -169,49 +188,27 @@ class LatticePolyhedron:
     # membership and feasibility
 
     def contains_point(self, point):
+        """True iff ``point`` lies in self, decided in integers for any
+        exact number or float: <normal, x * scale> * q <= p * scale."""
         point = tuple(point)
         if len(point) != self.rank:
             raise DimensionMismatchError(
                 f"point of length {len(point)} tested against rank {self.rank}"
             )
-        if all(type(x) is int for x in point):
-            # lattice points: <normal, x> * q <= p in integers
-            for normal, p, q in self._integer_tests():
-                if sum(map(mul, normal, point)) * q > p:
-                    return False
-            return True
-        if all(type(x) is int or type(x) is Fraction for x in point):
-            # exact points: <normal, x * scale> * q <= p * scale in integers
+        scale = 1
+        if not all(type(x) is int for x in point):
+            if not all(isinstance(x, Number) for x in point):
+                raise TypeError(f"point entries must be numbers, got {point!r}")
             point, scale = _linalg.integer_scaled(point)
-            for normal, p, q in self._integer_tests():
-                if sum(map(mul, normal, point)) * q > p * scale:
-                    return False
-            return True
-        for normal, bound in self.inequalities:
-            value = sum(n * x for n, x in zip(normal, point))
-            if value * bound.denominator > bound.numerator:
+        for normal, p, q in self.integer_inequalities:
+            if sum(map(mul, normal, point)) * q > p * scale:
                 return False
         return True
-
-    def _integer_tests(self):
-        """(normal, p, q) per inequality with bound p/q: the integer form
-        <normal, x> * q <= p of membership."""
-        tests = self._cache.get("tests")
-        if tests is None:
-            tests = tuple(
-                (normal, bound.numerator, bound.denominator)
-                for normal, bound in self.inequalities
-            )
-            self._cache["tests"] = tests
-        return tests
-
-    def _constraints(self):
-        return [(normal, bound, False) for normal, bound in self.inequalities]
 
     def is_empty(self):
         cached = self._cache.get("empty")
         if cached is None:
-            cached = not _linalg.fm_feasible(self._constraints(), self.rank)
+            cached = not _linalg.fm_feasible(self.integer_inequalities, self.rank)
             self._cache["empty"] = cached
         return cached
 
@@ -228,34 +225,26 @@ class LatticePolyhedron:
             if cache.get("empty"):
                 cache["box"] = None
             else:
-                box = _linalg.fm_box(self._integer_tests(), self.rank)
+                box = _linalg.fm_box(self.integer_inequalities, self.rank)
                 cache["box"], cache["empty"] = box, box is None
         return cache["box"]
 
     def implies(self, normal, bound):
         """True iff every point of self satisfies <normal, x> <= bound."""
-        normal = tuple(normal)
-        bound = Fraction(bound)
-        # violation set is {x in self : <normal, x> > bound}
-        negated = tuple(-entry for entry in normal)
-        system = self._constraints() + [(negated, -bound, True)]
-        return not _linalg.fm_feasible(system, self.rank)
+        row = _integer_row(self.rank, normal, bound)
+        return _implied(self.integer_inequalities, self.rank, row)
 
     def contains_polyhedron(self, other):
         """True iff other is a subset of self."""
         self._check_rank(other)
-        return all(other.implies(normal, bound)
-                   for normal, bound in self.inequalities)
+        return all(_implied(other.integer_inequalities, self.rank, row)
+                   for row in self.integer_inequalities)
 
     def set_equals(self, other):
         """Exact set equality, invariant under reordering/duplication of inequalities."""
-        self._check_rank(other)
-        if self.inequalities == other.inequalities:
-            return True
-        mine_in_other = all(self.implies(n, b) for n, b in other.inequalities)
-        if not mine_in_other:
-            return False
-        return all(other.implies(n, b) for n, b in self.inequalities)
+        return self == other or (
+            other.contains_polyhedron(self) and self.contains_polyhedron(other)
+        )
 
     # ------------------------------------------------------------------
     # vertices, rays, boundedness
@@ -273,8 +262,8 @@ class LatticePolyhedron:
             (ends,) = self._box()
             found.update((end,) for end in ends if end is not None)
         else:
-            # the integer rows (q * normal | p) of the bounds p/q
-            tests = self._integer_tests()
+            # the rows (q * normal | p) of the bounds p/q
+            tests = self.integer_inequalities
             rows = [tuple(q * n for n in normal) for normal, _, q in tests]
             sides = [p for _, p, _ in tests]
             for subset in combinations(range(len(rows)), self.rank):
@@ -312,7 +301,7 @@ class LatticePolyhedron:
             result = ((-1,),) * (low is None) + ((1,),) * (high is None)
             self._cache["rays"] = result
             return result
-        normals = [normal for normal, _ in self.inequalities]
+        normals = [normal for normal, _, _ in self.integer_inequalities]
         lineality = _linalg.rational_kernel_basis(normals, n)
         cone_normals = list(normals)
         for direction in lineality:
@@ -440,7 +429,7 @@ class LatticePolyhedron:
         # <normal, x> * q <= p becomes n * q * x_last <= room
         split = [
             (normal[:-1], normal[-1] * q, p, q)
-            for normal, p, q in self._integer_tests()
+            for normal, p, q in self.integer_inequalities
         ]
         for head in iter_product(*outer):
             first, last = low, high
@@ -485,19 +474,15 @@ class LatticePolyhedron:
         meets every subset of the others.  So one pass keeps what
         restarting from the first inequality after each deletion would.
         """
-        kept = list(self.inequalities)
+        kept = list(self.integer_inequalities)
         index = 0
         while index < len(kept):
-            normal, bound = kept[index]
             rest = kept[:index] + kept[index + 1:]
-            negated = tuple(-x for x in normal)
-            system = [(n, b, False) for n, b in rest]
-            system.append((negated, -bound, True))
-            if _linalg.fm_feasible(system, self.rank):
-                index += 1
-            else:
+            if _implied(rest, self.rank, kept[index]):
                 del kept[index]
-        return tuple(kept)
+            else:
+                index += 1
+        return _as_pairs(kept)
 
     def delzant_failure(self):
         """None when every vertex is smooth, else (vertex, reason).
@@ -518,7 +503,7 @@ class LatticePolyhedron:
             )
         if len(corners) == 1 and self.is_bounded():
             return None
-        tests = self._integer_tests()
+        tests = self.integer_inequalities
         actives = []
         for vertex in corners:
             point, scale = _linalg.integer_scaled(vertex)
@@ -557,56 +542,45 @@ class LatticePolyhedron:
             raise DimensionMismatchError(
                 f"shift of length {len(shift)} applied to rank {self.rank}"
             )
-        if all(type(entry) is int for entry in shift):
-            # the bound p/q moves to (p + q * <normal, shift>) / q, still
-            # reduced, so the integer tests carry over without Fractions
-            tests = tuple(
-                (normal, p + q * sum(map(mul, normal, shift)), q)
-                for normal, p, q in self._integer_tests()
-            )
-            moved = LatticePolyhedron._from_merged(
-                self.rank, {normal: Fraction(p, q) for normal, p, q in tests}
-            )
-            moved._cache["tests"] = tests
-            return moved
-        shift = tuple(_linalg.exact(entry) for entry in shift)
-        return LatticePolyhedron._from_merged(
-            self.rank,
-            {
-                normal: bound + sum(n * s for n, s in zip(normal, shift))
-                for normal, bound in self.inequalities
-            },
-        )
+        # with shift = s / scale for an int vector s, the bound p/q moves
+        # to (p * scale + q * <normal, s>) / (q * scale)
+        shift, scale = _linalg.integer_scaled(shift)
+        rows = []
+        for normal, p, q in self.integer_inequalities:
+            p, q = p * scale + q * sum(map(mul, normal, shift)), q * scale
+            common = gcd(p, q)
+            rows.append((normal, p // common, q // common))
+        return LatticePolyhedron._from_rows(self.rank, rows)
 
     def product(self, other):
         left = [
-            (normal + (0,) * other.rank, bound)
-            for normal, bound in self.inequalities
+            (normal + (0,) * other.rank, p, q)
+            for normal, p, q in self.integer_inequalities
         ]
         right = [
-            ((0,) * self.rank + normal, bound)
-            for normal, bound in other.inequalities
+            ((0,) * self.rank + normal, p, q)
+            for normal, p, q in other.integer_inequalities
         ]
-        return LatticePolyhedron(self.rank + other.rank, left + right)
+        return LatticePolyhedron._from_rows(self.rank + other.rank, left + right)
 
     def intersection(self, other):
         self._check_rank(other)
-        merged = dict(self.inequalities)
-        for normal, bound in other.inequalities:
-            _merge_inequality(merged, self.rank, normal, bound)
-        return LatticePolyhedron._from_merged(self.rank, merged)
+        merged = {row[0]: row for row in self.integer_inequalities}
+        for row in other.integer_inequalities:
+            _merge_row(merged, row)
+        return LatticePolyhedron._from_rows(self.rank, merged.values())
 
     def with_inequality(self, normal, bound):
-        merged = dict(self.inequalities)
-        _merge_inequality(merged, self.rank, normal, bound)
-        return LatticePolyhedron._from_merged(self.rank, merged)
+        merged = {row[0]: row for row in self.integer_inequalities}
+        _merge_row(merged, _integer_row(self.rank, normal, bound))
+        return LatticePolyhedron._from_rows(self.rank, merged.values())
 
     def reflect_through_origin(self):
         """The set {-x : x in self}."""
-        return LatticePolyhedron(
-            self.rank,
-            [(tuple(-n for n in normal), bound) for normal, bound in self.inequalities],
-        )
+        return LatticePolyhedron._from_rows(self.rank, [
+            (tuple(-n for n in normal), p, q)
+            for normal, p, q in self.integer_inequalities
+        ])
 
     # ------------------------------------------------------------------
     # serialization
@@ -615,8 +589,9 @@ class LatticePolyhedron:
         return {
             "rank": self.rank,
             "inequalities": [
-                {"normal": list(normal), "bound": _format_exact_number(bound)}
-                for normal, bound in self.inequalities
+                {"normal": list(normal),
+                 "bound": _linalg.exact_text(Fraction(p, q))}
+                for normal, p, q in self.integer_inequalities
             ],
         }
 
@@ -635,7 +610,7 @@ class LatticePolyhedron:
         raw = data["inequalities"]
         if not isinstance(raw, list):
             raise ParseError(f"{where}.inequalities: expected a list")
-        merged = {}
+        inequalities = []
         for index, item in enumerate(raw):
             spot = f"{where}.inequalities[{index}]"
             if not isinstance(item, dict):
@@ -657,11 +632,11 @@ class LatticePolyhedron:
                 )
             if not any(normal):
                 raise ParseError(f"{spot}.normal: must be nonzero")
-            _merge_checked(merged, tuple(normal), bound)
-        return cls._from_merged(rank, merged)
+            inequalities.append((normal, bound))
+        return cls(rank, inequalities)
 
 
-def _inequality_text(normal, bound):
+def _inequality_text(normal, p, q):
     terms = []
     for index, coefficient in enumerate(normal):
         if coefficient == 0:
@@ -678,4 +653,4 @@ def _inequality_text(normal, bound):
         elif terms:
             piece = "- " + piece[1:]
         terms.append(piece)
-    return f"{' '.join(terms)} <= {_format_exact_number(bound)}"
+    return f"{' '.join(terms)} <= {_linalg.exact_text(Fraction(p, q))}"

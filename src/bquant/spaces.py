@@ -45,7 +45,6 @@ rejected outright.
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import _linalg
@@ -379,7 +378,7 @@ def tail_threshold(description, index):
 
 def tail_cut(polyhedron, splitting, threshold):
     """The tail {x in polyhedron : <splitting, x> <= -threshold}."""
-    return polyhedron.with_inequality(tuple(splitting), Fraction(-threshold))
+    return polyhedron.with_inequality(tuple(splitting), -threshold)
 
 
 def cross_section(polyhedron, modular_weight, splitting, basis, level):
@@ -392,9 +391,10 @@ def cross_section(polyhedron, modular_weight, splitting, basis, level):
     """
     n = polyhedron.rank
     inequalities = []
-    for normal, bound in polyhedron.inequalities:
-        projected = tuple(_linalg.dot(normal, direction) for direction in basis)
-        shifted = bound - level * _linalg.dot(normal, modular_weight)
+    for normal, p, q in polyhedron.integer_inequalities:
+        # <normal, x> * q <= p on the slice, with integer coefficients
+        projected = tuple(q * _linalg.dot(normal, d) for d in basis)
+        shifted = p - q * level * _linalg.dot(normal, modular_weight)
         if any(projected):
             inequalities.append((projected, shifted))
         elif shifted < 0:
@@ -504,18 +504,19 @@ def _product_tail(polyhedron, record, threshold, basis, leaf_anchor):
         "tail is not translation-invariant along the modular direction"
     )
     if any(_linalg.dot(normal, weight) < 0
-           for normal, _ in polyhedron.inequalities):
+           for normal, _, _ in polyhedron.integer_inequalities):
         if tail.is_empty():
             return "component has no tail beyond the threshold"
         return not_invariant
     deeper = None
-    for normal, bound in tail.inequalities:
+    for normal, p, q in tail.integer_inequalities:
         step = _linalg.dot(normal, weight)
-        if step == 0 or (normal == splitting and bound == -threshold):
+        if step == 0 or (normal == splitting and (p, q) == (-threshold, 1)):
             continue
         if deeper is None:
             deeper = tail_cut(tail, splitting, threshold + 1)
-        if not deeper.implies(normal, bound - step):
+        # <normal, x> <= p/q - step, times q
+        if not deeper.implies(tuple(q * n for n in normal), p - q * step):
             return not_invariant
     section = cross_section(polyhedron, weight, splitting, basis, -threshold)
     if not section.is_bounded():

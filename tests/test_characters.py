@@ -14,6 +14,7 @@ from conftest import (
 from bquant import (
     DimensionMismatchError,
     LatticePolyhedron,
+    ParseError,
     PolyhedralCharacter,
     VirtualCharacter,
     load_description,
@@ -67,6 +68,8 @@ def test_weight_validation():
         VirtualCharacter(1, {(0,): True})
     with pytest.raises(ValueError):
         VirtualCharacter(1, {(0,): 1.0})
+    with pytest.raises(ValueError):
+        VirtualCharacter(True)
 
 
 def engine_built_characters():
@@ -175,6 +178,32 @@ def test_payload_round_trip():
     assert a.to_payload()["multiplicities"][0]["weight"] == [0, 0]
 
 
+@pytest.mark.parametrize("payload, fragment", [
+    ([], "character: needs an object with 'rank' and 'multiplicities'"),
+    ({"rank": 1}, "character: needs an object with 'rank' and"),
+    ({"multiplicities": []}, "character: needs an object with 'rank' and"),
+    ({"rank": True, "multiplicities": []}, "character: rank must be a"),
+    ({"rank": -1, "multiplicities": []}, "character: rank must be a"),
+    ({"rank": 1, "multiplicities": {}}, "character.multiplicities: needs a"),
+    ({"rank": 1, "multiplicities": [{"weight": [0]}]},
+     "character.multiplicities: needs a list of objects with 'weight' and"),
+    ({"rank": 1, "multiplicities": [{"weight": [0], "mult": 1}, 7]},
+     "character.multiplicities: needs a list of objects with 'weight' and"),
+    ({"rank": 1, "multiplicities": [{"weight": 0, "mult": 1}]},
+     "character: "),
+    ({"rank": 1, "multiplicities": [{"weight": [0, 1], "mult": 1}]},
+     "character: weight of length 2 used with rank 1"),
+    ({"rank": 1, "multiplicities": [{"weight": ["0"], "mult": 1}]},
+     "character: weight entries must be integers"),
+    ({"rank": 1, "multiplicities": [{"weight": [0], "mult": True}]},
+     "character: multiplicity must be an integer"),
+])
+def test_from_payload_rejects(payload, fragment):
+    with pytest.raises(ParseError) as info:
+        VirtualCharacter.from_payload(payload)
+    assert str(info.value).startswith(fragment)
+
+
 def test_equality_and_rank():
     assert VirtualCharacter(1, [((1,), 1)]) == VirtualCharacter(1, {(1,): 1})
     assert VirtualCharacter.zero(1) != VirtualCharacter.zero(2)
@@ -205,3 +234,6 @@ def test_polyhedral_character_validation():
         PolyhedralCharacter(2, [(1, p)])
     with pytest.raises(AttributeError):
         PolyhedralCharacter(1, [(1, p)]).rank = 5
+    for rank in ("x", True, -1):
+        with pytest.raises(ValueError):
+            PolyhedralCharacter(rank, [])

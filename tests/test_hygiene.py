@@ -113,3 +113,24 @@ def test_every_linalg_helper_has_a_caller_in_the_package():
             if path.name == "_linalg.py" or name.startswith("_")
         )
     assert uncalled == []
+
+
+def test_bounds_have_one_stored_form():
+    # a polyhedron stores its bounds only as integer rows (normal, p, q):
+    # the engine and the spaces build no Fraction, and no module but
+    # polyhedra.py reads the Fraction view `inequalities`
+    for path in sorted(Path(bquant.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                modules.add(node.module)
+        if path.name in ("engine.py", "spaces.py"):
+            assert "fractions" not in modules, path.name
+        if path.name != "polyhedra.py":
+            assert "inequalities" not in {
+                node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+            }, path.name

@@ -209,27 +209,28 @@ def test_reduce_mod_hnf():
 
 def test_fm_feasible():
     # [0, 1]
-    assert la.fm_feasible([((1,), 1, False), ((-1,), 0, False)], 1)
+    assert la.fm_feasible([((1,), 1, 1), ((-1,), 0, 1)], 1)
     # x <= 0 and x >= 1
-    assert not la.fm_feasible([((1,), 0, False), ((-1,), -1, False)], 1)
+    assert not la.fm_feasible([((1,), 0, 1), ((-1,), -1, 1)], 1)
     # strictness matters: x < 0 and x >= 0
-    assert not la.fm_feasible([((1,), 0, True), ((-1,), 0, False)], 1)
-    # open interval is feasible over the rationals
-    assert la.fm_feasible([((1,), 1, True), ((-1,), 0, True)], 1)
+    assert not la.fm_feasible([((-1,), 0, 1)], 1, ((1,), 0, 1))
+    # ... also when the strict row shares its normal with a row: x <= 0,
+    # x >= 0 and x < 0
+    assert not la.fm_feasible([((1,), 0, 1), ((-1,), 0, 1)], 1, ((1,), 0, 1))
+    # a half-open interval is feasible over the rationals
+    assert la.fm_feasible([((-1,), 0, 1)], 1, ((1,), 1, 1))
     # no constraints, no variables
     assert la.fm_feasible([], 0)
-    # rational coefficients are scaled exactly
-    assert not la.fm_feasible(
-        [((Fraction(1, 2), 0), Fraction(1, 4), False),
-         ((-1, 0), Fraction(-3, 4), False)],
-        2,
-    )
+    # rational bounds p/q: x <= 1/2 and x >= 1/2, then x < 1/2 as well
+    half = [((1,), 1, 2), ((-1,), -1, 2)]
+    assert la.fm_feasible(half, 1)
+    assert not la.fm_feasible(half, 1, ((1,), 1, 2))
 
 
 def test_fm_feasible_2d_wedge():
-    system = [((1, 1), 2, False), ((-1, 0), 0, False), ((0, -1), 0, False)]
+    system = [((1, 1), 2, 1), ((-1, 0), 0, 1), ((0, -1), 0, 1)]
     assert la.fm_feasible(system, 2)
-    assert not la.fm_feasible(system + [((1, 1), -1, True)], 2)
+    assert not la.fm_feasible(system, 2, ((1, 1), -1, 1))
 
 
 def test_fm_box():
@@ -249,27 +250,3 @@ def test_fm_box():
     assert la.fm_box([((1,), 0, 1), ((-1,), -1, 2)], 1) is None
     assert la.fm_box([], 0) == ()
     assert la.fm_box([], 2) == ((None, None), (None, None))
-
-
-def _canonical_by_fractions(coeffs, bound):
-    """The oracle for `_canonical_constraint`: the general route alone."""
-    ints, scale = la.integer_scaled(coeffs)
-    bound = Fraction(bound) * scale
-    g = la.vector_gcd(ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-        bound /= g
-    return tuple(ints), bound.numerator, bound.denominator
-
-
-def test_canonical_constraint_matches_the_general_route():
-    # primitive integer rows take the shortcut; the rest do not
-    rng = random.Random(5)
-    for _ in range(2000):
-        coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
-        if rng.random() < 0.3:
-            coeffs[0] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        bound = rng.choice((rng.randint(-9, 9),
-                            Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
-        assert la._canonical_constraint(coeffs, bound) == \
-            _canonical_by_fractions(coeffs, bound)

@@ -5,6 +5,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 from operator import add, mul
 
 import pytest
@@ -18,6 +19,7 @@ from bquant import (
     ParseError,
     UnboundedPolyhedronError,
 )
+from bquant.spaces import cross_section, leaf_embedding_basis
 
 
 def segment(low, high):
@@ -72,6 +74,8 @@ def test_non_integer_normal_rejected():
 def test_rank_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
         LatticePolyhedron(2, [((1,), 1)])
+    with pytest.raises(ValueError):
+        LatticePolyhedron(True, [])
 
 
 def test_immutable():
@@ -96,6 +100,16 @@ def test_contains_point_fractional_bound():
     assert p.contains_point((2,))
     assert not p.contains_point((3,))
     assert p.contains_point((Fraction(5, 2),))
+    # a float or a Decimal is decided as the number it holds: the float
+    # 0.1 lies just above 1/10, the Decimal 0.1 on it
+    below, above = (LatticePolyhedron(1, [(normal, Fraction(normal[0], 10))])
+                    for normal in ((1,), (-1,)))
+    assert not below.contains_point((0.1,))
+    assert above.contains_point((0.1,))
+    assert below.contains_point((Decimal("0.1"),))
+    assert above.contains_point((Decimal("0.1"),))
+    with pytest.raises(TypeError):
+        below.contains_point(("0.1",))
 
 
 def test_contains_point_rank_checked():
@@ -271,20 +285,19 @@ def test_irredundant_inequalities():
 def irredundant_by_restarts(polyhedron):
     """The oracle: drop the first inequality the others imply, then start
     over from the first, until none is implied."""
-    kept = list(polyhedron.inequalities)
+    kept = list(polyhedron.integer_inequalities)
     changed = True
     while changed:
         changed = False
         for index in range(len(kept)):
-            normal, bound = kept[index]
+            normal, p, q = kept[index]
             rest = kept[:index] + kept[index + 1:]
-            system = [(n, b, False) for n, b in rest]
-            system.append((tuple(-x for x in normal), -bound, True))
-            if not _linalg.fm_feasible(system, polyhedron.rank):
+            violation = (tuple(-x for x in normal), -p, q)
+            if not _linalg.fm_feasible(rest, polyhedron.rank, violation):
                 del kept[index]
                 changed = True
                 break
-    return tuple(kept)
+    return tuple((normal, Fraction(p, q)) for normal, p, q in kept)
 
 
 def test_irredundant_inequalities_match_the_restart_oracle():
@@ -457,13 +470,13 @@ def test_str():
 # the bounding box and the integer kernels against their former routes
 
 
-def random_polyhedra(count, seed):
-    """`count` polyhedra of ranks 0-3 drawn from `random.Random(seed)`:
-    small normals and bounds; a quarter also hold the negation of one of
-    their inequalities, moved by 0 or -1/2 (lower-dimensional or empty), a
-    fifth the sum of two of them (redundant, and through every point where
-    both are tight), and a fifth leave the last coordinate free (a
-    lineality line)."""
+def random_inequalities(count, seed):
+    """`count` pairs (rank, inequalities) of ranks 0-3 drawn from
+    `random.Random(seed)`: small normals and bounds; a quarter also hold
+    the negation of one of their inequalities, moved by 0 or -1/2
+    (lower-dimensional or empty), a fifth the sum of two of them
+    (redundant, and through every point where both are tight), and a fifth
+    leave the last coordinate free (a lineality line)."""
     rng = random.Random(seed)
     for _ in range(count):
         rank = rng.randint(0, 3)
@@ -484,7 +497,7 @@ def random_polyhedra(count, seed):
             (a, b), (c, d) = rng.sample(inequalities, 2)
             if any(map(add, a, c)):
                 inequalities.append((tuple(map(add, a, c)), b + d))
-        yield LatticePolyhedron(rank, inequalities)
+        yield rank, inequalities
 
 
 def vertices_by_fractions(polyhedron):
@@ -521,6 +534,102 @@ def delzant_by_facets(polyhedron):
     return None
 
 
+def merged_by_fractions(inequalities):
+    """The former constructor's merge, in Fractions: each normal and its
+    bound divided by the gcd of the normal's entries, and the least bound
+    kept per normal, as (normal, Fraction) pairs sorted by normal."""
+    merged = {}
+    for normal, bound in inequalities:
+        g = gcd(*normal)
+        normal, bound = tuple(x // g for x in normal), Fraction(bound) / g
+        if normal not in merged or bound < merged[normal]:
+            merged[normal] = bound
+    return tuple(sorted(merged.items()))
+
+
+def rows_of(pairs):
+    """The integer rows (normal, p, q) of (normal, Fraction bound) pairs."""
+    return tuple((n, b.numerator, b.denominator) for n, b in pairs)
+
+
+def cross_section_by_fractions(polyhedron, weight, splitting, basis, level):
+    """The former `cross_section`, in Fractions: each inequality restricted
+    to the slice <splitting, x> = level and merged by
+    `merged_by_fractions`; None when a row that the slice does not move
+    fails on it."""
+    inequalities = []
+    for normal, bound in polyhedron.inequalities:
+        projected = tuple(_linalg.dot(normal, d) for d in basis)
+        shifted = bound - level * _linalg.dot(normal, weight)
+        if any(projected):
+            inequalities.append((projected, shifted))
+        elif shifted < 0:
+            return None
+    return merged_by_fractions(inequalities)
+
+
+def random_frame(rng, rank):
+    """A modular weight v and a splitting s with <v, s> = 1: v = (1, a)
+    and s = (1 - <a, c>, c), coordinates permuted alike."""
+    a = [rng.randint(-2, 2) for _ in range(rank - 1)]
+    c = [rng.randint(-2, 2) for _ in range(rank - 1)]
+    weight, splitting = [1] + a, [1 - sum(map(mul, a, c))] + c
+    order = rng.sample(range(rank), rank)
+    return tuple(weight[i] for i in order), tuple(splitting[i] for i in order)
+
+
+def check_integer_rows(polyhedron, inequalities, rng, checked):
+    """The integer-row constructions of ``polyhedron``, built from
+    ``inequalities``, against their Fraction routes: the merge (also with
+    each inequality repeated scaled by 1-3 and moved), `translate` by a
+    rational shift, `with_inequality` and `implies` with a random normal,
+    often not primitive, and a rational bound, and `cross_section` on a
+    random frame.  Returns the row (normal, bound) that was tested."""
+    rank = polyhedron.rank
+    mixed = inequalities + [
+        (tuple(k * x for x in normal), k * bound + rng.choice((0, 1, Fraction(1, 2))))
+        for normal, bound in inequalities for k in [rng.randint(1, 3)]
+    ]
+    for pairs in (inequalities, mixed):
+        expected = merged_by_fractions(pairs)
+        merged = LatticePolyhedron(rank, pairs)
+        assert merged.integer_inequalities == rows_of(expected)
+        assert merged.inequalities == expected
+        checked["merged"] += len(pairs) > len(expected)
+    shift = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                  for _ in range(rank))
+    assert polyhedron.translate(shift).integer_inequalities == rows_of(
+        (n, b + sum(map(mul, n, shift))) for n, b in polyhedron.inequalities
+    )
+    if not rank:
+        return None
+    normal = tuple(rng.randint(-4, 4) for _ in range(rank - 1)) + (
+        rng.choice((-4, -2, -1, 1, 2, 3)),
+    )
+    bound = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+    g = gcd(*normal)
+    checked["not primitive"] += g > 1
+    assert polyhedron.with_inequality(normal, bound).integer_inequalities == \
+        rows_of(merged_by_fractions(polyhedron.inequalities + ((normal, bound),)))
+    assert polyhedron.implies(normal, bound) == polyhedron.implies(
+        tuple(x // g for x in normal), bound / g
+    )
+    weight, splitting = random_frame(rng, rank)
+    basis = leaf_embedding_basis(splitting)
+    level = rng.randint(-4, 4)
+    section = cross_section(polyhedron, weight, splitting, basis, level)
+    expected = cross_section_by_fractions(
+        polyhedron, weight, splitting, basis, level
+    )
+    assert (section is None) == (expected is None)
+    if section is None:
+        checked["no section"] += 1
+    else:
+        checked["section"] += 1
+        assert section.integer_inequalities == rows_of(expected)
+    return normal, bound
+
+
 def test_box_and_integer_kernels_match_their_oracles(monkeypatch):
     seen = Counter()
     passes = []  # polyhedra whose facets were listed
@@ -537,11 +646,10 @@ def test_box_and_integer_kernels_match_their_oracles(monkeypatch):
             lambda *args, _real=real, _name=name:
                 calls.update((_name,)) or _real(*args),
         )
-    shifts = random.Random(4)
-    for polyhedron in random_polyhedra(10_000, seed=3):
-        rank = polyhedron.rank
-        constraints = [(n, b, False) for n, b in polyhedron.inequalities]
-        empty = not feasible(constraints, rank)
+    shifts, rows_rng, checked = random.Random(4), random.Random(6), Counter()
+    for rank, inequalities in random_inequalities(10_000, seed=3):
+        polyhedron = LatticePolyhedron(rank, inequalities)
+        empty = not feasible(polyhedron.integer_inequalities, rank)
         # a box asked for first settles emptiness with one elimination;
         # emptiness asked for first is one feasibility test, and the box
         # after it one more elimination, or none when the set is empty
@@ -558,12 +666,11 @@ def test_box_and_integer_kernels_match_their_oracles(monkeypatch):
         assert moved == LatticePolyhedron(rank, [
             (n, b + sum(map(mul, n, shift))) for n, b in polyhedron.inequalities
         ])
-        assert moved._integer_tests() == tuple(
-            (n, b.numerator, b.denominator) for n, b in moved.inequalities
-        )
+        tested = check_integer_rows(polyhedron, inequalities, rows_rng, checked)
         if empty:
             seen["empty"] += 1
             assert polyhedron.is_bounded()
+            assert tested is None or polyhedron.implies(*tested)
             continue
         rays = polyhedron.recession_rays()
         assert polyhedron.is_bounded() == (not rays)
@@ -579,15 +686,24 @@ def test_box_and_integer_kernels_match_their_oracles(monkeypatch):
                     # sign * x_axis <= sign * end holds and is attained
                     unit = tuple(sign * (i == axis) for i in range(rank))
                     assert polyhedron.implies(unit, sign * end)
-                    attained = constraints + [
-                        (tuple(-x for x in unit), -sign * end, False)
-                    ]
+                    attained = polyhedron.integer_inequalities + ((
+                        tuple(-x for x in unit), -sign * end.numerator,
+                        end.denominator,
+                    ),)
                     assert _linalg.fm_feasible(attained, rank)
         if rays:
             seen["unbounded"] += 1
         else:
             seen["bounded"] += 1
             assert list(box) == [(min(v), max(v)) for v in zip(*corners)]
+        if corners and tested:
+            # a pointed polyhedron is the hull of its vertices plus the
+            # cone its rays generate
+            normal, bound = tested
+            implied = all(_linalg.dot(normal, v) <= bound for v in corners) \
+                and all(_linalg.dot(normal, r) <= 0 for r in rays)
+            assert polyhedron.implies(normal, bound) == implied
+            checked["implied" if implied else "not implied"] += 1
         if not corners:
             seen["lineality"] += 1
         elif not (len(corners) == 1 and not rays):
@@ -606,6 +722,7 @@ def test_box_and_integer_kernels_match_their_oracles(monkeypatch):
         "delzant lies by facets",
     }, seen
     assert min(seen.values()) >= 50, seen
+    assert len(checked) == 6 and min(checked.values()) >= 500, checked
 
 
 def rays_by_cones(polyhedron):

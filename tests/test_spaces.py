@@ -302,10 +302,9 @@ def random_tail_frames(count, seed):
                 bound = Fraction(rng.randint(-6, 6), rng.randint(1, 2))
                 inequalities.append((tuple(normal), bound))
         threshold = rng.randint(1, 5)
-        constraints = [(n, b, False) for n, b in inequalities]
-        if _linalg.fm_feasible(constraints, rank):
+        component = LatticePolyhedron(rank, inequalities)
+        if _linalg.fm_feasible(component.integer_inequalities, rank):
             made += 1
-            component = LatticePolyhedron(rank, inequalities)
             yield component, tuple(weight), tuple(splitting), threshold
 
 
@@ -317,10 +316,9 @@ def test_tail_shortcut_and_nonempty_slice():
     seen = {"recedes": 0, "elimination": 0, "no tail": 0,
             "not invariant": 0, "invariant": 0}
     for component, v, s, t in random_tail_frames(10_000, seed=17):
-        constraints = [(n, b, False) for n, b in component.inequalities]
         tail = tail_cut(component, s, t)
         empty = not _linalg.fm_feasible(
-            constraints + [(s, Fraction(-t), False)], component.rank
+            component.integer_inequalities + ((s, -t, 1),), component.rank
         )
         assert tail.is_empty() == empty
         if all(_linalg.dot(n, v) >= 0 for n, _ in component.inequalities):
@@ -340,9 +338,7 @@ def test_tail_shortcut_and_nonempty_slice():
         basis = leaf_embedding_basis(s)
         section = cross_section(tail, v, s, basis, -t)
         assert section is not None
-        assert _linalg.fm_feasible(
-            [(n, b, False) for n, b in section.inequalities], section.rank
-        )
+        assert _linalg.fm_feasible(section.integer_inequalities, section.rank)
     assert min(seen.values()) >= 1000, seen
 
 
