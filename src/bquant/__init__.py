@@ -17,7 +17,6 @@ from .engine import (
     collapse_signed_tails,
     facet_boundary_weights,
     formal_character,
-    pointwise_multiplicity,
     quantize_b,
     quantize_compact_toric,
     quantize_description,
@@ -36,7 +35,6 @@ from .errors import (
     NoVerticesError,
     NotFiniteError,
     NotValidatedError,
-    PairingNotOneError,
     ParseError,
     SelfCheckError,
     UnboundedPolyhedronError,
@@ -48,13 +46,10 @@ from .spaces import (
     CompactToricSpace,
     HypersurfaceRecord,
     LocalModel,
-    MappingTorus,
     ValidationReport,
     leaf_embedding_basis,
     load_description,
     local_model,
-    mapping_torus,
-    normalize_splitting,
     parse_description,
     tail_threshold,
     validate_description,
@@ -73,11 +68,9 @@ __all__ = [
     "HypersurfaceRecord",
     "LatticePolyhedron",
     "LocalModel",
-    "MappingTorus",
     "NoVerticesError",
     "NotFiniteError",
     "NotValidatedError",
-    "PairingNotOneError",
     "ParseError",
     "PolyhedralCharacter",
     "QRReport",
@@ -94,10 +87,7 @@ __all__ = [
     "leaf_embedding_basis",
     "load_description",
     "local_model",
-    "mapping_torus",
-    "normalize_splitting",
     "parse_description",
-    "pointwise_multiplicity",
     "quantize_b",
     "quantize_compact_toric",
     "quantize_description",

@@ -26,7 +26,6 @@ __all__ = [
     "rational_kernel_basis",
     "lattice_kernel_basis",
     "hnf_rows",
-    "reduce_mod_hnf",
     "fm_feasible",
     "fm_box",
 ]
@@ -48,8 +47,14 @@ def make_primitive(vec):
 
 
 def exact(value):
-    """``value`` as an int or a Fraction; those are returned as they are."""
-    return value if type(value) in (int, Fraction) else Fraction(value)
+    """``value`` as an int or a Fraction; those are returned as they are.
+    A str or a bool raises TypeError: text is parsed only by the file
+    reader, and a truth value is not a number."""
+    if type(value) in (int, Fraction):
+        return value
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"expected an exact number, got {value!r}")
+    return Fraction(value)
 
 
 def exact_text(value):
@@ -280,17 +285,6 @@ def hnf_rows(rows):
             if q:
                 result[i] = [x - q * y for x, y in zip(result[i], result[j])]
     return [tuple(r) for r in result]
-
-
-def reduce_mod_hnf(vec, hnf_basis):
-    """Canonical representative of vec modulo the lattice with row-HNF basis."""
-    out = list(vec)
-    for row in hnf_basis:
-        pivot_col = next(c for c, x in enumerate(row) if x != 0)
-        q = out[pivot_col] // row[pivot_col]
-        if q:
-            out = [x - q * y for x, y in zip(out, row)]
-    return tuple(out)
 
 
 def _absorb(system, coeffs, num, den, strict):

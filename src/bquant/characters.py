@@ -15,17 +15,9 @@ from .errors import DimensionMismatchError, ParseError
 from .polyhedra import LatticePolyhedron
 
 __all__ = [
-    "Weight",
     "VirtualCharacter",
     "PolyhedralCharacter",
-    "weight_multiplicity",
-    "tensor_product",
-    "invariant_part",
-    "dimension",
-    "negate",
 ]
-
-Weight = tuple  # tuple[int, ...]
 
 
 def _check_rank(rank):
@@ -262,27 +254,3 @@ class PolyhedralCharacter:
 
     def __repr__(self):
         return f"PolyhedralCharacter(rank={self.rank}, {len(self.terms)} terms)"
-
-
-# ----------------------------------------------------------------------
-# functional aliases matching the operation surface
-
-
-def weight_multiplicity(character, weight):
-    return character.multiplicity(weight)
-
-
-def tensor_product(a, b):
-    return a.tensor(b)
-
-
-def invariant_part(character):
-    return character.invariant_part()
-
-
-def dimension(character):
-    return character.dimension()
-
-
-def negate(character):
-    return character.negate()

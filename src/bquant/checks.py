@@ -16,7 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .errors import EmptyPolyhedronError, UnboundedPolyhedronError
+from .errors import (
+    EmptyPolyhedronError,
+    NoVerticesError,
+    UnboundedPolyhedronError,
+)
 
 __all__ = [
     "CheckReport",
@@ -24,6 +28,7 @@ __all__ = [
     "check_gamma_integrality",
     "check_mu_integrality",
     "check_properness",
+    "check_delzant",
 ]
 
 
@@ -83,6 +88,21 @@ class CheckReport:
 
 def _is_b_description(description):
     return hasattr(description, "hypersurfaces")
+
+
+def _polytopes(description, skip):
+    """(label, polyhedron) for each polyhedron a per-polytope row tests, in
+    report order: the moment polytope of a compact description, else each
+    hypersurface's leaf and then each component for which ``skip`` is
+    false."""
+    if not _is_b_description(description):
+        yield "polytope", description.polytope
+        return
+    for index, record in enumerate(description.hypersurfaces):
+        yield f"hypersurface[{index}].leaf", record.leaf
+    for index, (_, polyhedron) in enumerate(description.components):
+        if not skip(polyhedron):
+            yield f"component[{index}]", polyhedron
 
 
 def check_modular_dichotomy(description):
@@ -155,22 +175,36 @@ def _lattice_verdict(polyhedron, label):
 
 
 def check_gamma_integrality(description):
-    """Every compact polytope in the description must be a lattice polytope."""
-    name = "gamma-integrality"
-    if not _is_b_description(description):
-        verdict = _lattice_verdict(description.polytope, "polytope")
-        return verdict or CheckReport(name, True)
-    for index, record in enumerate(description.hypersurfaces):
-        verdict = _lattice_verdict(record.leaf, f"hypersurface[{index}].leaf")
-        if verdict is not None:
-            return verdict
-    for index, (_, polyhedron) in enumerate(description.components):
-        if polyhedron.is_empty() or not polyhedron.is_bounded():
-            continue  # empty/unbounded components are other checks' business
-        verdict = _lattice_verdict(polyhedron, f"component[{index}]")
-        if verdict is not None:
-            return verdict
-    return CheckReport(name, True)
+    """Every compact polytope in the description must be a lattice polytope;
+    empty and unbounded components are other checks' business."""
+    verdicts = (
+        _lattice_verdict(polyhedron, label)
+        for label, polyhedron in _polytopes(
+            description, lambda p: p.is_empty() or not p.is_bounded()
+        )
+    )
+    return next(filter(None, verdicts), CheckReport("gamma-integrality", True))
+
+
+def _delzant_verdict(polyhedron, label):
+    try:
+        failure = polyhedron.delzant_failure()
+    except (EmptyPolyhedronError, NoVerticesError):
+        return None  # emptiness/properness rows report those situations
+    if failure is None:
+        return None
+    vertex, reason = failure
+    return CheckReport("delzant", False, witness=(label, vertex), message=reason)
+
+
+def check_delzant(description):
+    """Every vertex of every polytope in the description must be smooth;
+    empty components are skipped."""
+    verdicts = (
+        _delzant_verdict(polyhedron, label)
+        for label, polyhedron in _polytopes(description, lambda p: p.is_empty())
+    )
+    return next(filter(None, verdicts), CheckReport("delzant", True))
 
 
 def check_mu_integrality(description):

@@ -55,7 +55,6 @@ __all__ = [
     "quantize_local_model",
     "reduced_space_quantization",
     "first_support_mismatch",
-    "pointwise_multiplicity",
     "facet_boundary_weights",
     "verify_qr_product",
 ]
@@ -476,7 +475,6 @@ def quantize_b(description):
             "this description is not of singular type and has no tails to "
             "cancel"
         )
-    require_validated(description)
     return collapse_signed_tails(description)
 
 
@@ -550,14 +548,6 @@ def _as_integer_weight(weight, rank):
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in weight):
         raise ValueError(f"weight {weight!r} must have integer entries")
     return weight
-
-
-def pointwise_multiplicity(description, weight):
-    """Signed membership count of a weight in the moment data; the direct
-    definition of the character multiplicity, no cancellation involved."""
-    return formal_character(description).multiplicity(
-        _as_integer_weight(weight, description.rank)
-    )
 
 
 def reduced_space_quantization(description, weight):

@@ -9,7 +9,6 @@ __all__ = [
     "EnumerationBudgetError",
     "UnboundedPolyhedronError",
     "NoVerticesError",
-    "PairingNotOneError",
     "ParseError",
     "NotValidatedError",
     "ZeroModularWeightError",
@@ -59,10 +58,6 @@ class EnumerationBudgetError(BQuantError):
 
 class NoVerticesError(BQuantError):
     """The polyhedron contains a line, so it has no vertices."""
-
-
-class PairingNotOneError(BQuantError, ValueError):
-    """The pairing between a modular weight and its splitting is not 1."""
 
 
 class ParseError(BQuantError, ValueError):

@@ -367,18 +367,6 @@ class LatticePolyhedron:
         the vertices' extent; it holds every lattice point of self."""
         return [range(ceil(low), floor(high) + 1) for low, high in self._box()]
 
-    def points_in_box(self, ranges):
-        """Integer points of self inside the box ``ranges`` (one range per
-        coordinate), in lexicographic order."""
-        if len(ranges) != self.rank:
-            raise DimensionMismatchError(
-                f"box of {len(ranges)} ranges used with rank {self.rank}"
-            )
-        if self.rank == 0:
-            return [()]
-        *outer, last = ranges
-        return self._scan(outer, last.start, last.stop - 1)
-
     def _scan(self, outer, low, high):
         """Points of self whose leading coordinates run over the ranges
         ``outer`` and whose last coordinate lies in [low, high], listed row
@@ -530,9 +518,6 @@ class LatticePolyhedron:
                                 f"{_linalg.exact_text(det)}, expected +-1")
         return None
 
-    def is_delzant(self):
-        return self.delzant_failure() is None
-
     # ------------------------------------------------------------------
     # constructions
 
@@ -562,13 +547,6 @@ class LatticePolyhedron:
             for normal, p, q in other.integer_inequalities
         ]
         return LatticePolyhedron._from_rows(self.rank + other.rank, left + right)
-
-    def intersection(self, other):
-        self._check_rank(other)
-        merged = {row[0]: row for row in self.integer_inequalities}
-        for row in other.integer_inequalities:
-            _merge_row(merged, row)
-        return LatticePolyhedron._from_rows(self.rank, merged.values())
 
     def with_inequality(self, normal, bound):
         merged = {row[0]: row for row in self.integer_inequalities}

@@ -50,6 +50,7 @@ from functools import lru_cache
 from . import _linalg
 from .checks import (
     CheckReport,
+    check_delzant,
     check_gamma_integrality,
     check_modular_dichotomy,
     check_mu_integrality,
@@ -62,7 +63,6 @@ from .errors import (
     HypersurfaceIndexError,
     NoVerticesError,
     NotValidatedError,
-    PairingNotOneError,
     ParseError,
 )
 from .polyhedra import LatticePolyhedron
@@ -71,7 +71,6 @@ __all__ = [
     "CompactToricSpace",
     "HypersurfaceRecord",
     "BSpaceDescription",
-    "MappingTorus",
     "LocalModel",
     "TailEnd",
     "ValidationReport",
@@ -79,8 +78,6 @@ __all__ = [
     "load_description",
     "validate_description",
     "local_model",
-    "mapping_torus",
-    "normalize_splitting",
     "leaf_embedding_basis",
     "tail_threshold",
     "tail_cut",
@@ -154,19 +151,6 @@ class BSpaceDescription:
                     raise ValueError(
                         f"adjacent component index {side} out of range"
                     )
-
-
-@dataclass(frozen=True)
-class MappingTorus:
-    """A singular hypersurface as (circle factor) x (symplectic leaf).
-
-    The monodromy of the torus bundle is recorded explicitly: it is always
-    the identity in this model, so the hypersurface is an honest product.
-    """
-
-    circle_generator: tuple
-    leaf: LatticePolyhedron
-    monodromy: str = "identity"
 
 
 @dataclass(frozen=True)
@@ -570,35 +554,6 @@ def _check_tail_product(description):
     return CheckReport(name, True), tuple(ends)
 
 
-def _delzant_verdict(polyhedron, label):
-    try:
-        failure = polyhedron.delzant_failure()
-    except (EmptyPolyhedronError, NoVerticesError):
-        return None  # emptiness/properness rows report those situations
-    if failure is None:
-        return None
-    vertex, reason = failure
-    return CheckReport("delzant", False, witness=(label, vertex), message=reason)
-
-
-def _check_delzant(description):
-    name = "delzant"
-    if not hasattr(description, "hypersurfaces"):
-        verdict = _delzant_verdict(description.polytope, "polytope")
-        return verdict or CheckReport(name, True)
-    for index, record in enumerate(description.hypersurfaces):
-        verdict = _delzant_verdict(record.leaf, f"hypersurface[{index}].leaf")
-        if verdict is not None:
-            return verdict
-    for index, (_, polyhedron) in enumerate(description.components):
-        if polyhedron.is_empty():
-            continue
-        verdict = _delzant_verdict(polyhedron, f"component[{index}]")
-        if verdict is not None:
-            return verdict
-    return CheckReport(name, True)
-
-
 def _check_compactness(space):
     name = "compactness"
     polytope = space.polytope
@@ -623,7 +578,7 @@ def validate_description(description):
         reports = (
             _check_compactness(description),
             check_gamma_integrality(description),
-            _check_delzant(description),
+            check_delzant(description),
         )
         return ValidationReport(checks=reports)
     if isinstance(description, BSpaceDescription):
@@ -635,7 +590,7 @@ def validate_description(description):
             _check_orientation(description),
         )
         tail_product, tails = _check_tail_product(description)
-        reports = leading + (tail_product, _check_delzant(description))
+        reports = leading + (tail_product, check_delzant(description))
         passed = all(check.passed for check in reports)
         return ValidationReport(checks=reports, tails=tails if passed else ())
     raise TypeError(
@@ -679,38 +634,3 @@ def local_model(description, index):
     return LocalModel(
         hypersurface=index, threshold=threshold, tails=tuple(tails)
     )
-
-
-def mapping_torus(record):
-    """Present a hypersurface as circle x leaf with identity monodromy."""
-    pairing = _linalg.dot(record.modular_weight, record.splitting)
-    if pairing != 1:
-        raise PairingNotOneError(
-            f"modular weight pairs with the splitting to {pairing}, expected 1"
-        )
-    return MappingTorus(
-        circle_generator=record.splitting, leaf=record.leaf, monodromy="identity"
-    )
-
-
-def normalize_splitting(modular_weight, splitting):
-    """Canonical representative of the splitting modulo the integer kernel
-    of the modular weight.
-
-    The kernel lattice is put in row-HNF form and each pivot coordinate of
-    the splitting is reduced into [0, pivot); the result is the unique such
-    representative, hence independent of the input representative.
-    """
-    v = tuple(modular_weight)
-    x = tuple(splitting)
-    if len(v) != len(x):
-        raise DimensionMismatchError(
-            "modular weight and splitting have different lengths"
-        )
-    pairing = _linalg.dot(v, x)
-    if pairing != 1:
-        raise PairingNotOneError(
-            f"modular weight pairs with the splitting to {pairing}, expected 1"
-        )
-    basis = _linalg.lattice_kernel_basis(v)
-    return _linalg.reduce_mod_hnf(x, basis)

@@ -45,7 +45,6 @@ from bquant import (
     load_description,
     local_model,
     parse_description,
-    pointwise_multiplicity,
     quantize_b,
     quantize_compact_toric,
     quantize_description,
@@ -610,6 +609,20 @@ def test_quantize_b_refuses_invalid_descriptions():
         quantize_b(load("neg_nonprimitive_weight.json"))
 
 
+def test_quantize_b_asks_for_the_report_once(monkeypatch):
+    # the collapse's tail matching is the one validation on the way
+    calls = []
+
+    def counted(description):
+        calls.append(description)
+        return spaces.require_validated(description)
+
+    monkeypatch.setattr(engine, "require_validated", counted)
+    d = load("chain3.json")
+    quantize_b(d)
+    assert calls == [d]
+
+
 def test_quantize_description_dispatch():
     assert quantize_description(load("c_seg_0_3.json")).dimension() == 4
     assert quantize_description(load("sphere_a2_bm1.json")).dimension() == 3
@@ -715,7 +728,9 @@ def test_weight_validation():
     with pytest.raises(ValueError):
         reduced_space_quantization(d, (True,))
     with pytest.raises(ValueError):
-        pointwise_multiplicity(d, ("1",))
+        reduced_space_quantization(d, ("1",))
+    with pytest.raises(ValueError):
+        formal_character(d).multiplicity(("1",))
 
 
 def test_pointwise_multiplicity_matches_oracle():
@@ -725,9 +740,9 @@ def test_pointwise_multiplicity_matches_oracle():
         d = load(name)
         for _ in range(40):
             weight = tuple(rng.randint(-8, 8) for _ in range(d.rank))
-            assert pointwise_multiplicity(d, weight) == raw_multiplicity(
-                data, weight
-            )
+            expected = raw_multiplicity(data, weight)
+            assert formal_character(d).multiplicity(weight) == expected
+            assert reduced_space_quantization(d, weight).count == expected
 
 
 def test_facet_boundary_weights_segment():
@@ -993,7 +1008,7 @@ def test_random_spheres_have_interval_spectra():
         assert character.dimension() == a - b
         for _ in range(10):
             weight = (rng.randint(-30, 30),)
-            direct = pointwise_multiplicity(d, weight)
+            direct = formal_character(d).multiplicity(weight)
             assert character.multiplicity(weight) == direct
             assert reduced_space_quantization(d, weight).count == direct
 

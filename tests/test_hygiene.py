@@ -1,8 +1,12 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-and every helper in the private `_linalg` module, like every private
-top-level function elsewhere, has a caller in the package."""
+"""Source hygiene: no module of the package imports a name it never uses;
+every helper in the private `_linalg` module, and every private function,
+class and method elsewhere, has a caller in the package; every public one
+has a caller too or is one of the library's listed entry points; and every
+name a module exports exists."""
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -66,24 +70,74 @@ def referenced_names(node):
             yield child.attr
 
 
-def uncalled_helpers(source, other_sources):
-    """Top-level functions of `source` that nothing refers to, neither the
-    rest of `source` nor `other_sources`.  A function's own body and the
-    strings in `__all__` do not count as references."""
-    tree = ast.parse(source)
-    outside = set()
-    for other in other_sources:
-        outside.update(referenced_names(ast.parse(other)))
-    helpers = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
-    uncalled = []
-    for helper in helpers:
-        used = set(outside)
-        for node in tree.body:
-            if node is not helper:
-                used.update(referenced_names(node))
-        if helper.name not in used:
-            uncalled.append(helper.name)
-    return uncalled
+def definitions(tree):
+    """(qualified name, node) for each top-level function and class and
+    each method of a top-level class; dunder methods are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    yield f"{node.name}.{member.name}", member
+
+
+def unreferenced(sources):
+    """(path, qualified name) for each definition in `sources` (path ->
+    text) whose name nothing in `sources` refers to outside the definition
+    itself.  Strings, such as those in `__all__`, do not count as
+    references, and neither do imports."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    total = Counter(
+        name for tree in trees.values() for name in referenced_names(tree)
+    )
+    return [
+        (path, qualified)
+        for path, tree in trees.items()
+        for qualified, node in definitions(tree)
+        if total[node.name] == sum(
+            name == node.name for name in referenced_names(node)
+        )
+    ]
+
+
+def is_private(qualified):
+    return any(part.startswith("_") for part in qualified.split("."))
+
+
+def uncalled_public_names(sources, entry_points):
+    """The public definitions `unreferenced` finds in `sources`, less the
+    qualified names in `entry_points`."""
+    return [
+        (path, name) for path, name in unreferenced(sources)
+        if not is_private(name) and name not in entry_points
+    ]
+
+
+SOURCES = {
+    path: path.read_text()
+    for path in Path(bquant.__file__).parent.glob("*.py")
+}
+
+# Public names the package itself need not call: its library entry points.
+README_LIBRARY = {  # the names README's "Library" example uses
+    "load_description", "validate_description", "quantize_description",
+    "local_model", "quantize_local_model", "reduced_space_quantization",
+    "verify_qr_product", "ValidationReport.passed", "VirtualCharacter.items",
+    "VirtualCharacter.dimension", "VirtualCharacter.is_zero", "QRReport.matches",
+}
+CHARACTER_ALGEBRA = {  # with the product of moment images, whose
+    # character is the tensor product of the factors' characters
+    "VirtualCharacter.tensor", "VirtualCharacter.invariant_part",
+    "VirtualCharacter.delta", "VirtualCharacter.is_zero",
+    "LatticePolyhedron.product",
+}
+PATCHED_BY_NAME = {  # perfbench/spans.py wraps these by attribute name
+    "VirtualCharacter.tensor", "LatticePolyhedron.lattice_points",
+}
+ENTRY_POINTS = README_LIBRARY | CHARACTER_ALGEBRA | PATCHED_BY_NAME
 
 
 def test_scan_finds_an_uncalled_helper():
@@ -94,25 +148,80 @@ def test_scan_finds_an_uncalled_helper():
         "def chained():\n    return 1\n"
     )
     caller = "from . import helpers\nhelpers.chained()\n"
-    assert uncalled_helpers(source, [caller]) == ["lone"]
+    assert unreferenced({"helpers.py": source, "caller.py": caller}) == [
+        ("helpers.py", "lone")
+    ]
+
+
+def test_scan_finds_an_uncalled_public_method():
+    # dunder methods are never listed; a private one is, but only the
+    # private-helper test reads it
+    source = (
+        "class Box:\n"
+        "    def __init__(self):\n        self.size = 0\n"
+        "    def used(self):\n        return self.helper()\n"
+        "    def helper(self):\n        return 0\n"
+        "    def lone(self):\n        return self.lone()\n"
+        "    def entry(self):\n        return 1\n"
+        "    def _spare(self):\n        return 2\n"
+        "Box().used()\n"
+    )
+    sources = {"box.py": source}
+    assert uncalled_public_names(sources, {"Box.entry"}) == [("box.py", "Box.lone")]
+    assert unreferenced(sources)[-1] == ("box.py", "Box._spare")
 
 
 def test_every_linalg_helper_has_a_caller_in_the_package():
     # every function of the private _linalg module, and every private
-    # top-level function of the other modules
-    sources = {
-        path: path.read_text()
-        for path in Path(bquant.__file__).parent.glob("*.py")
+    # function, class and method of the other modules
+    assert [
+        f"{path.name}: {name}"
+        for path, name in unreferenced(SOURCES)
+        if path.name == "_linalg.py" or is_private(name)
+    ] == []
+
+
+def test_every_public_name_has_a_caller_or_is_an_entry_point():
+    assert [
+        f"{path.name}: {name}"
+        for path, name in uncalled_public_names(SOURCES, ENTRY_POINTS)
+    ] == []
+
+
+def test_entry_points_are_defined_and_documented():
+    # a deleted name leaves no stale entry behind, and each group's entries
+    # are named where the group says they are
+    defined = {
+        name for text in SOURCES.values()
+        for name, _ in definitions(ast.parse(text))
     }
-    uncalled = []
-    for path in MODULES:
-        others = [text for other, text in sources.items() if other != path]
-        uncalled.extend(
-            f"{path.name}: {name}"
-            for name in uncalled_helpers(sources[path], others)
-            if path.name == "_linalg.py" or name.startswith("_")
-        )
-    assert uncalled == []
+    assert sorted(ENTRY_POINTS - defined) == []
+    root = Path(__file__).resolve().parents[1]
+    library = (root / "README.md").read_text().split("## Library", 1)[1]
+    assert [
+        name for name in sorted(README_LIBRARY)
+        if name.split(".")[-1] not in library
+    ] == []
+    spans = ast.parse((root / "perfbench" / "spans.py").read_text())
+    strings = {
+        node.value for node in ast.walk(spans)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert [
+        name for name in sorted(PATCHED_BY_NAME)
+        if name.split(".")[-1] not in strings
+    ] == []
+
+
+@pytest.mark.parametrize("module", ["bquant"] + [
+    f"bquant.{path.stem}" for path in MODULES
+    if exported_names(ast.parse(path.read_text()))
+])
+def test_every_exported_name_resolves(module):
+    imported = importlib.import_module(module)
+    assert [
+        name for name in imported.__all__ if not hasattr(imported, name)
+    ] == []
 
 
 def test_bounds_have_one_stored_form():

@@ -19,13 +19,10 @@ from bquant import (
     HypersurfaceRecord,
     LatticePolyhedron,
     NotValidatedError,
-    PairingNotOneError,
     ParseError,
     leaf_embedding_basis,
     load_description,
     local_model,
-    mapping_torus,
-    normalize_splitting,
     parse_description,
     tail_threshold,
     validate_description,
@@ -174,40 +171,7 @@ def test_description_validation():
 
 
 # ----------------------------------------------------------------------
-# splittings and leaf coordinates
-
-
-def test_normalize_splitting_identity():
-    assert normalize_splitting((1,), (1,)) == (1,)
-
-
-def test_normalize_splitting_reduces_kernel_part():
-    assert normalize_splitting((1, 0), (1, 7)) == (1, 0)
-    assert normalize_splitting((1, 0), (1, -3)) == (1, 0)
-
-
-def test_normalize_splitting_is_representative_independent():
-    rng = random.Random(11)
-    v = (2, 1, 0)
-    x = (1, -1, 4)
-    assert _linalg.dot(v, x) == 1
-    reference = normalize_splitting(v, x)
-    kernel = _linalg.lattice_kernel_basis(v)
-    for _ in range(25):
-        shift = x
-        for row in kernel:
-            k = rng.randint(-4, 4)
-            shift = tuple(s + k * r for s, r in zip(shift, row))
-        assert normalize_splitting(v, shift) == reference
-    # the canonical representative still pairs to 1
-    assert _linalg.dot(v, reference) == 1
-
-
-def test_normalize_splitting_errors():
-    with pytest.raises(PairingNotOneError):
-        normalize_splitting((2,), (1,))
-    with pytest.raises(DimensionMismatchError):
-        normalize_splitting((1, 0), (1,))
+# leaf coordinates
 
 
 def test_leaf_embedding_basis():
@@ -215,16 +179,6 @@ def test_leaf_embedding_basis():
     assert len(basis) == 1
     assert _linalg.dot((1, 1), basis[0]) == 0
     assert leaf_embedding_basis((1,)) == ()
-
-
-def test_mapping_torus():
-    record = parse(SPHERE).hypersurfaces[0]
-    torus = mapping_torus(record)
-    assert torus.monodromy == "identity"
-    assert torus.circle_generator == (1,)
-    bad = HypersurfaceRecord((2,), (1,), LatticePolyhedron(0, []), (0, 1))
-    with pytest.raises(PairingNotOneError):
-        mapping_torus(bad)
 
 
 # ----------------------------------------------------------------------
