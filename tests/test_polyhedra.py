@@ -51,7 +51,6 @@ def test_duplicate_normals_keep_tightest_bound():
     p = LatticePolyhedron(1, [((1,), 3), ((1,), 1), ((2,), 10)])
     assert p.inequalities == (((1,), Fraction(1)),)
     q = segment(0, 5).with_inequality((-1,), -2)
-    assert q.set_equals(segment(2, 5))
     assert q.with_inequality((-1,), 0) == q
 
 
@@ -246,6 +245,24 @@ def test_lattice_points_lex_order_and_fractional_bounds():
     assert p.lattice_points() == [(0,), (1,), (2,)]
 
 
+def test_points_in_box_against_brute_force():
+    # the box scan that lists a polyhedron's points row by row (the engine
+    # reads its self-check off the same rows); unbounded and fractional
+    # polyhedra too: the box alone makes it finite
+    for poly in [
+        TRIANGLE,
+        LatticePolyhedron(2, [((1, 2), Fraction(7, 2)), ((-3, 1), 2)]),
+        LatticePolyhedron(2, [((1, 0), 1), ((-1, 0), -1)]),
+        LatticePolyhedron(3, [((1, 1, 1), 2), ((0, -1, 2), Fraction(1, 3))]),
+    ]:
+        box_ranges = [range(-3, 4), range(-2, 5), range(-4, 3)][: poly.rank]
+        expected = [
+            pt for pt in product(*box_ranges) if poly.contains_point(pt)
+        ]
+        *outer, last = box_ranges
+        assert poly._scan(outer, last.start, last.stop - 1) == expected
+
+
 def test_lattice_points_empty():
     assert LatticePolyhedron(1, [((1,), -1), ((-1,), 0)]).lattice_points() == []
 
@@ -390,6 +407,16 @@ def test_product():
     p = segment(0, 1).product(segment(2, 3))
     assert p.rank == 2
     assert p.lattice_points() == [(0, 2), (0, 3), (1, 2), (1, 3)]
+
+
+def test_intersection_and_with_inequality():
+    # an intersection is the polyhedron of both inequality lists
+    p = LatticePolyhedron(
+        1, segment(0, 5).inequalities + segment(3, 9).inequalities
+    )
+    assert p.set_equals(segment(3, 5))
+    q = segment(0, 5).with_inequality((-1,), -2)
+    assert q.set_equals(segment(2, 5))
 
 
 def test_reflect_through_origin():
