@@ -8,12 +8,19 @@ it; enumeration is sequential.  Exit codes: 0 success, 1 semantic failure
 parse problems and enumerations over the budget, 3 internal error (any
 other exception, reported as ``bquant: internal error: <type>:
 <message>``).
+
+The argument grammar is built on the first ``main`` call and reused by
+every later call in the same process: parsing keeps no state on the
+parser (each call gets a fresh namespace, and usage, help and error text
+look up ``sys.stdout``, ``sys.stderr`` and the terminal width when they
+print), so in-process callers do not pay for rebuilding it.
 """
 
 import argparse
 import json
 import re
 import sys
+from functools import cache
 
 from . import __version__
 from .engine import (
@@ -59,6 +66,7 @@ _SEMANTIC_ERRORS = (
 )
 
 
+@cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="bquant",

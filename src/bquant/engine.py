@@ -606,21 +606,55 @@ def first_support_mismatch(description, character):
 
 def facet_boundary_weights(description, character):
     """Support weights lying on a facet hyperplane of some component they
-    belong to.  Only these weights are sensitive to the closed-boundary
-    membership convention, so they are reported for audit."""
-    terms = formal_character(description).terms
-    out = []
-    for weight in character.support():
-        for _, polyhedron in terms:
-            if not polyhedron.contains_point(weight):
+    belong to, in support order.  Only these weights are sensitive to the
+    closed-boundary membership convention, so they are reported for audit.
+
+    Read a row at a time, like first_support_mismatch: LatticePolyhedron._rows
+    gives the interval [first, final] where each component meets a row of
+    the support's box.  On a row, an inequality <normal, x> * q <= p with
+    last-coordinate slope 0 is constant, so it is tight on the whole
+    interval or nowhere; any other is tight at most at the one x where
+    slope * x equals the room the leading coordinates leave.  A rank-0
+    polyhedron has no inequalities (a normal is nonzero), so in rank 0 no
+    weight is on a facet.  Like first_support_mismatch, raises
+    EnumerationBudgetError when the box has more rows than the budget.
+    """
+    if character.rank != description.rank:
+        raise DimensionMismatchError(
+            f"rank {character.rank} character checked against rank "
+            f"{description.rank} description"
+        )
+    support = character.support()
+    if not support or not character.rank:
+        return ()
+    *outer, last = [
+        range(min(values), max(values) + 1) for values in zip(*support)
+    ]
+    heads = {weight[:-1] for weight in support}
+    spans, points = {}, set()  # whole tight intervals per row; tight weights
+    for _, polyhedron in formal_character(description).terms:
+        for head, claim in polyhedron._rows(outer, last.start, last.stop - 1):
+            if len(claim) == 1 or head not in heads:
                 continue
-            if any(
-                _linalg.dot(normal, weight) * q == p
-                for normal, p, q in polyhedron.integer_inequalities
-            ):
-                out.append(weight)
-                break
-    return tuple(out)
+            _, first, _, final = claim
+            if final < first:
+                continue
+            for normal, p, q in polyhedron.integer_inequalities:
+                room = p - q * sum(map(mul, normal, head))
+                slope = normal[-1] * q
+                if not slope:
+                    if not room:
+                        spans.setdefault(head, []).append((first, final))
+                elif not room % slope and \
+                        first <= (x := room // slope) <= final:
+                    points.add(head + (x,))
+    return tuple(
+        weight for weight in support
+        if weight in points or any(
+            first <= weight[-1] <= final
+            for first, final in spans.get(weight[:-1], ())
+        )
+    )
 
 
 def verify_qr_product(description, partner, character=None):

@@ -3,18 +3,9 @@
 A compact toric space is presented by its moment polytope.  A b-toric space
 is presented by the moment image of its open symplectic part: a list of
 signed component polyhedra together with one record per singular
-hypersurface.  Each hypersurface record carries
-
-* ``modular_weight`` -- the primitive integer vector along which the moment
-  image escapes to infinity (the tail direction is its negative),
-* ``splitting``      -- an integer circle direction pairing to 1 with the
-  modular weight; the affine coordinate cut by the tails,
-* ``leaf``           -- the compact moment polytope of the symplectic leaf,
-  presented in coordinates on the annihilator lattice of the splitting
-  (canonical basis: :func:`leaf_embedding_basis`),
-* ``adjacent``       -- the indices of the two components whose tails the
-  hypersurface glues, in either order; they must carry opposite signs, and
-  the signs, not the order, say which tail is the plus one.
+hypersurface (its modular weight, splitting, leaf polytope and adjacent
+components).  The ``bquant/1`` file format, with every field, is described
+in README's "File format" section.
 
 Validation certifies, with exact arithmetic, that beyond the computed
 integer threshold the first adjacent tail is a product of a half-line with
@@ -24,23 +15,6 @@ component is claimed by exactly one hypersurface end.  Those are
 precisely the facts the quantization engine's tail cancellation consumes:
 a passing report carries one :class:`TailEnd` per hypersurface, and the
 engine reads its tail ends from there.
-
-File format (version ``bquant/1``)::
-
-    {"schema": "bquant/1", "kind": "compact_toric", "rank": 1,
-     "polytope": {"rank": 1, "inequalities": [
-         {"normal": [1], "bound": "3"}, {"normal": [-1], "bound": "0"}]}}
-
-    {"schema": "bquant/1", "kind": "b_toric", "rank": 1,
-     "components": [
-         {"sign": 1,  "polyhedron": {...}},
-         {"sign": -1, "polyhedron": {...}}],
-     "hypersurfaces": [
-         {"modular_weight": [1], "splitting": [1],
-          "leaf": {"rank": 0, "inequalities": []}, "adjacent": [0, 1]}]}
-
-Numbers are integers or exact ``"p/q"`` strings; floating-point literals are
-rejected outright.
 """
 
 import json
@@ -326,8 +300,18 @@ def parse_description(text):
 
 
 def load_description(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_description(handle.read())
+    """Read and parse a description file, which must be UTF-8 text; its
+    line ends are read as in text mode (universal newlines)."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"byte offset {exc.start}: not UTF-8 text ({exc.reason}: "
+            f"{data[exc.start]:#04x})"
+        ) from None
+    return parse_description(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 # ----------------------------------------------------------------------

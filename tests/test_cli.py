@@ -518,6 +518,132 @@ def test_parse_error_reports_position(run, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "{bad}"),
+    ("quantize", "{bad}"),
+    ("verify-qr", "{bad}", PARTNER),
+    ("verify-qr", SEGMENT, "{bad}"),
+])
+def test_non_utf8_file_is_a_parse_error(run, tmp_path, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(*(arg.format(bad=bad) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == (
+        "bquant: error: byte offset 0: not UTF-8 text (invalid start byte: "
+        "0xff)\n"
+    )
+
+
+def test_non_utf8_byte_is_named_by_its_offset_in_the_file(run, tmp_path):
+    # past the first 8 KiB a text-mode read would count from its chunk
+    path = tmp_path / "late.json"
+    path.write_bytes(b"{" + b" " * 9999 + b'"\xc3\xa9\xc3"}')
+    code, _, err = run("check", str(path))
+    assert code == 2
+    assert err.startswith("bquant: error: byte offset 10003: not UTF-8 text")
+
+
+def test_utf8_bom_message_is_kept(run, tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(SEGMENT).read_bytes())
+    assert run("check", str(path)) == (2, "", (
+        "bquant: error: line 1, column 1: Unexpected UTF-8 BOM (decode "
+        "using utf-8-sig)\n"
+    ))
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"])
+def test_line_ends_count_as_in_text_mode(run, tmp_path, ending):
+    path = tmp_path / "broken.json"
+    path.write_bytes(f"{{{ending}  nope".encode())
+    code, _, err = run("check", str(path))
+    assert code == 2
+    assert err.startswith("bquant: error: line 2, column 3: ")
+
+
+# ----------------------------------------------------------------------
+# one grammar per process
+
+
+def test_calls_in_one_process_match_fresh_interpreters(
+    capsys, tmp_path, monkeypatch
+):
+    # argparse sizes help and usage text to the terminal at print time;
+    # pin it so that this process and its children agree
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("LINES", "24")
+    output = str(tmp_path / "out.txt")
+    calls = [
+        ("quantize", SPHERE, "--verify"),
+        ("quantize", SPHERE),
+        ("quantize", "--help"),
+        ("quantize", SPHERE, "--threads", "0"),
+        ("--version",),
+        (),
+        ("verify-qr", SEGMENT, PARTNER, "--no-header"),
+        ("reduce", SPHERE, "--weight", "1"),
+        ("cancel", SPHERE, "--hypersurface", "0", "--format", "json"),
+        ("quantize", SPHERE, "--output", output),
+        ("quantize", SPHERE),
+    ]
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        written = None
+        if "--output" in argv:
+            written = Path(output).read_text()
+            os.remove(output)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "bquant", *argv],
+            capture_output=True, text=True,
+        )
+        assert (code, out, err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        ), argv
+        if written is not None:
+            assert written == Path(output).read_text()
+
+
+BUILD_COUNT = """
+import argparse, contextlib, io, sys
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+
+def counting(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+
+
+argparse.ArgumentParser.__init__ = counting
+from bquant import cli
+
+counts = [len(built)]
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv.split())
+    counts.append(len(built))
+print(counts)
+"""
+
+
+def test_grammar_is_built_once_per_process():
+    # importing builds nothing; the first call builds the top-level parser
+    # and one per command; later calls reuse them
+    proc = subprocess.run(
+        [sys.executable, "-c", BUILD_COUNT, f"quantize {SEGMENT}",
+         f"verify-qr {SEGMENT} {PARTNER}", f"check {SPHERE} --format json"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 6, 6, 6]\n"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])

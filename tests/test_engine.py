@@ -758,6 +758,66 @@ def test_facet_boundary_weights_sphere():
     assert facet_boundary_weights(d, character) == ((2,),)
 
 
+def facet_boundary_oracle(description, character):
+    """What facet_boundary_weights must return, weight by weight: each
+    support weight that some component contains and meets in one of its
+    inequalities with equality."""
+    terms = formal_character(description).terms
+    out = []
+    for weight in character.support():
+        for _, polyhedron in terms:
+            if not polyhedron.contains_point(weight):
+                continue
+            if any(
+                _linalg.dot(normal, weight) * q == p
+                for normal, p, q in polyhedron.integer_inequalities
+            ):
+                out.append(weight)
+                break
+    return tuple(out)
+
+
+def test_facet_boundary_weights_match_the_per_weight_oracle():
+    rng = random.Random(41)
+    descriptions = [parse(RANK_0_POINT)]
+    descriptions += [load(name) for name in VALID_B_FILES + COMPACT_FILES]
+    descriptions += [
+        parse(make_corpus.sphere(a, b))
+        for a in range(-20, 21) for b in range(-20, a)
+    ]
+    descriptions += [
+        parse(make_corpus.sphere_times_segment(a, b, k))
+        for a, b, k in [(2, -1, 3), (0, -4, 1), (7, 3, 5), (100, -100, 100)]
+    ]
+    found = 0
+    for description in descriptions:
+        honest = quantize_description(description)
+        characters = [honest]
+        if description.rank:
+            # seeded extra weights on, beside and off the support
+            corrupted = honest
+            for _ in range(3):
+                weight = tuple(
+                    rng.randint(-6, 6) for _ in range(description.rank)
+                )
+                corrupted += VirtualCharacter.delta(
+                    weight, rng.choice([-1, 1])
+                )
+            characters.append(corrupted)
+        for character in characters:
+            expected = facet_boundary_oracle(description, character)
+            assert facet_boundary_weights(description, character) == expected
+            found += len(expected)
+    assert found > 2000
+
+
+def test_facet_boundary_weights_refuse_a_character_of_another_rank():
+    with pytest.raises(DimensionMismatchError):
+        facet_boundary_weights(
+            load("c_seg_0_3.json"), VirtualCharacter.delta((0, 0))
+        )
+
+
 # ----------------------------------------------------------------------
 # quantization commutes with reduction
 

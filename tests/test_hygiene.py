@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses;
 every helper in the private `_linalg` module, and every private function,
-class and method elsewhere, has a caller in the package; every public one
-has a caller too or is one of the library's listed entry points; and every
-name a module exports exists."""
+class, method and module-level constant or alias elsewhere, has a user in
+the package; every public one has a user too or is one of the library's
+listed entry points; and every name a module exports exists."""
 
 import ast
 import importlib
@@ -70,12 +70,26 @@ def referenced_names(node):
             yield child.attr
 
 
+# module-level names read by tools and importers, not by the package
+MODULE_METADATA = {"__all__", "__version__"}
+
+
 def definitions(tree):
-    """(qualified name, node) for each top-level function and class and
-    each method of a top-level class; dunder methods are left out."""
+    """(qualified name, node) for each top-level function and class, each
+    name a module-level assignment binds (a constant or an alias), and each
+    method of a top-level class; dunder methods and MODULE_METADATA are left
+    out."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+            for target in targets:
+                if isinstance(target, ast.Name) and \
+                        target.id not in MODULE_METADATA:
+                    yield target.id, node
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, ast.FunctionDef) and not (
@@ -87,20 +101,22 @@ def definitions(tree):
 def unreferenced(sources):
     """(path, qualified name) for each definition in `sources` (path ->
     text) whose name nothing in `sources` refers to outside the definition
-    itself.  Strings, such as those in `__all__`, do not count as
+    itself (for an assignment, outside the whole statement, its own target
+    included).  Strings, such as those in `__all__`, do not count as
     references, and neither do imports."""
     trees = {path: ast.parse(text) for path, text in sources.items()}
     total = Counter(
         name for tree in trees.values() for name in referenced_names(tree)
     )
-    return [
-        (path, qualified)
-        for path, tree in trees.items()
-        for qualified, node in definitions(tree)
-        if total[node.name] == sum(
-            name == node.name for name in referenced_names(node)
-        )
-    ]
+    found = []
+    for path, tree in trees.items():
+        for qualified, node in definitions(tree):
+            name = qualified.split(".")[-1]
+            if total[name] == sum(
+                seen == name for seen in referenced_names(node)
+            ):
+                found.append((path, qualified))
+    return found
 
 
 def is_private(qualified):
@@ -150,6 +166,20 @@ def test_scan_finds_an_uncalled_helper():
     caller = "from . import helpers\nhelpers.chained()\n"
     assert unreferenced({"helpers.py": source, "caller.py": caller}) == [
         ("helpers.py", "lone")
+    ]
+
+
+def test_scan_finds_an_unused_constant():
+    # a constant or alias counts as used only when read outside its own
+    # assignment; __all__ and __version__ are never listed
+    source = (
+        "__all__ = ['LIMIT']\n__version__ = '1.0'\n"
+        "LIMIT = 3\n_SPARE = 4\nALIAS: int = LIMIT\n_USED = 5\n"
+        "def size():\n    return _USED\n"
+    )
+    caller = "from . import limits\nlimits.size()\n"
+    assert unreferenced({"limits.py": source, "caller.py": caller}) == [
+        ("limits.py", "_SPARE"), ("limits.py", "ALIAS")
     ]
 
 
