@@ -15,13 +15,13 @@ from .engine import (
     ReducedSpaceResult,
     TailEnd,
     collapse_signed_tails,
-    facet_boundary_weights,
     formal_character,
     quantize_b,
     quantize_compact_toric,
     quantize_description,
     quantize_local_model,
     reduced_space_quantization,
+    support_audit,
     tail_matching,
     verify_qr_product,
 )
@@ -82,7 +82,6 @@ __all__ = [
     "VirtualCharacter",
     "ZeroModularWeightError",
     "collapse_signed_tails",
-    "facet_boundary_weights",
     "formal_character",
     "leaf_embedding_basis",
     "load_description",
@@ -93,6 +92,7 @@ __all__ = [
     "quantize_description",
     "quantize_local_model",
     "reduced_space_quantization",
+    "support_audit",
     "tail_matching",
     "tail_threshold",
     "validate_description",

@@ -123,7 +123,7 @@ def check_modular_dichotomy(description):
     ]
     if not zero_indices:
         return CheckReport(name, True)
-    if len(zero_indices) == len(description.hypersurfaces) and zero_indices:
+    if len(zero_indices) == len(description.hypersurfaces):
         return CheckReport(
             name,
             False,

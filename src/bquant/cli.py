@@ -22,13 +22,12 @@ import re
 import sys
 from functools import cache
 
-from . import __version__
+from . import __version__, _linalg
 from .engine import (
-    first_support_mismatch,
     quantize_description,
     quantize_local_model,
     reduced_space_quantization,
-    facet_boundary_weights,
+    support_audit,
     verify_qr_product,
 )
 from .errors import (
@@ -160,13 +159,23 @@ def _header(args, description, extra=()):
 
 
 def _json_text(payload):
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical JSON text of `payload`.  json writes an int with
+    int.__repr__, which refuses past Python's int-to-decimal limit even
+    when every input literal is under it, so the limit is lifted for the
+    call and put back after."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return text + "\n"
 
 
 def _weight_text(weight):
     if not weight:
         return "()"
-    return ",".join(str(x) for x in weight)
+    return ",".join(map(_linalg.exact_text, weight))
 
 
 def _parse_weight(text, rank):
@@ -208,8 +217,7 @@ def _cmd_check(args):
 def _verify_quantization(description, character):
     """Cross-check every support weight against the direct count and list
     the facet-boundary weights.  Returns (lines, ok)."""
-    mismatch = first_support_mismatch(description, character)
-    boundary = facet_boundary_weights(description, character)
+    mismatch, boundary = support_audit(description, character)
     total = len(character.support())
     lines = []
     if mismatch is None:

@@ -13,9 +13,12 @@ the cancellation and hands over the tail ends; the collapse certifies that
 every surviving piece is bounded, raising NotFiniteError with the offending
 piece otherwise.  The final character is re-checked against the formal
 character on a window twice the size of its support, row by row from
-certified row intervals.  Every check reads the formal count that way:
-_box_rows gives a box's nonzero rows as runs, and _first_difference (in
-rank 0, _point_mismatch) names the least weight where a character parts.
+certified row intervals.  Every check reads rows only that way:
+_certified_rows checks each row interval of the row scan before handing it
+on, _box_rows folds a box's rows into runs of the formal count,
+_first_difference (in rank 0, _point_mismatch) names the least weight where
+a character parts from them, and support_audit reads a support's rows once
+for its multiplicities and its facet-boundary weights.
 """
 
 from bisect import bisect_left
@@ -25,7 +28,7 @@ from math import ceil, floor
 from operator import itemgetter, mul
 
 from . import _linalg
-from .characters import PolyhedralCharacter, VirtualCharacter
+from .characters import PolyhedralCharacter, VirtualCharacter, _as_weight
 from .errors import (
     DescriptionKindError,
     DimensionMismatchError,
@@ -54,8 +57,7 @@ __all__ = [
     "quantize_description",
     "quantize_local_model",
     "reduced_space_quantization",
-    "first_support_mismatch",
-    "facet_boundary_weights",
+    "support_audit",
     "verify_qr_product",
 ]
 
@@ -276,10 +278,17 @@ def _point_mismatch(formal, character):
 def _box_rows(formal, box):
     """(head, runs) for each row of `box` (one range per coordinate, rank
     at least 1) where the signed count of `formal` is not zero, in order:
-    _row_steps reads the count off certified row intervals and _runs cuts
-    it into runs."""
+    each term's sign jumps in at the first weight of its certified interval
+    on a row and out just past the last, and _runs cuts the jumps into
+    runs."""
     *outer, last = box
-    steps = _row_steps(formal, outer, last.start, last.stop - 1)
+    steps = {}
+    for sign, _, head, first, final in _certified_rows(
+        formal, outer, last.start, last.stop - 1
+    ):
+        jumps = steps.setdefault(head, {})
+        jumps[first] = jumps.get(first, 0) + sign
+        jumps[final + 1] = jumps.get(final + 1, 0) - sign
     rows = []
     for head in sorted(steps):
         runs = _runs(steps[head], last.start, last.stop)
@@ -288,22 +297,22 @@ def _box_rows(formal, box):
     return rows
 
 
-def _row_steps(formal, outer, low, high):
-    """The signed count of `formal` on the rows `outer` x [low, high], as
-    one step function per row: {head: {x: jump of the count at x}}, with
-    the count zero before a row's first jump.
+def _certified_rows(formal, outer, low, high):
+    """Yield (sign, integer rows, head, first, final) for each term of
+    `formal` and each row `head` of `outer` x [low, high] the term meets,
+    term by term and row by row in lexicographic order: the term meets the
+    row exactly in first..final, and its integer rows <normal, x> * q <= p
+    (integer_inequalities) are handed on with it.  This is the one place
+    the engine reads LatticePolyhedron._rows.
 
-    A row fixes every coordinate but the last and meets each term in an
-    interval.  LatticePolyhedron._rows names, per row, the inequalities
-    that bound it; each certificate is checked here against the term's
-    integer rows <normal, x> * q <= p (integer_inequalities), never with
-    the scan's floor division.  The k-th certificate is checked against
-    the k-th row of the window, so whatever the scan calls the row, every
-    window row gets a certificate that holds there or the check fails.
-    The tests are filed by index 0..m-1 and by the sign of their
-    last-coordinate slope, so an index that names no inequality (negative
-    or out of range) or one of the wrong slope finds no test and is
-    refused:
+    _rows names, per row, the inequalities that bound it; each certificate
+    is checked here against the term's integer rows, never with the scan's
+    floor division.  The k-th certificate is checked against the k-th row
+    of the window, so whatever the scan calls the row, every window row
+    gets a certificate that holds there or the check fails.  The tests are
+    filed by index 0..m-1 and by the sign of their last-coordinate slope,
+    so an index that names no inequality (negative or out of range) or one
+    of the wrong slope finds no test and is refused:
     - (index,): inequality `index` has last-coordinate slope 0 and fails
       on the row, so the row is empty;
     - (lower, first, upper, final): inequality `upper` has positive slope
@@ -313,13 +322,11 @@ def _row_steps(formal, outer, low, high):
       `low`).  When final < first the row is empty: by Helly's theorem in
       dimension 1, every integer fails one of the two.  Otherwise first
       and final lie in [low, high] and pass every test of the term, so the
-      row is exactly first..final, and the term's sign jumps in at first
-      and out at final + 1.
+      row is exactly first..final.
     An empty row thus costs at most two single-inequality tests.  A
     certificate that fails raises SelfCheckError naming the term and a
     weight where it fails.
     """
-    steps = {}
     for index, (sign, polyhedron) in enumerate(formal.terms):
         tests = polyhedron.integer_inequalities
         level, rising, falling = {}, {}, {}
@@ -357,16 +364,18 @@ def _row_steps(formal, outer, low, high):
             if final < first:
                 continue
             for x in (first, final):
-                point = head + (x,)
                 if not low <= x <= high:
-                    raise _refused(index, point)
-                for normal, p, q in tests:
-                    if sum(map(mul, normal, point)) * q > p:
-                        raise _refused(index, point)
-            jumps = steps.setdefault(head, {})
-            jumps[first] = jumps.get(first, 0) + sign
-            jumps[final + 1] = jumps.get(final + 1, 0) - sign
-    return steps
+                    raise _refused(index, head + (x,))
+            for normal, p, q in tests:
+                # <normal, x> * q <= p on the row: slope * x <= room (map
+                # stops at the end of head, so room takes the leading part)
+                room = p - q * sum(map(mul, normal, head))
+                slope = normal[-1] * q
+                if slope * first > room:
+                    raise _refused(index, head + (first,))
+                if slope * final > room:
+                    raise _refused(index, head + (final,))
+            yield sign, tests, head, first, final
 
 
 def _refused(index, weight):
@@ -539,21 +548,10 @@ def quantize_local_model(model):
 # reduction and the product verifier
 
 
-def _as_integer_weight(weight, rank):
-    weight = tuple(weight)
-    if len(weight) != rank:
-        raise DimensionMismatchError(
-            f"weight of length {len(weight)} against rank {rank}"
-        )
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in weight):
-        raise ValueError(f"weight {weight!r} must have integer entries")
-    return weight
-
-
 def reduced_space_quantization(description, weight):
     """Quantization of the reduced space at one weight, counted directly."""
     require_validated(description)
-    weight = _as_integer_weight(weight, description.rank)
+    weight = _as_weight(weight, description.rank)
     contributions = tuple(
         sign * int(polyhedron.contains_point(weight))
         for sign, polyhedron in formal_character(description).terms
@@ -563,17 +561,22 @@ def reduced_space_quantization(description, weight):
     )
 
 
-def first_support_mismatch(description, character):
-    """(weight, multiplicity in `character`, direct count) at the
-    lexicographically first support weight of `character` where the two
-    differ; None when they agree on the whole support.  Weights off the
-    support are not compared.
+def support_audit(description, character):
+    """(mismatch, boundary) for the support of `character`, from one read
+    of every component's certified rows over the support's box.
 
-    The direct count is reduced_space_quantization's: the signed number of
-    components that contain the weight.  It is read off the certified row
-    intervals of every component (_box_rows) over the support's box, so no
-    weight gets a membership test of its own.  Rank 0 has the one weight
-    (), tested by _point_mismatch.
+    `mismatch` is (weight, multiplicity in `character`, direct count) at
+    the least support weight where the two differ, else None; the direct
+    count is reduced_space_quantization's signed number of components that
+    contain the weight.  `boundary` lists the support weights on a facet
+    hyperplane of a component containing them, in order: only these are
+    sensitive to the closed-boundary convention.  On a row, an inequality
+    <normal, x> * q <= p of last-coordinate slope 0 is tight on the whole
+    interval or nowhere; any other at most at the one x where slope * x
+    equals the room the leading coordinates leave.  In rank 0,
+    _point_mismatch tests the one weight () and no weight is on a facet (a
+    normal is nonzero).  Raises EnumerationBudgetError when the box has
+    more rows than the budget.
     """
     require_validated(description)
     if character.rank != description.rank:
@@ -583,78 +586,47 @@ def first_support_mismatch(description, character):
         )
     items = character.items()
     if not items:
-        return None
+        return None, ()
     formal = formal_character(description)
     if not character.rank:
-        return _point_mismatch(formal, character)
-    runs_at = dict(_box_rows(formal, [
+        return _point_mismatch(formal, character), ()
+    *outer, last = [
         range(min(values), max(values) + 1)
         for values in zip(*character.support())
-    ]))
+    ]
+    heads = {weight[:-1] for weight, _ in items}
+    steps, spans, points = {}, {}, set()  # tight: whole intervals; weights
+    for sign, tests, head, first, final in _certified_rows(
+        formal, outer, last.start, last.stop - 1
+    ):
+        if head not in heads:
+            continue
+        jumps = steps.setdefault(head, {})
+        jumps[first] = jumps.get(first, 0) + sign
+        jumps[final + 1] = jumps.get(final + 1, 0) - sign
+        for normal, p, q in tests:
+            room = p - q * sum(map(mul, normal, head))
+            slope = normal[-1] * q
+            if not slope:
+                if not room:
+                    spans.setdefault(head, []).append((first, final))
+            elif not room % slope and first <= (x := room // slope) <= final:
+                points.add(head + (x,))
+    mismatch, boundary = None, []
     for head, entries in groupby(items, key=lambda item: item[0][:-1]):
-        runs = runs_at.get(head, ())
+        runs = _runs(steps.get(head, {}), last.start, last.stop)
+        tight = spans.get(head, ())
         at = 0
         for weight, found in entries:
             x = weight[-1]
             while at < len(runs) and runs[at][1] <= x:
                 at += 1
             direct = runs[at][2] if at < len(runs) and runs[at][0] <= x else 0
-            if found != direct:
-                return weight, found, direct
-    return None
-
-
-def facet_boundary_weights(description, character):
-    """Support weights lying on a facet hyperplane of some component they
-    belong to, in support order.  Only these weights are sensitive to the
-    closed-boundary membership convention, so they are reported for audit.
-
-    Read a row at a time, like first_support_mismatch: LatticePolyhedron._rows
-    gives the interval [first, final] where each component meets a row of
-    the support's box.  On a row, an inequality <normal, x> * q <= p with
-    last-coordinate slope 0 is constant, so it is tight on the whole
-    interval or nowhere; any other is tight at most at the one x where
-    slope * x equals the room the leading coordinates leave.  A rank-0
-    polyhedron has no inequalities (a normal is nonzero), so in rank 0 no
-    weight is on a facet.  Like first_support_mismatch, raises
-    EnumerationBudgetError when the box has more rows than the budget.
-    """
-    if character.rank != description.rank:
-        raise DimensionMismatchError(
-            f"rank {character.rank} character checked against rank "
-            f"{description.rank} description"
-        )
-    support = character.support()
-    if not support or not character.rank:
-        return ()
-    *outer, last = [
-        range(min(values), max(values) + 1) for values in zip(*support)
-    ]
-    heads = {weight[:-1] for weight in support}
-    spans, points = {}, set()  # whole tight intervals per row; tight weights
-    for _, polyhedron in formal_character(description).terms:
-        for head, claim in polyhedron._rows(outer, last.start, last.stop - 1):
-            if len(claim) == 1 or head not in heads:
-                continue
-            _, first, _, final = claim
-            if final < first:
-                continue
-            for normal, p, q in polyhedron.integer_inequalities:
-                room = p - q * sum(map(mul, normal, head))
-                slope = normal[-1] * q
-                if not slope:
-                    if not room:
-                        spans.setdefault(head, []).append((first, final))
-                elif not room % slope and \
-                        first <= (x := room // slope) <= final:
-                    points.add(head + (x,))
-    return tuple(
-        weight for weight in support
-        if weight in points or any(
-            first <= weight[-1] <= final
-            for first, final in spans.get(weight[:-1], ())
-        )
-    )
+            if mismatch is None and found != direct:
+                mismatch = weight, found, direct
+            if weight in points or any(a <= x <= b for a, b in tight):
+                boundary.append(weight)
+    return mismatch, tuple(boundary)
 
 
 def verify_qr_product(description, partner, character=None):
@@ -668,8 +640,9 @@ def verify_qr_product(description, partner, character=None):
     counts reduced-space points of `description` directly on the weights of
     the reflected partner polytope, a row at a time.  Each component's
     certified row intervals (_box_rows, as in the self-check) give the
-    signed count on a row as runs.  They are clipped to the partner's
-    interval on that row and summed, and compared once with the character's
+    signed count on a row as runs.  They are clipped to the reflected
+    partner's interval on that row, certified the same way
+    (_certified_rows), and summed, and compared once with the character's
     entries inside the partner (_first_difference) to pin down the first
     disagreement, if any.  Rank 0 has the one weight (), tested by
     _point_mismatch.
@@ -708,18 +681,19 @@ def verify_qr_product(description, partner, character=None):
         *outer, last = box
         weights, items = character.support(), character.items()
         rows, inside, checked = [], [], 0
-        for head, claim in reflected._rows(outer, last.start, last.stop - 1):
-            if len(claim) == 4 and claim[1] <= claim[3]:
-                first, final = claim[1], claim[3]
-                checked += final + 1 - first
-                start = bisect_left(weights, head + (first,))
-                end = bisect_left(weights, head + (final + 1,), start)
-                inside += items[start:end]
-                rows.append((head, [
-                    (max(a, first), min(b, final + 1), value)
-                    for a, b, value in runs_at.get(head, ())
-                    if a <= final and b > first
-                ]))
+        for _, _, head, first, final in _certified_rows(
+            PolyhedralCharacter(reflected.rank, ((1, reflected),)),
+            outer, last.start, last.stop - 1,
+        ):
+            checked += final + 1 - first
+            start = bisect_left(weights, head + (first,))
+            end = bisect_left(weights, head + (final + 1,), start)
+            inside += items[start:end]
+            rows.append((head, [
+                (max(a, first), min(b, final + 1), value)
+                for a, b, value in runs_at.get(head, ())
+                if a <= final and b > first
+            ]))
         invariant_from_geometry = sum(
             value * (b - a) for _, runs in rows for a, b, value in runs
         )

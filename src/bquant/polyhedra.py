@@ -303,25 +303,20 @@ class LatticePolyhedron:
             return result
         normals = [normal for normal, _, _ in self.integer_inequalities]
         lineality = _linalg.rational_kernel_basis(normals, n)
-        cone_normals = list(normals)
-        for direction in lineality:
-            cone_normals.append(direction)
-            cone_normals.append(tuple(-x for x in direction))
-        rays = set()
-        for direction in lineality:
-            rays.add(direction)
-            rays.add(tuple(-x for x in direction))
-        if n > 0:
-            for subset in combinations(range(len(cone_normals)), n - 1):
-                kernel = _linalg.rational_kernel_basis(
-                    [cone_normals[i] for i in subset], n
-                )
-                if len(kernel) != 1:
-                    continue
-                generator = kernel[0]
-                for candidate in (generator, tuple(-x for x in generator)):
-                    if all(_linalg.dot(a, candidate) <= 0 for a in cone_normals):
-                        rays.add(candidate)
+        rays = set(lineality)
+        rays.update(tuple(-x for x in direction) for direction in lineality)
+        # an extreme ray of the pointed remainder is orthogonal to the
+        # lineality space and spans the kernel of its basis together with
+        # n - 1 - l of the normals
+        size = n - 1 - len(lineality)
+        for subset in combinations(normals, size) if size >= 0 else ():
+            kernel = _linalg.rational_kernel_basis(lineality + list(subset), n)
+            if len(kernel) != 1:
+                continue
+            generator = kernel[0]
+            for candidate in (generator, tuple(-x for x in generator)):
+                if all(_linalg.dot(a, candidate) <= 0 for a in normals):
+                    rays.add(candidate)
         result = tuple(sorted(rays))
         self._cache["rays"] = result
         return result

@@ -510,6 +510,51 @@ def test_pairing_derived_past_the_digit_limit_is_reported(run, tmp_path):
     assert rows["mu-integrality"]["witness"] == [0, digits]
 
 
+def test_weight_past_the_digit_limit_is_written_out(run, tmp_path):
+    # every literal of {y = b, x = n * y} is under 4,300 digits, but its
+    # one lattice point (n * b, b) has a 4,305-digit first coordinate
+    b, n = 10**4295 + 7, 10**9 + 7
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({
+        "schema": "bquant/1", "kind": "compact_toric", "rank": 2,
+        "polytope": {"rank": 2, "inequalities": [
+            {"normal": [0, 1], "bound": "B"},
+            {"normal": [0, -1], "bound": "-B"},
+            {"normal": [1, -n], "bound": 0},
+            {"normal": [-1, n], "bound": 0},
+        ]},
+    }).replace('"-B"', "-" + str(b)).replace('"B"', str(b)), encoding="utf-8")
+    weight = f"{_decimal_digits(n * b)},{b}"
+    assert len(weight) == 4305 + 1 + 4296
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run("quantize", str(path), "--no-header", "--verify")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"{'weight'.ljust(len(weight))}  multiplicity",
+        f"{weight}  1",
+        "dim = 1, support = 1 weights",
+        "verify: character matches direct reduced-space counts at 1 weights",
+        "verify: 1 of 1 support weights lie on facet boundaries",
+    ]
+    code, out, err = run("quantize", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    payload = {
+        "command": "quantize",
+        "input": {"kind": "compact_toric", "rank": 2},
+        "character": {
+            "rank": 2, "multiplicities": [{"weight": [n * b, b], "mult": 1}]
+        },
+        "dimension": 1,
+    }
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out == expected + "\n"
+
+
 def test_parse_error_reports_position(run, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{\n  nope")

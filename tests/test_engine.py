@@ -40,7 +40,6 @@ from bquant import (
     VirtualCharacter,
     ZeroModularWeightError,
     collapse_signed_tails,
-    facet_boundary_weights,
     formal_character,
     load_description,
     local_model,
@@ -50,6 +49,7 @@ from bquant import (
     quantize_description,
     quantize_local_model,
     reduced_space_quantization,
+    support_audit,
     tail_matching,
     validate_description,
     verify_qr_product,
@@ -336,7 +336,7 @@ def test_overlap_correction_restores_double_counted_points(monkeypatch):
 
 def test_self_check_catches_corrupted_enumeration(monkeypatch):
     # the self-check reads the formal count off the row certificates
-    # (_row_steps), not off lattice_points
+    # (_certified_rows), not off lattice_points
     real = LatticePolyhedron.lattice_points
 
     def corrupted(self):
@@ -748,18 +748,18 @@ def test_pointwise_multiplicity_matches_oracle():
 def test_facet_boundary_weights_segment():
     space = load("c_seg_0_3.json")
     character = quantize_compact_toric(space)
-    assert facet_boundary_weights(space, character) == ((0,), (3,))
+    assert support_audit(space, character)[1] == ((0,), (3,))
 
 
 def test_facet_boundary_weights_sphere():
     d = load("sphere_a2_bm1.json")
     character = quantize_b(d)
     # only the top weight meets a facet of a component containing it
-    assert facet_boundary_weights(d, character) == ((2,),)
+    assert support_audit(d, character)[1] == ((2,),)
 
 
 def facet_boundary_oracle(description, character):
-    """What facet_boundary_weights must return, weight by weight: each
+    """What support_audit must return as its boundary, weight by weight: each
     support weight that some component contains and meets in one of its
     inequalities with equality."""
     terms = formal_character(description).terms
@@ -806,16 +806,51 @@ def test_facet_boundary_weights_match_the_per_weight_oracle():
             characters.append(corrupted)
         for character in characters:
             expected = facet_boundary_oracle(description, character)
-            assert facet_boundary_weights(description, character) == expected
+            assert support_audit(description, character)[1] == expected
             found += len(expected)
     assert found > 2000
 
 
 def test_facet_boundary_weights_refuse_a_character_of_another_rank():
     with pytest.raises(DimensionMismatchError):
-        facet_boundary_weights(
+        support_audit(
             load("c_seg_0_3.json"), VirtualCharacter.delta((0, 0))
         )
+
+
+def test_support_audit_requires_validation():
+    # the facet-boundary half reads rows too, so it needs a validated
+    # description as much as the comparison does
+    description = load("neg_equal_signs.json")
+    with pytest.raises(NotValidatedError):
+        support_audit(description, VirtualCharacter.delta((0,)))
+
+
+def test_support_audit_reads_each_component_once(monkeypatch):
+    # one certified pass gives both the mismatch and the boundary weights
+    description = parse(make_corpus.sphere_times_segment(7, 3, 5))
+    character = quantize_description(description)
+    real, calls = LatticePolyhedron._rows, []
+
+    def counted(self, *args):
+        calls.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(LatticePolyhedron, "_rows", counted)
+    mismatch, boundary = support_audit(description, character)
+    assert mismatch is None and boundary
+    assert calls == [polyhedron for _, polyhedron in description.components]
+
+
+def test_support_audit_of_an_empty_support_and_in_rank_0():
+    assert support_audit(load("btorus.json"), VirtualCharacter.zero(1)) == (
+        None, ()
+    )
+    point = parse(RANK_0_POINT)
+    assert support_audit(point, quantize_description(point)) == (None, ())
+    assert support_audit(point, VirtualCharacter.delta((), 2)) == (
+        ((), 2, 1), ()
+    )
 
 
 # ----------------------------------------------------------------------
@@ -969,9 +1004,9 @@ def test_qr_route_two_matches_the_oracle_on_benchmark_cases(seed):
 
 
 def support_mismatch_oracle(description, character):
-    """What first_support_mismatch must return, by the per-weight loop of
-    `bquant quantize --verify`: one reduced_space_quantization per support
-    weight, in lexicographic order, up to the first disagreement."""
+    """What support_audit must return as its mismatch, by the per-weight
+    loop of `bquant quantize --verify`: one reduced_space_quantization per
+    support weight, in lexicographic order, up to the first disagreement."""
     for weight in character.support():
         direct = reduced_space_quantization(description, weight).count
         if direct != character.multiplicity(weight):
@@ -990,7 +1025,7 @@ def test_support_mismatch_matches_the_per_weight_oracle():
     mismatches = 0
     for description in descriptions:
         honest = quantize_description(description)
-        assert engine.first_support_mismatch(description, honest) is None
+        assert support_audit(description, honest)[0] is None
         wrong = []
         # 1-3 seeded additive corruptions, on or off the support
         for _ in range(4):
@@ -1012,18 +1047,14 @@ def test_support_mismatch_matches_the_per_weight_oracle():
             wrong.append(VirtualCharacter(description.rank, table))
         for character in wrong:
             expected = support_mismatch_oracle(description, character)
-            assert engine.first_support_mismatch(
-                description, character
-            ) == expected
+            assert support_audit(description, character)[0] == expected
             mismatches += expected is not None
     assert mismatches > 150
 
 
 def test_support_mismatch_refuses_a_character_of_another_rank():
     with pytest.raises(DimensionMismatchError):
-        engine.first_support_mismatch(
-            load("c_seg_0_3.json"), VirtualCharacter.delta((0, 0))
-        )
+        support_audit(load("c_seg_0_3.json"), VirtualCharacter.delta((0, 0)))
 
 
 def test_qr_product_partner_must_be_compact():

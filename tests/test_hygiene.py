@@ -2,7 +2,8 @@
 every helper in the private `_linalg` module, and every private function,
 class, method and module-level constant or alias elsewhere, has a user in
 the package; every public one has a user too or is one of the library's
-listed entry points; and every name a module exports exists."""
+listed entry points; every name a module exports exists; and the engine
+reads a polyhedron's row scan only where it certifies the rows."""
 
 import ast
 import importlib
@@ -273,3 +274,41 @@ def test_bounds_have_one_stored_form():
                 node.attr for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute)
             }, path.name
+
+
+def raw_row_reads(source, reader="_certified_rows"):
+    """(function, line) for each read of the attribute `_rows` in `source`
+    outside the function named `reader`, the one place a module may read a
+    polyhedron's row scan, so that every row it uses is certified."""
+    tree = ast.parse(source)
+    enclosing = {  # the innermost function around each node: ast.walk
+        # reaches an outer function before the functions nested in it
+        id(child): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for child in ast.walk(node)
+    }
+    return sorted(
+        (enclosing.get(id(node), "<module>"), node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_rows"
+        and enclosing.get(id(node)) != reader
+    )
+
+
+def test_scan_finds_a_raw_row_read():
+    source = (
+        "def _certified_rows(p):\n    return p._rows()\n"
+        "def audit(p):\n    rows = p._rows\n    return p.integer_rows\n"
+        "def outer(p):\n    def inner():\n        return p._rows()\n"
+        "    return inner\n"
+        "rows = object()._rows\n"
+    )
+    assert raw_row_reads(source) == [
+        ("<module>", 10), ("audit", 4), ("inner", 8)
+    ]
+
+
+def test_engine_reads_rows_only_through_certified_rows():
+    engine = Path(bquant.__file__).parent / "engine.py"
+    assert raw_row_reads(engine.read_text()) == []

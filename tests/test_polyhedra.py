@@ -1,6 +1,7 @@
 """LatticePolyhedron construction, predicates and lattice enumeration."""
 
 import random
+import time
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -764,6 +765,64 @@ def rays_by_cones(polyhedron):
                 if all(_linalg.dot(a, candidate) <= 0 for a in cone_normals):
                     rays.add(candidate)
     return tuple(sorted(rays))
+
+
+def random_unimodular(rng, n):
+    """A product of random integer shears: an n x n matrix of determinant
+    1, as a list of rows."""
+    matrix = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.sample(range(n), 2)
+        factor = rng.choice((-2, -1, 1, 2))
+        for row in matrix:
+            row[j] += factor * row[i]
+    return matrix
+
+
+def test_rays_agree_with_the_cone_route():
+    # ranks 2-4; about half the polyhedra get a lineality space: their
+    # normals vanish on some coordinates before a unimodular change of
+    # basis skews the lineality off the axes
+    rng = random.Random(43)
+    seen = Counter()
+    while seen["nonempty"] < 3_000:
+        n = rng.randint(2, 4)
+        free = set(rng.sample(range(n), rng.randint(0, n))) \
+            if rng.random() < 0.5 else set()
+        matrix = random_unimodular(rng, n)
+        inequalities = []
+        for _ in range(rng.randint(0, 5)):
+            normal = [
+                0 if i in free else rng.randint(-2, 2) for i in range(n)
+            ]
+            normal = tuple(
+                sum(map(mul, normal, column)) for column in zip(*matrix)
+            )
+            if any(normal):
+                inequalities.append((normal, rng.randint(-2, 4)))
+        polyhedron = LatticePolyhedron(n, inequalities)
+        if polyhedron.is_empty():
+            continue
+        seen["nonempty"] += 1
+        expected = rays_by_cones(polyhedron)
+        assert polyhedron.recession_rays() == expected, polyhedron
+        normals = [normal for normal, _ in polyhedron.inequalities]
+        seen["lineality"] += bool(_linalg.rational_kernel_basis(normals, n))
+        seen["pointed, unbounded"] += bool(expected) and \
+            not _linalg.rational_kernel_basis(normals, n)
+    assert seen["lineality"] >= 1_000, seen
+    assert seen["pointed, unbounded"] >= 500, seen
+
+
+@pytest.mark.parametrize("rank", [10, 12, 40])
+def test_rays_of_the_whole_space_are_quick(rank):
+    # the lineality space is everything, so no subset of normals is
+    # tried; the cone route would try C(2 * rank, rank - 1) of them
+    started = time.perf_counter()
+    rays = LatticePolyhedron(rank, []).recession_rays()
+    assert time.perf_counter() - started < 1
+    assert len(rays) == 2 * rank
+    assert sorted(map(abs, map(sum, rays))) == [1] * (2 * rank)
 
 
 def test_rank_one_rays_are_read_off_the_box(monkeypatch):

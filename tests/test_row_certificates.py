@@ -3,9 +3,9 @@ self-check.
 
 `LatticePolyhedron._rows` reads each row's interval of the last coordinate
 off the inequalities and names the inequalities that bound it;
-`engine._row_steps` checks those claims with single-inequality tests and
-contains_point, never with the scan's own arithmetic, and turns them into
-step functions of the signed count.  On random polyhedra of ranks 1-3
+`engine._certified_rows` checks those claims with single-inequality and
+membership tests, never with the scan's own arithmetic, and hands on each
+nonempty interval with its term's sign.  On random polyhedra of ranks 1-3
 (empty, unbounded and lower-dimensional ones included) over random
 windows, the scan must agree with a brute-force contains_point filter and
 pass the check, and the check must refuse a row sequence with a point or a
@@ -29,7 +29,7 @@ from bquant import (
     load_description,
     quantize_b,
 )
-from bquant.engine import _row_steps, _runs
+from bquant.engine import _certified_rows
 
 BOUNDS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
 
@@ -59,16 +59,19 @@ def polyhedra_in_windows(draw):
 
 
 def steps_of(polyhedron, window, rows=None):
-    """_row_steps on `polyhedron` alone over `window`, with its row scan
-    replaced by the (head, certificate) pairs `rows` when given; None when
-    the check refuses."""
+    """The (sign, integer rows, head, first, final) intervals
+    _certified_rows yields on `polyhedron` alone over `window`, with its
+    row scan replaced by the (head, certificate) pairs `rows` when given;
+    None when the check refuses."""
     *outer, last = window
     formal = PolyhedralCharacter(polyhedron.rank, [(1, polyhedron)])
     with pytest.MonkeyPatch.context() as patch:
         if rows is not None:
             patch.setattr(LatticePolyhedron, "_rows", lambda *_: iter(rows))
         try:
-            return _row_steps(formal, outer, last.start, last.stop - 1)
+            return list(
+                _certified_rows(formal, outer, last.start, last.stop - 1)
+            )
         except SelfCheckError:
             return None
 
@@ -150,10 +153,9 @@ def test_scan_agrees_with_brute_force_and_passes_the_check(case):
     steps = steps_of(polyhedron, window)
     assert steps is not None
     assert {
-        head + (x,): value
-        for head, jumps in steps.items()
-        for a, b, value in _runs(jumps, low, high + 1)
-        for x in range(a, b)
+        head + (x,): sign
+        for sign, _, head, first, final in steps
+        for x in range(first, final + 1)
     } == dict.fromkeys(points, 1)
 
 
@@ -206,7 +208,7 @@ def test_check_refuses_indices_that_name_no_inequality(case):
             with pytest.raises(
                 SelfCheckError, match="disagrees with its inequalities"
             ):
-                _row_steps(formal, outer, low, high)
+                list(_certified_rows(formal, outer, low, high))
                 pytest.fail(f"accepted {label}")
 
 
