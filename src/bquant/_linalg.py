@@ -200,43 +200,26 @@ def rational_kernel_basis(rows, ncols):
     return basis
 
 
-def _xgcd(a, b):
-    """Return (g, s, t) with s*a + t*b = g = gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def lattice_kernel_basis(covector):
     """Z-basis of {u in Z^n : <covector, u> = 0}, in canonical row-HNF form.
 
-    Found by unimodular column operations carrying covector to (g, 0, ..., 0);
-    the transformed columns 2..n then form a complete lattice basis of the
-    kernel (not merely a rational one).
+    Let s be the primitive covector of the same kernel.  The Koszul
+    relations s_j e_i - s_i e_j (i < j) generate the lattice kernel, not
+    merely a rational one: pick c in Z^n with <c, s> = 1; then every kernel
+    vector a is sum over i < j of (a_i c_j - a_j c_i)(s_j e_i - s_i e_j).
+    Raises ValueError for the zero covector.
     """
-    n = len(covector)
-    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    work = list(covector)
-    for j in range(1, n):
-        if work[j] == 0:
-            continue
-        g, s, t = _xgcd(work[0], work[j])
-        a_over_g, b_over_g = work[0] // g, work[j] // g
-        col0, colj = cols[0], cols[j]
-        new0 = [s * x + t * y for x, y in zip(col0, colj)]
-        newj = [-b_over_g * x + a_over_g * y for x, y in zip(col0, colj)]
-        cols[0], cols[j] = new0, newj
-        work[0], work[j] = g, 0
-    kernel_rows = [tuple(cols[j]) for j in range(1, n)]
-    return hnf_rows(kernel_rows)
+    if not any(covector):
+        raise ValueError("lattice_kernel_basis needs a nonzero covector")
+    s = make_primitive(covector)
+    n = len(s)
+    relations = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            relation = [0] * n
+            relation[i], relation[j] = s[j], -s[i]
+            relations.append(relation)
+    return hnf_rows(relations)
 
 
 def hnf_rows(rows):

@@ -11,7 +11,7 @@ a finite `VirtualCharacter` is the quantization engine's job.
 
 from operator import neg
 
-from .errors import DimensionMismatchError, ParseError
+from .errors import DimensionMismatchError
 from .polyhedra import LatticePolyhedron
 
 __all__ = [
@@ -196,26 +196,6 @@ class VirtualCharacter:
             ],
         }
 
-    @classmethod
-    def from_payload(cls, data):
-        """Character of a `to_payload` object; ParseError naming the field
-        when the payload is malformed."""
-        if not isinstance(data, dict) or not {"rank", "multiplicities"} <= data.keys():
-            raise ParseError(
-                "character: needs an object with 'rank' and 'multiplicities'"
-            )
-        raw = data["multiplicities"]
-        if not isinstance(raw, list) or not all(
-            isinstance(entry, dict) and {"weight", "mult"} <= entry.keys()
-            for entry in raw
-        ):
-            raise ParseError("character.multiplicities: needs a list of "
-                             "objects with 'weight' and 'mult'")
-        try:
-            return cls(data["rank"], [(e["weight"], e["mult"]) for e in raw])
-        except (TypeError, ValueError) as exc:  # rank, weight or multiplicity
-            raise ParseError(f"character: {exc}") from None
-
 
 class PolyhedralCharacter:
     """Formal signed combination of polyhedron indicator functions.
@@ -231,7 +211,7 @@ class PolyhedralCharacter:
         _check_rank(rank)
         terms = tuple((sign, polyhedron) for sign, polyhedron in terms)
         for sign, polyhedron in terms:
-            if sign not in (1, -1):
+            if type(sign) is not int or sign not in (1, -1):
                 raise ValueError(f"term sign must be +1 or -1, got {sign!r}")
             if not isinstance(polyhedron, LatticePolyhedron):
                 raise TypeError("term must pair a sign with a LatticePolyhedron")

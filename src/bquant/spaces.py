@@ -93,7 +93,9 @@ class HypersurfaceRecord:
             raise DimensionMismatchError(
                 f"leaf rank {self.leaf.rank} != {n - 1} for a rank-{n} record"
             )
-        if len(self.adjacent) != 2:
+        if len(self.adjacent) != 2 or not all(
+            type(side) is int for side in self.adjacent
+        ):
             raise ValueError("adjacent must list exactly two component indices")
 
 
@@ -109,7 +111,7 @@ class BSpaceDescription:
         )
         object.__setattr__(self, "hypersurfaces", tuple(self.hypersurfaces))
         for sign, polyhedron in self.components:
-            if sign not in (1, -1):
+            if type(sign) is not int or sign not in (1, -1):
                 raise ValueError(f"component sign must be +1 or -1, got {sign!r}")
             if polyhedron.rank != self.rank:
                 raise DimensionMismatchError(
@@ -238,7 +240,7 @@ def parse_description(text):
                 raise ParseError(f"{where}: expected an object")
             _no_unknown_fields(item, ("sign", "polyhedron"), where)
             sign = item.get("sign")
-            if sign not in (1, -1):
+            if type(sign) is not int or sign not in (1, -1):
                 raise ParseError(f"{where}.sign: expected 1 or -1, got {sign!r}")
             if "polyhedron" not in item:
                 raise ParseError(f"{where}: needs 'polyhedron'")

@@ -24,6 +24,8 @@ SQUARE = str(corpus_path("c_square.json"))
 BTORUS = str(corpus_path("btorus.json"))
 BAD_SIGNS = str(corpus_path("neg_equal_signs.json"))
 BAD_VERTEX = str(corpus_path("neg_nonlattice_vertex.json"))
+BOX = str(corpus_path("c_box_m3_0_x_m1_0.json"))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -261,6 +263,33 @@ def test_reduce_takes_the_rank_0_weight_quantize_prints(run, tmp_path):
     assert out == "weight = ()\ncount = 1 (P0:+1)\n"
 
 
+def test_reduce_takes_a_weight_whose_first_coordinate_is_negative(run):
+    # argparse reads a token such as -2,-1 as an option of its own
+    expected = "weight = -2,-1\ncount = 1 (P0:+1)\n"
+    assert run("reduce", BOX, "--weight", "-2,-1", "--no-header") == (
+        0, expected, ""
+    )
+    assert run("reduce", BOX, "--weight=-2,-1", "--no-header") == (
+        0, expected, ""
+    )
+    assert run("reduce", BOX, "--no-header", "--weigh", "-4,0") == (
+        0, "weight = -4,0\ncount = 0 (P0:0)\n", ""
+    )
+    code, _, err = run("reduce", BOX, "--weight", "-1", "--no-header")
+    assert (code, err) == (2, "bquant: error: --weight: expected 2 "
+                              "coordinates, got 1\n")
+
+
+@pytest.mark.parametrize("rest", [[], ["--no-header"], ["-2,x"]])
+def test_reduce_without_a_weight_value_is_a_usage_error(capsys, rest):
+    with pytest.raises(SystemExit) as info:
+        main(["reduce", BOX, "--weight", *rest])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "bquant reduce: error: argument --weight: expected one argument\n"
+    )
+
+
 # ----------------------------------------------------------------------
 # verify-qr
 
@@ -357,6 +386,21 @@ def test_cancel_rejects_invalid_description(run):
 
 # ----------------------------------------------------------------------
 # shared behaviour
+
+
+@pytest.mark.parametrize("argv", [
+    ("check",), ("quantize", "--format", "json"),
+    ("cancel", "--hypersurface", "0", "--format", "json"),
+])
+def test_boolean_sign_is_a_parse_error(run, tmp_path, argv):
+    # True == 1 in Python, but a JSON truth value is not a sign
+    data = json.loads(Path(SPHERE).read_text())
+    data["components"][0]["sign"] = True
+    path = tmp_path / "sign.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(argv[0], str(path), *argv[1:]) == (
+        2, "", "bquant: error: components[0].sign: expected 1 or -1, got True\n"
+    )
 
 
 def test_missing_file_is_usage_error(run):
@@ -762,3 +806,40 @@ def test_console_script_installed(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("result: PASS\n")
     assert proc.stderr == ""
+
+
+# ----------------------------------------------------------------------
+# README
+
+
+def readme_transcripts():
+    """(argv, output lines) of each ``$ bquant ...`` example in README's
+    "Command line" section; an example ends at a blank line."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    transcripts = []
+    for block in section.split("```")[1::2]:
+        for example in block.strip("\n").split("\n\n"):
+            command, *lines = example.splitlines()
+            if command.startswith("$ bquant "):
+                transcripts.append((command.split()[2:], lines))
+    return transcripts
+
+
+def test_readme_transcripts_match_the_cli(run, monkeypatch):
+    # a line that elides its middle with "..." is compared at both ends
+    monkeypatch.chdir(ROOT)
+    transcripts = readme_transcripts()
+    assert len(transcripts) == 4
+    for argv, expected in transcripts:
+        code, out, err = run(*argv)
+        assert (code, err) == (0, ""), argv
+        lines = out.splitlines()
+        assert len(lines) == len(expected), argv
+        for line, shown in zip(lines, expected):
+            head, elided, tail = shown.partition("...")
+            if not elided:
+                assert line == shown, argv
+            else:
+                assert len(line) > len(head) + len(tail), argv
+                assert line.startswith(head) and line.endswith(tail), argv

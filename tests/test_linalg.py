@@ -186,6 +186,65 @@ def test_lattice_kernel_basis_is_canonical():
     assert la.lattice_kernel_basis((1,)) == []
 
 
+def test_lattice_kernel_basis_refuses_the_zero_covector():
+    for n in (1, 3):
+        with pytest.raises(ValueError):
+            la.lattice_kernel_basis((0,) * n)
+
+
+def xgcd(a, b):
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), g >= 0."""
+    old_r, r, old_s, s, old_t, t = a, b, 1, 0, 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def kernel_by_column_operations(covector):
+    """The lattice kernel by unimodular column operations carrying the
+    covector to (g, 0, ..., 0): the transformed columns 2..n are a lattice
+    basis of the kernel."""
+    n = len(covector)
+    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    work = list(covector)
+    for j in range(1, n):
+        if work[j] == 0:
+            continue
+        g, s, t = xgcd(work[0], work[j])
+        a_over_g, b_over_g = work[0] // g, work[j] // g
+        col0, colj = cols[0], cols[j]
+        cols[0] = [s * x + t * y for x, y in zip(col0, colj)]
+        cols[j] = [-b_over_g * x + a_over_g * y for x, y in zip(col0, colj)]
+        work[0], work[j] = g, 0
+    return la.hnf_rows([tuple(cols[j]) for j in range(1, n)])
+
+
+def test_lattice_kernel_basis_agrees_with_column_operations():
+    # row HNF is unique per lattice, so the two routes give the same rows
+    rng = random.Random(20)
+    seen = {"checked": 0, "non-primitive": 0, "with zeros": 0}
+    while seen["checked"] < 10_000:
+        n = rng.randint(1, 5)
+        scale = rng.choice((1, 1, 2, 3, 6))
+        covector = tuple(
+            scale * rng.choice((0, rng.randint(-9, 9), rng.randint(-60, 60)))
+            for _ in range(n)
+        )
+        if not any(covector):
+            continue
+        seen["checked"] += 1
+        seen["non-primitive"] += la.vector_gcd(covector) > 1
+        seen["with zeros"] += 0 in covector
+        assert la.lattice_kernel_basis(covector) == \
+            kernel_by_column_operations(covector), covector
+    assert min(seen.values()) > 1000
+
+
 def test_hnf_rows_canonical_under_row_operations():
     rng = random.Random(7)
     rows = [(2, 1, 0), (0, 3, 1)]

@@ -138,6 +138,18 @@ def test_structural_errors(mutate, fragment):
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize("sign", [True, False])
+def test_boolean_sign_is_refused(sign):
+    # True == 1 in Python, but a JSON truth value is not a sign
+    data = json.loads(json.dumps(SPHERE))
+    data["components"][0]["sign"] = sign
+    with pytest.raises(ParseError) as info:
+        parse(data)
+    assert str(info.value) == (
+        f"components[0].sign: expected 1 or -1, got {sign!r}"
+    )
+
+
 def test_top_level_must_be_object():
     with pytest.raises(ParseError):
         parse_description("[1, 2]")
@@ -162,10 +174,19 @@ def test_hypersurface_record_validation():
         HypersurfaceRecord((1,), (1,), leaf0, (0, 1, 2))
 
 
+@pytest.mark.parametrize("adjacent", [(False, True), (0, True), (0, 1.0)])
+def test_hypersurface_record_refuses_indices_that_are_not_ints(adjacent):
+    with pytest.raises(ValueError, match="two component indices"):
+        HypersurfaceRecord((1,), (1,), LatticePolyhedron(0, []), adjacent)
+
+
 def test_description_validation():
     poly = LatticePolyhedron(1, [((1,), 0)])
     with pytest.raises(ValueError):
         BSpaceDescription(1, ((2, poly),), ())
+    for sign in (True, False, 1.0):
+        with pytest.raises(ValueError, match="component sign"):
+            BSpaceDescription(1, ((sign, poly), (-1, poly)), ())
     with pytest.raises(DimensionMismatchError):
         CompactToricSpace(2, poly)
 
