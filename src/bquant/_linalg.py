@@ -3,16 +3,20 @@
 Everything here works over Python ints and fractions.Fraction; nothing is
 ever rounded.  The eliminations are fraction-free: row reduction, the
 determinant and Fourier-Motzkin work on integer rows and divide only where
-the quotient is exact, so a Fraction is built only for a rational answer
-(solve_unique's solution, fm_box's ranges).  Both Fourier-Motzkin entry
-points, fm_feasible and fm_box, take a polyhedron's stored rows ``(normal,
-p, q)`` for <normal, x> * q <= p as they are.  Scales are small (rank <= 3,
-handfuls of rows), so the algorithms favour clarity over asymptotics.
+the quotient is exact.  A Fraction is built only by exact, for a number
+handed in, and for solve_unique's solution, which the public vertex
+listing hands out; fm_box gives each finite end of a range as its reduced
+pair (p, q) for p/q.  Both
+Fourier-Motzkin entry points, fm_feasible and fm_box, take a polyhedron's
+stored rows ``(normal, p, q)`` for <normal, x> * q <= p as they are.
+Scales are small (rank <= 3, handfuls of rows), so the algorithms favour
+clarity over asymptotics.
 """
 
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 __all__ = [
     "vector_gcd",
@@ -32,10 +36,9 @@ __all__ = [
 
 
 def vector_gcd(vec):
-    g = 0
-    for entry in vec:
-        g = gcd(g, abs(entry))
-    return g
+    """The nonnegative gcd of the entries of an int vector; 0 for a zero or
+    empty one."""
+    return gcd(*vec)
 
 
 def make_primitive(vec):
@@ -85,7 +88,7 @@ def integer_scaled(vec):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _row_reduce(rows):
@@ -350,16 +353,18 @@ def fm_feasible(rows, nvars, strict=None):
 
 def fm_box(rows, nvars):
     """Exact range of each coordinate over {x : <normal, x> * q <= p}, one
-    ``(low, high)`` pair of Fractions per coordinate, with None for an
-    unbounded end; None when the set is empty.
+    ``(low, high)`` pair per coordinate, each finite end the reduced pair
+    ``(p, q)``, q > 0, of the rational p/q and None for an unbounded end;
+    None when the set is empty.
 
     ``rows`` are integer triples ``(normal, p, q)`` with coprime normal
     entries, q > 0 and p/q reduced.  The range of x_i is the projection of
     the set onto that axis: Fourier-Motzkin elimination (:func:`_eliminate`)
     of every other variable leaves at most the two rows x_i <= p/q and
     -x_i <= p/q, since normals stay primitive and only the tightest row per
-    direction is kept.  The projection is exact, so the set is empty iff an
-    elimination meets a contradiction or a range is empty.
+    direction is kept, and each bound stays a reduced pair.  The projection
+    is exact, so the set is empty iff an elimination meets a contradiction
+    or a range is empty.
     """
     system = {}
     for normal, p, q in rows:
@@ -372,15 +377,15 @@ def fm_box(rows, nvars):
                 projected = _eliminate(projected, other)
                 if projected is None:
                     return None
-        unit = tuple(int(i == var) for i in range(nvars))
-        upper = projected.get(unit)
-        lower = projected.get(tuple(-x for x in unit))
+        before, after = (0,) * var, (0,) * (nvars - 1 - var)
+        upper = projected.get(before + (1,) + after)
+        lower = projected.get(before + (-1,) + after)
         if upper is not None and lower is not None and (
             upper[0] * lower[1] < -lower[0] * upper[1]  # up < -lo
         ):
             return None
         box.append((
-            None if lower is None else Fraction(-lower[0], lower[1]),
-            None if upper is None else Fraction(upper[0], upper[1]),
+            None if lower is None else (-lower[0], lower[1]),
+            None if upper is None else upper[:2],
         ))
     return tuple(box)

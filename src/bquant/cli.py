@@ -255,13 +255,25 @@ def _cmd_cancel(args):
     ])
 
 
+def _thread_count(text):
+    """The ``--threads`` value: an int of at least 1.  argparse reports a
+    refusal with the subcommand's usage, as ``argument --threads: ...``."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return count
+
+
 @cache
 def _build_parser():
     """The argument grammar, from one row per command: name, help, handler
     and the command's own arguments, each an argument name and its
     add_argument keywords."""
     threads = ("--threads", dict(
-        type=int, default=1, metavar="N",
+        type=_thread_count, default=1, metavar="N",
         help="accepted for compatibility and ignored; must be at least 1",
     ))
     commands = (
@@ -321,12 +333,9 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(
+    args = _build_parser().parse_args(
         _glue_weight_values(sys.argv[1:] if argv is None else argv)
     )
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
     try:
         text, code = args.handler(args)
     except _SEMANTIC_ERRORS as exc:

@@ -15,18 +15,28 @@ Fourier-Motzkin feasibility.  Boundedness, the box a lattice-point scan
 runs over and, in rank 1, the vertices and the recession rays come from
 one exact bounding box per instance (`_box`): the range of each
 coordinate, read off the Fourier-Motzkin projection of the polyhedron onto
-that axis, so the polyhedron is bounded iff every range is.  The
-projection is exact, so it also decides emptiness: a box asked for before
-`is_empty` costs one elimination, not a feasibility test and then an
-elimination.  Vertices in rank >= 2 come from exhaustive facet-subset
-intersection, and recession rays from cone analysis over the lineality
-space; rays are listed only where they are asked for, never to decide
-boundedness.  Instances are immutable and safe to share across threads.
+that axis, each finite end a reduced integer pair (p, q) for p/q, so the
+polyhedron is bounded iff every range is.  The projection is exact, so it
+also decides emptiness: a box asked for before `is_empty` costs one
+elimination, not a feasibility test and then an elimination.  The box,
+emptiness and boundedness are cached together.
+
+Each instance also keeps one vertex table (`_vertex_table`): every vertex
+as an integer point over a positive integer scale, with the rows tight
+there, in the order `vertices` lists them.  The lattice-polytope test
+reads the scales, the Delzant test the tight rows, and the tail threshold
+the integer extent; `vertices` builds its Fractions from the table only
+when it is called.  The table's points come from the box in rank 1, are
+the one point () in rank 0 and come from exhaustive facet-subset
+intersection in rank >= 2.  Recession rays come from cone analysis over
+the lineality space; rays are listed only where they are asked for, never
+to decide boundedness.  Instances are immutable and safe to share across
+threads.
 """
 
 from fractions import Fraction
 from itertools import combinations, product as iter_product, repeat
-from math import ceil, floor, gcd, inf, prod
+from math import gcd, inf, prod
 from numbers import Number
 from operator import mul
 import re
@@ -51,11 +61,12 @@ _FRACTION_TOKEN = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _parse_exact_number(value, where):
-    """Accept an int or a 'p/q' string; reject anything inexact."""
+    """The reduced pair (p, q), q > 0, of an int or a 'p/q' string;
+    reject anything inexact."""
     if isinstance(value, bool):
         raise ParseError(f"{where}: expected an exact number, got a boolean")
     if isinstance(value, int):
-        return value
+        return value, 1
     if isinstance(value, str):
         if not _FRACTION_TOKEN.fullmatch(value):
             raise ParseError(
@@ -68,17 +79,28 @@ def _parse_exact_number(value, where):
             raise ParseError(f"{where}: {str(exc).split(';')[0]}") from None
         if denominator == 0:
             raise ParseError(f"{where}: zero denominator in {value!r}")
-        return Fraction(numerator, denominator)
+        common = gcd(numerator, denominator)
+        return numerator // common, denominator // common
     raise ParseError(
         f"{where}: expected an integer or 'p/q' string, got {type(value).__name__}"
     )
 
 
+def _reduced_row(normal, p, q):
+    """The row ``(normal, p, q)`` of <normal, x> * q <= p, for a nonzero
+    int tuple ``normal`` and a reduced p/q with q > 0, divided by the gcd g
+    of the normal's entries: a primitive normal and p/q / g, reduced."""
+    g = gcd(*normal)
+    if g > 1:
+        normal = tuple(entry // g for entry in normal)
+        common = gcd(p, g)
+        p, q = p // common, q * (g // common)
+    return normal, p, q
+
+
 def _integer_row(rank, normal, bound):
-    """The row ``(normal, p, q)`` of <normal, x> <= bound, for a nonzero
-    int ``normal`` of length ``rank`` and an exact ``bound``: the normal
-    divided by the gcd g of its entries, and p/q, with q > 0, the bound
-    divided by g, reduced."""
+    """The reduced row (`_reduced_row`) of <normal, x> <= bound, for a
+    nonzero int ``normal`` of length ``rank`` and an exact ``bound``."""
     normal = tuple(normal)
     if len(normal) != rank:
         raise DimensionMismatchError(
@@ -90,13 +112,7 @@ def _integer_row(rank, normal, bound):
     bound = _linalg.exact(bound)
     if not any(normal):
         raise ValueError("inequality normals must be nonzero")
-    p, q = bound.numerator, bound.denominator
-    g = gcd(*normal)
-    if g > 1:
-        normal = tuple(entry // g for entry in normal)
-        common = gcd(p, g)
-        p, q = p // common, q * (g // common)
-    return normal, p, q
+    return _reduced_row(normal, bound.numerator, bound.denominator)
 
 
 def _merge_row(merged, row):
@@ -214,19 +230,23 @@ class LatticePolyhedron:
 
     def _box(self):
         """The exact range of each coordinate over self, as one ``(low,
-        high)`` pair of Fractions per coordinate with None for an unbounded
-        end, or None when self is empty (`_linalg.fm_box`).  For a bounded
-        nonempty self the ranges are the extent of its vertices.
+        high)`` pair per coordinate, each finite end the reduced pair
+        ``(p, q)`` of p/q and None for an unbounded end, or None when self
+        is empty (`_linalg.fm_box`).  For a bounded nonempty self the
+        ranges are the extent of its vertices.
 
         `fm_box` returns None iff self is empty, so a box asked for first
-        also settles `is_empty` without a separate feasibility test."""
+        also settles `is_empty` without a separate feasibility test; the
+        box, emptiness and boundedness are cached together."""
         cache = self._cache
         if "box" not in cache:
-            if cache.get("empty"):
-                cache["box"] = None
-            else:
-                box = _linalg.fm_box(self.integer_inequalities, self.rank)
-                cache["box"], cache["empty"] = box, box is None
+            box = None if cache.get("empty") else _linalg.fm_box(
+                self.integer_inequalities, self.rank
+            )
+            cache["box"], cache["empty"] = box, box is None
+            cache["bounded"] = box is None or all(
+                None not in ends for ends in box
+            )
         return cache["box"]
 
     def implies(self, normal, bound):
@@ -250,31 +270,67 @@ class LatticePolyhedron:
     # vertices, rays, boundedness
 
     def vertices(self):
-        """All vertices, sorted; empty tuple iff the polyhedron contains a line."""
+        """All vertices, sorted, as tuples of Fractions built from the
+        vertex table; empty tuple iff the polyhedron contains a line."""
         cached = self._cache.get("vertices")
+        if cached is None:
+            cached = tuple(
+                tuple(Fraction(x, scale) for x in point)
+                for point, scale, _ in self._vertex_table()
+            )
+            self._cache["vertices"] = cached
+        return cached
+
+    def _vertex_table(self):
+        """The vertices in the order `vertices` lists them, each as
+        ``(point, scale, active)``: the vertex is the int tuple ``point``
+        over the least positive int ``scale`` that makes it integral, and
+        ``active`` lists the rows of `integer_inequalities` tight there.
+        Empty iff self contains a line; raises EmptyPolyhedronError when
+        self is empty.
+
+        Rank 0 has the one vertex (); in rank 1 the vertices are the finite
+        ends of the range (`_box`), already reduced pairs; in rank >= 2 every
+        `rank` rows are solved and the solutions in self kept."""
+        cached = self._cache.get("table")
         if cached is not None:
             return cached
         if self.is_empty():
             raise EmptyPolyhedronError("empty polyhedron has no vertices")
-        found = set()
-        if self.rank == 1:
-            # in a line, the vertices are the finite ends of the range
+        tests = self.integer_inequalities
+        if self.rank == 0:
+            corners = [((), 1)]
+        elif self.rank == 1:
+            # equal ends are equal pairs, so a point is listed once
             (ends,) = self._box()
-            found.update((end,) for end in ends if end is not None)
+            corners = [
+                ((end[0],), end[1])
+                for end in dict.fromkeys(ends) if end is not None
+            ]
         else:
             # the rows (q * normal | p) of the bounds p/q
-            tests = self.integer_inequalities
             rows = [tuple(q * n for n in normal) for normal, _, q in tests]
             sides = [p for _, p, _ in tests]
+            found = set()
             for subset in combinations(range(len(rows)), self.rank):
                 point = _linalg.solve_unique(
                     [rows[i] for i in subset], [sides[i] for i in subset]
                 )
                 if point is not None and self.contains_point(point):
                     found.add(point)
-        result = tuple(sorted(found))
-        self._cache["vertices"] = result
-        return result
+            corners = [
+                (tuple(point), scale)
+                for point, scale in map(_linalg.integer_scaled, sorted(found))
+            ]
+        table = tuple(
+            (point, scale, tuple(
+                row for row in tests
+                if sum(map(mul, row[0], point)) * row[2] == row[1] * scale
+            ))
+            for point, scale in corners
+        )
+        self._cache["table"] = table
+        return table
 
     def recession_rays(self):
         """Primitive generators of the recession cone, sorted.
@@ -322,10 +378,11 @@ class LatticePolyhedron:
         return result
 
     def is_bounded(self):
-        box = self._box()
-        return box is None or all(
-            low is not None and high is not None for low, high in box
-        )
+        bounded = self._cache.get("bounded")
+        if bounded is None:
+            self._box()
+            bounded = self._cache["bounded"]
+        return bounded
 
     # ------------------------------------------------------------------
     # lattice points
@@ -360,7 +417,10 @@ class LatticePolyhedron:
         """One range per coordinate, from the least to the greatest integer
         in its exact range (`_box`), which for a bounded nonempty self is
         the vertices' extent; it holds every lattice point of self."""
-        return [range(ceil(low), floor(high) + 1) for low, high in self._box()]
+        return [
+            range(-(-low[0] // low[1]), high[0] // high[1] + 1)
+            for low, high in self._box()
+        ]
 
     def _scan(self, outer, low, high):
         """Points of self whose leading coordinates run over the ranges
@@ -439,11 +499,7 @@ class LatticePolyhedron:
                 "lattice-polytope test requires a bounded polyhedron",
                 ray=self.recession_rays()[0],
             )
-        return all(
-            coordinate.denominator == 1
-            for vertex in self.vertices()
-            for coordinate in vertex
-        )
+        return all(scale == 1 for _, scale, _ in self._vertex_table())
 
     # ------------------------------------------------------------------
     # smoothness
@@ -475,25 +531,19 @@ class LatticePolyhedron:
         +-1).  A bounded polyhedron whose vertex set is a single point *is*
         that point; it counts as smooth (the moment image of a fixed point
         with trivial action), which keeps degenerate point factors
-        quantizable.
+        quantizable.  The inequalities tight at each vertex are read off
+        the vertex table.
         """
         if self.is_empty():
             raise EmptyPolyhedronError("empty polyhedron cannot be tested")
-        corners = self.vertices()
-        if not corners:
+        table = self._vertex_table()
+        if not table:
             raise NoVerticesError(
                 "polyhedron contains a line, so the vertex test is undefined"
             )
-        if len(corners) == 1 and self.is_bounded():
+        if len(table) == 1 and self.is_bounded():
             return None
-        tests = self.integer_inequalities
-        actives = []
-        for vertex in corners:
-            point, scale = _linalg.integer_scaled(vertex)
-            actives.append([
-                normal for normal, p, q in tests
-                if sum(map(mul, normal, point)) * q == p * scale
-            ])
+        actives = [[row[0] for row in active] for _, _, active in table]
         # A vertex on exactly `rank` inequalities has independent normals,
         # and near it self is the cone they cut out, so each of them defines
         # a facet and `irredundant_inequalities` keeps it.  Only when some
@@ -504,13 +554,15 @@ class LatticePolyhedron:
                 [normal for normal in active if normal in facets]
                 for active in actives
             ]
-        for vertex, active in zip(corners, actives):
+        for index, active in enumerate(actives):
             if len(active) != self.rank:
-                return vertex, f"vertex lies on {len(active)} facets, expected {self.rank}"
+                return self.vertices()[index], \
+                    f"vertex lies on {len(active)} facets, expected {self.rank}"
             det = _linalg.determinant(active)
             if abs(det) != 1:
-                return vertex, (f"vertex cone has determinant "
-                                f"{_linalg.exact_text(det)}, expected +-1")
+                return self.vertices()[index], (
+                    f"vertex cone has determinant "
+                    f"{_linalg.exact_text(det)}, expected +-1")
         return None
 
     # ------------------------------------------------------------------
@@ -522,15 +574,20 @@ class LatticePolyhedron:
             raise DimensionMismatchError(
                 f"shift of length {len(shift)} applied to rank {self.rank}"
             )
-        # with shift = s / scale for an int vector s, the bound p/q moves
-        # to (p * scale + q * <normal, s>) / (q * scale)
-        shift, scale = _linalg.integer_scaled(shift)
+        return LatticePolyhedron._from_rows(
+            self.rank, self._shifted_rows(*_linalg.integer_scaled(shift))
+        )
+
+    def _shifted_rows(self, shift, scale):
+        """The rows of self moved by the int vector ``shift`` over the
+        positive int ``scale``, in the same order: the bound p/q moves to
+        (p * scale + q * <normal, shift>) / (q * scale), reduced."""
         rows = []
         for normal, p, q in self.integer_inequalities:
             p, q = p * scale + q * sum(map(mul, normal, shift)), q * scale
             common = gcd(p, q)
             rows.append((normal, p // common, q // common))
-        return LatticePolyhedron._from_rows(self.rank, rows)
+        return tuple(rows)
 
     def product(self, other):
         left = [
@@ -544,8 +601,26 @@ class LatticePolyhedron:
         return LatticePolyhedron._from_rows(self.rank + other.rank, left + right)
 
     def with_inequality(self, normal, bound):
-        merged = {row[0]: row for row in self.integer_inequalities}
-        _merge_row(merged, _integer_row(self.rank, normal, bound))
+        return self._with_row(_integer_row(self.rank, normal, bound))
+
+    def _cut(self, normal, bound):
+        """self & {<normal, x> <= bound} for an int tuple ``normal`` and an
+        int ``bound``, which the caller vouches for: only the length and a
+        zero normal are refused, as `with_inequality` refuses them."""
+        if len(normal) != self.rank:
+            raise DimensionMismatchError(
+                f"normal {normal} has length {len(normal)}, expected rank {self.rank}"
+            )
+        row = _reduced_row(normal, bound, 1)
+        if not any(row[0]):
+            raise ValueError("inequality normals must be nonzero")
+        return self._with_row(row)
+
+    def _with_row(self, row):
+        """self & the reduced ``row``, kept only if tighter than self's row
+        of the same normal."""
+        merged = {held[0]: held for held in self.integer_inequalities}
+        _merge_row(merged, row)
         return LatticePolyhedron._from_rows(self.rank, merged.values())
 
     def reflect_through_origin(self):
@@ -583,7 +658,7 @@ class LatticePolyhedron:
         raw = data["inequalities"]
         if not isinstance(raw, list):
             raise ParseError(f"{where}.inequalities: expected a list")
-        inequalities = []
+        merged = {}
         for index, item in enumerate(raw):
             spot = f"{where}.inequalities[{index}]"
             if not isinstance(item, dict):
@@ -598,15 +673,15 @@ class LatticePolyhedron:
                     or not all(isinstance(x, int) and not isinstance(x, bool)
                                for x in normal)):
                 raise ParseError(f"{spot}.normal: expected a list of integers")
-            bound = _parse_exact_number(item["bound"], f"{spot}.bound")
+            p, q = _parse_exact_number(item["bound"], f"{spot}.bound")
             if len(normal) != rank:
                 raise ParseError(
                     f"{spot}.normal: length {len(normal)} does not match rank {rank}"
                 )
             if not any(normal):
                 raise ParseError(f"{spot}.normal: must be nonzero")
-            inequalities.append((normal, bound))
-        return cls(rank, inequalities)
+            _merge_row(merged, _reduced_row(tuple(normal), p, q))
+        return cls._from_rows(rank, merged.values())
 
 
 def _inequality_text(normal, p, q):

@@ -24,8 +24,7 @@ from functools import lru_cache
 from . import _linalg
 from .checks import (
     CheckReport,
-    check_delzant,
-    check_gamma_integrality,
+    _polytope_rows,
     check_modular_dichotomy,
     check_mu_integrality,
     check_properness,
@@ -33,9 +32,7 @@ from .checks import (
 from .errors import (
     DescriptionKindError,
     DimensionMismatchError,
-    EmptyPolyhedronError,
     HypersurfaceIndexError,
-    NoVerticesError,
     NotValidatedError,
     ParseError,
 )
@@ -333,22 +330,23 @@ def leaf_embedding_basis(splitting):
 def tail_threshold(description, index):
     """Integer cut level for the tails of hypersurface `index`: strictly
     beyond the extent of every adjacent component's vertices along the
-    splitting coordinate."""
+    splitting coordinate, read in integers off each vertex table."""
     record = description.hypersurfaces[index]
     extent = 0  # the floor of the largest |<splitting, vertex>| so far
     for side in record.adjacent:
         _, polyhedron = description.components[side]
         if polyhedron.is_empty():
             continue
-        for vertex in polyhedron.vertices():
-            ints, scale = _linalg.integer_scaled(vertex)
-            extent = max(extent, abs(_linalg.dot(record.splitting, ints)) // scale)
+        for point, scale, _ in polyhedron._vertex_table():
+            extent = max(extent, abs(_linalg.dot(record.splitting, point)) // scale)
     return extent + 1
 
 
 def tail_cut(polyhedron, splitting, threshold):
-    """The tail {x in polyhedron : <splitting, x> <= -threshold}."""
-    return polyhedron.with_inequality(tuple(splitting), -threshold)
+    """The tail {x in polyhedron : <splitting, x> <= -threshold}, for a
+    nonzero integer splitting covector of the polyhedron's rank and an
+    integer threshold."""
+    return polyhedron._cut(tuple(splitting), -threshold)
 
 
 def cross_section(polyhedron, modular_weight, splitting, basis, level):
@@ -436,6 +434,10 @@ def _product_tail(polyhedron, record, threshold, basis, leaf_anchor):
     threshold (emptiness, the shifted versus the deeper tail, the slice at
     the threshold, its boundedness and least vertex), and a component with
     a nonempty tail is nonempty: a tail set-equal to a passing one passes.
+    ``leaf_anchor`` is the leaf's least vertex as (point, scale) from its
+    vertex table.  The slice is a translate of the leaf iff it equals the
+    leaf moved by the difference of the least vertices; when the rows of
+    the two differ, `set_equals` decides.
 
     Write P for the component, v for the modular weight, s for the
     splitting (<v, s> = 1), t for the threshold, T for the tail P &
@@ -491,9 +493,15 @@ def _product_tail(polyhedron, record, threshold, basis, leaf_anchor):
     section = cross_section(polyhedron, weight, splitting, basis, -threshold)
     if not section.is_bounded():
         return "tail cross-section is unbounded"
-    anchor = min(section.vertices())
-    offset = tuple(a - b for a, b in zip(anchor, leaf_anchor))
-    if not section.set_equals(record.leaf.translate(offset)):
+    # the leaf moved by offset = anchor - leaf anchor, the least vertices,
+    # as (anchor * leaf scale - leaf anchor * scale) / (scale * leaf scale)
+    anchor, scale, _ = section._vertex_table()[0]
+    leaf_point, leaf_scale = leaf_anchor
+    offset = tuple(a * leaf_scale - b * scale for a, b in zip(anchor, leaf_point))
+    moved = record.leaf._shifted_rows(offset, scale * leaf_scale)
+    if moved != section.integer_inequalities and not section.set_equals(
+        LatticePolyhedron._from_rows(section.rank, moved)
+    ):
         return "tail cross-section is not a translate of the leaf polytope"
     return tail
 
@@ -512,12 +520,9 @@ def _check_tail_product(description):
         if _record_is_degenerate(record):
             continue
         leaf = record.leaf
-        try:
-            leaf_anchor = min(leaf.vertices()) if leaf.is_bounded() else None
-        except (EmptyPolyhedronError, NoVerticesError):
-            leaf_anchor = None
-        if leaf_anchor is None:
+        if not leaf.is_bounded() or leaf.is_empty():
             continue  # a broken leaf polytope is the integrality row's business
+        leaf_anchor = leaf._vertex_table()[0][:2]  # the least vertex
         splitting = record.splitting
         threshold = tail_threshold(description, index)
         frame = (record, threshold, leaf_embedding_basis(splitting), leaf_anchor)
@@ -555,28 +560,28 @@ def _check_compactness(space):
     return CheckReport(name, True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def validate_description(description):
     """Run every geometric check; the description is immutable, so the
-    report is cached per value.  A passing b_toric report also carries the
-    tail ends its tail-product row certified."""
+    report is cached per value, for the 64 descriptions validated last.  A
+    passing b_toric report also carries the tail ends its tail-product row
+    certified.  The gamma-integrality and delzant rows come from one walk
+    over the polytopes (`checks._polytope_rows`)."""
     if isinstance(description, CompactToricSpace):
-        reports = (
-            _check_compactness(description),
-            check_gamma_integrality(description),
-            check_delzant(description),
-        )
-        return ValidationReport(checks=reports)
+        return ValidationReport(checks=(
+            _check_compactness(description), *_polytope_rows(description)
+        ))
     if isinstance(description, BSpaceDescription):
+        gamma, delzant = _polytope_rows(description)
         leading = (
             check_modular_dichotomy(description),
-            check_gamma_integrality(description),
+            gamma,
             check_mu_integrality(description),
             check_properness(description),
             _check_orientation(description),
         )
         tail_product, tails = _check_tail_product(description)
-        reports = leading + (tail_product, check_delzant(description))
+        reports = leading + (tail_product, delzant)
         passed = all(check.passed for check in reports)
         return ValidationReport(checks=reports, tails=tails if passed else ())
     raise TypeError(

@@ -190,9 +190,30 @@ def test_quantize_rejects_invalid_description(run):
 
 
 def test_quantize_threads_validation(run, capsys):
+    # a thread count under 1 is refused like any other bad argument: with
+    # the subcommand's usage, naming the argument
+    for argv in (("quantize", SEGMENT), ("verify-qr", SEGMENT, PARTNER)):
+        for value in ("0", "-3"):
+            with pytest.raises(SystemExit) as info:
+                main([*argv, "--threads", value])
+            assert info.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"usage: bquant {argv[0]} ")
+            assert err.endswith(
+                f"bquant {argv[0]}: error: argument --threads: must be at "
+                "least 1\n"
+            )
+
+
+def test_threads_that_is_not_an_int_keeps_its_message(run, capsys):
     with pytest.raises(SystemExit) as info:
-        main(["quantize", SEGMENT, "--threads", "0"])
+        main(["quantize", SEGMENT, "--threads", "two"])
     assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "bquant quantize: error: argument --threads: invalid int value: "
+        "'two'\n"
+    )
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])

@@ -8,6 +8,7 @@ import random
 import threading
 import time
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -1188,13 +1189,14 @@ def test_self_check_messages_write_derived_weights_in_full(monkeypatch):
 def test_one_cold_sphere_has_a_fixed_cost(monkeypatch):
     # a timing-free guard on the per-description work of acceptance
     # criterion 1: one rank-1 sphere, validated from a cold cache and
-    # quantized, builds at most 9 polyhedra and makes at most 3
-    # feasibility tests, 6 box projections and no kernel computation
-    limits = {
-        "polyhedra": 9, "fm_feasible": 3, "fm_box": 6,
-        "rational_kernel_basis": 0,
+    # quantized, builds 8 polyhedra and makes 1 feasibility test (the rank-0
+    # leaf's), 6 box projections, no kernel computation and no Fraction:
+    # box ends and vertices stay integer pairs and tables
+    expected = {
+        "polyhedra": 8, "fm_feasible": 1, "fm_box": 6,
+        "rational_kernel_basis": 0, "Fraction": 0,
     }
-    counts = dict.fromkeys(limits, 0)
+    counts = dict.fromkeys(expected, 0)
     for name in ("fm_feasible", "fm_box", "rational_kernel_basis"):
         real = getattr(_linalg, name)
 
@@ -1210,7 +1212,34 @@ def test_one_cold_sphere_has_a_fixed_cost(monkeypatch):
         return assign(self, *args)
 
     monkeypatch.setattr(LatticePolyhedron, "_assign", counted_assign)
+    build = Fraction.__new__
+
+    def counted_fraction(cls, *args, **kwargs):
+        counts["Fraction"] += 1
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_fraction)
     validate_description.cache_clear()
     character = quantize_b(parse(make_corpus.sphere(7, -3)))
     assert character.support() == [(k,) for k in range(-2, 8)]
-    assert all(counts[name] <= limits[name] for name in limits), counts
+    assert counts == expected
+
+
+def test_validation_memo_is_bounded():
+    # validate_description keeps the reports of the last maxsize
+    # descriptions only, and a description validated twice inside one
+    # verify_qr_product hits the memo the second time
+    validate_description.cache_clear()
+    size = validate_description.cache_info().maxsize
+    assert size is not None
+    for a in range(size + 50):
+        assert validate_description(parse(make_corpus.sphere(a + 1, a))).passed
+    info = validate_description.cache_info()
+    assert info.currsize <= size
+    assert info.misses == size + 50
+    validate_description.cache_clear()
+    description = parse(make_corpus.sphere(3, -2))
+    partner = parse(make_corpus.compact(1, make_corpus.segment(-2, 0)))
+    assert verify_qr_product(description, partner).matches
+    info = validate_description.cache_info()
+    assert info.misses == 2 and info.hits >= 2

@@ -4,8 +4,9 @@ class, method and module-level constant or alias elsewhere, has a user in
 the package; every public one has a user too or is one of the library's
 listed entry points; a name two definitions share is used only through a
 reference that names its own definition, or when a commented list gives
-its caller; every name a module exports exists; and the engine reads a
-polyhedron's row scan only where it certifies the rows."""
+its caller; every name a module exports exists; the engine reads a
+polyhedron's row scan only where it certifies the rows; and a Fraction is
+built only by the listed functions at the public edge."""
 
 import ast
 import importlib
@@ -197,7 +198,18 @@ CHARACTER_ALGEBRA = {  # with the product of moment images, whose
 PATCHED_BY_NAME = {  # perfbench/spans.py wraps these by attribute name
     "VirtualCharacter.tensor", "LatticePolyhedron.lattice_points",
 }
-ENTRY_POINTS = README_LIBRARY | CHARACTER_ALGEBRA | PATCHED_BY_NAME
+POLYHEDRON_CONSTRUCTIONS = {  # README's translates and the public one-row
+    # cut; the package moves rows with _shifted_rows and cuts with _cut
+    "LatticePolyhedron.translate", "LatticePolyhedron.with_inequality",
+}
+CHECK_ROWS = {  # README's bquant.checks rows, each run on its own;
+    # validation runs these two in one walk (checks._polytope_rows)
+    "check_gamma_integrality", "check_delzant",
+}
+ENTRY_POINTS = (
+    README_LIBRARY | CHARACTER_ALGEBRA | PATCHED_BY_NAME
+    | POLYHEDRON_CONSTRUCTIONS | CHECK_ROWS
+)
 
 # Methods whose name another definition shares and whose callers reach them
 # through an instance the scan cannot type; each with a caller.
@@ -363,6 +375,73 @@ def test_bounds_have_one_stored_form():
                 node.attr for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute)
             }, path.name
+
+
+def fraction_builders(source):
+    """(function, line) for each call that builds a Fraction in `source`,
+    ``Fraction(...)`` or ``Fraction.<name>(...)``, named by its innermost
+    enclosing function (``Class.method`` for a method)."""
+    tree = ast.parse(source)
+    enclosing = {}
+    for top in tree.body:
+        members = top.body if isinstance(top, ast.ClassDef) else [top]
+        for node in members:
+            if isinstance(node, ast.FunctionDef):
+                name = node.name if node is top else f"{top.name}.{node.name}"
+                for child in ast.walk(node):
+                    enclosing[id(child)] = name
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            func = func.value
+        if isinstance(func, ast.Name) and func.id == "Fraction":
+            found.append((enclosing.get(id(node), "<module>"), node.lineno))
+    return sorted(found)
+
+
+def test_scan_finds_a_fraction_builder():
+    source = (
+        "from fractions import Fraction\n"
+        "def half():\n    return Fraction(1, 2)\n"
+        "class Box:\n"
+        "    def side(self):\n        return Fraction.from_float(0.5)\n"
+        "    def kind(self, x):\n        return isinstance(x, Fraction)\n"
+        "ONE = Fraction(1)\n"
+    )
+    assert fraction_builders(source) == [
+        ("<module>", 9), ("Box.side", 6), ("half", 3)
+    ]
+
+
+# The only functions that build a Fraction: where the public API hands a
+# rational number out (a vertex, a bound of the inequalities view, a
+# solution, the text of a bound) or takes an exact number in.  The kernels
+# keep integer rows, box ends and vertex tables.
+FRACTION_BUILDERS = {
+    "_linalg.py": {
+        "exact",  # any other exact number handed in
+        "solve_unique",  # its rational solution; the rank >= 2 vertices
+    },
+    "polyhedra.py": {
+        "_as_pairs",  # the inequalities view and irredundant_inequalities
+        "LatticePolyhedron.vertices",  # built from the vertex table
+        "LatticePolyhedron.to_payload",  # the text of each bound
+        "_inequality_text",  # str(polyhedron)
+    },
+}
+
+
+def test_fractions_are_built_only_at_the_public_edge():
+    builders = {
+        path.name: {name for name, _ in fraction_builders(path.read_text())}
+        for path in sorted(Path(bquant.__file__).parent.glob("*.py"))
+    }
+    assert {
+        module: names for module, names in builders.items() if names
+    } == FRACTION_BUILDERS
 
 
 def raw_row_reads(source, reader="_certified_rows"):

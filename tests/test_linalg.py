@@ -304,16 +304,19 @@ def test_fm_feasible_2d_wedge():
 
 
 def test_fm_box():
+    # each finite end is the reduced pair (p, q), q > 0, of p/q
     # the triangle x, y >= 0, x + y <= 2: each coordinate ranges over [0, 2]
     rows = [((-1, 0), 0, 1), ((0, -1), 0, 1), ((1, 1), 2, 1)]
-    assert la.fm_box(rows, 2) == ((0, 2), (0, 2))
+    assert la.fm_box(rows, 2) == (((0, 1), (2, 1)), ((0, 1), (2, 1)))
     # the wedge without its cap is unbounded above on both axes
-    assert la.fm_box(rows[:2], 2) == ((0, None), (0, None))
+    assert la.fm_box(rows[:2], 2) == (((0, 1), None), ((0, 1), None))
     # 2x <= 1 and y <= 5/3 with y >= x: ranges (-oo, 1/2] and (-oo, 5/3]
     rows = [((1, 0), 1, 2), ((0, 1), 5, 3), ((1, -1), 0, 1)]
-    assert la.fm_box(rows, 2) == (
-        (None, Fraction(1, 2)), (None, Fraction(5, 3)),
-    )
+    assert la.fm_box(rows, 2) == ((None, (1, 2)), (None, (5, 3)))
+    # -3x <= 2 and x <= 7/3, with y between them: ranges [-2/3, 7/3] and
+    # [-2/3, 7/3], the lower end negated from its row and still reduced
+    rows = [((-1, 0), 2, 3), ((1, 0), 7, 3), ((1, -1), 0, 1), ((-1, 1), 0, 1)]
+    assert la.fm_box(rows, 2) == (((-2, 3), (7, 3)), ((-2, 3), (7, 3)))
     # x + y <= 0 and x + y >= 1: empty, found while eliminating
     assert la.fm_box([((1, 1), 0, 1), ((-1, -1), -1, 1)], 2) is None
     # x <= 0 and x >= 1/2: empty, found when the range is read

@@ -6,7 +6,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 from operator import add, mul
 
 import pytest
@@ -688,32 +688,42 @@ def test_box_and_integer_kernels_match_their_oracles(monkeypatch):
         if empty:
             seen["empty"] += 1
             assert polyhedron.is_bounded()
+            with pytest.raises(EmptyPolyhedronError):
+                polyhedron._vertex_table()
             assert tested is None or polyhedron.implies(*tested)
             continue
         rays = polyhedron.recession_rays()
         assert polyhedron.is_bounded() == (not rays)
         corners = polyhedron.vertices()
         assert corners == vertices_by_fractions(polyhedron)
+        check_vertex_table(polyhedron, corners)
         assert len(box) == rank
+        ranges = []  # the box with each end as a Fraction
         for axis, ends in enumerate(box):
             for sign, end in zip((-1, 1), ends):
                 # the end is None iff a generator of the recession cone
                 # moves the coordinate that way
                 assert (end is None) == any(sign * r[axis] > 0 for r in rays)
                 if end is not None:
-                    # sign * x_axis <= sign * end holds and is attained
+                    # an end is the reduced pair (p, q) of p/q, q > 0
+                    p, q = end
+                    assert type(p) is type(q) is int
+                    assert q > 0 and gcd(p, q) == 1
+                    # sign * x_axis <= sign * p/q holds and is attained
                     unit = tuple(sign * (i == axis) for i in range(rank))
-                    assert polyhedron.implies(unit, sign * end)
+                    assert polyhedron.implies(unit, sign * Fraction(p, q))
                     attained = polyhedron.integer_inequalities + ((
-                        tuple(-x for x in unit), -sign * end.numerator,
-                        end.denominator,
+                        tuple(-x for x in unit), -sign * p, q,
                     ),)
                     assert _linalg.fm_feasible(attained, rank)
+            ranges.append(tuple(
+                None if end is None else Fraction(*end) for end in ends
+            ))
         if rays:
             seen["unbounded"] += 1
         else:
             seen["bounded"] += 1
-            assert list(box) == [(min(v), max(v)) for v in zip(*corners)]
+            assert ranges == [(min(v), max(v)) for v in zip(*corners)]
         if corners and tested:
             # a pointed polyhedron is the hull of its vertices plus the
             # cone its rays generate
@@ -741,6 +751,25 @@ def test_box_and_integer_kernels_match_their_oracles(monkeypatch):
     }, seen
     assert min(seen.values()) >= 50, seen
     assert len(checked) == 6 and min(checked.values()) >= 500, checked
+
+
+def check_vertex_table(polyhedron, corners):
+    """Each entry (point, scale, active) of the vertex table against the
+    vertex `corners` lists at its place: point / scale is that vertex, scale
+    the least common denominator of its coordinates, and active the rows
+    whose Fraction inequality holds with equality there."""
+    table = polyhedron._vertex_table()
+    assert len(table) == len(corners)
+    for (point, scale, active), vertex in zip(table, corners):
+        assert all(type(x) is int for x in point)
+        assert tuple(Fraction(x, scale) for x in point) == vertex
+        assert scale == lcm(1, *(x.denominator for x in vertex))
+        tight = [
+            (normal, bound)
+            for normal, bound in polyhedron.inequalities
+            if sum(n * x for n, x in zip(normal, vertex)) == bound
+        ]
+        assert [(normal, Fraction(p, q)) for normal, p, q in active] == tight
 
 
 def rays_by_cones(polyhedron):

@@ -219,6 +219,16 @@ def test_tail_cut():
     poly = LatticePolyhedron(1, [((1,), 2)])
     tail = tail_cut(poly, (1,), 3)
     assert tail.set_equals(LatticePolyhedron(1, [((1,), -3)]))
+    # the cut divides out the gcd of the splitting, and refuses a zero or
+    # wrong-length covector as with_inequality does
+    band = LatticePolyhedron(2, [((0, 1), 1), ((0, -1), 0)])
+    assert tail_cut(band, (2, 4), 3) == band.with_inequality((2, 4), -3)
+    for splitting, error in (((0,), ValueError),
+                             ((1, 0), DimensionMismatchError)):
+        with pytest.raises(error):
+            tail_cut(poly, splitting, 3)
+        with pytest.raises(error):
+            poly.with_inequality(splitting, -3)
 
 
 def test_cross_section_recovers_leaf_translate():
