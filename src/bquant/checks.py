@@ -90,30 +90,19 @@ def _is_b_description(description):
     return hasattr(description, "hypersurfaces")
 
 
-def _polytopes(description):
-    """(label, polyhedron, component) for each polyhedron a per-polytope
-    row tests, in report order: the moment polytope of a compact
-    description, else each hypersurface's leaf and then each component;
-    ``component`` is true for the components."""
+def _polytopes(description, skip):
+    """(label, polyhedron) for each polyhedron a per-polytope row tests, in
+    report order: the moment polytope of a compact description, else each
+    hypersurface's leaf and then each component for which ``skip`` is
+    false."""
     if not _is_b_description(description):
-        yield "polytope", description.polytope, False
+        yield "polytope", description.polytope
         return
     for index, record in enumerate(description.hypersurfaces):
-        yield f"hypersurface[{index}].leaf", record.leaf, False
+        yield f"hypersurface[{index}].leaf", record.leaf
     for index, (_, polyhedron) in enumerate(description.components):
-        yield f"component[{index}]", polyhedron, True
-
-
-def _polytope_rows(description, names=("gamma-integrality", "delzant")):
-    """The reports of the per-polytope rows ``names``, in that order, from
-    one walk over the polytopes; each row reports its first failure in
-    walk order, and a row that has failed tests no further polytope."""
-    found = dict.fromkeys(names)
-    for label, polyhedron, component in _polytopes(description):
-        for name in names:
-            if found[name] is None:
-                found[name] = _VERDICTS[name](polyhedron, label, component)
-    return tuple(found[name] or CheckReport(name, True) for name in names)
+        if not skip(polyhedron):
+            yield f"component[{index}]", polyhedron
 
 
 def check_modular_dichotomy(description):
@@ -157,14 +146,9 @@ def check_modular_dichotomy(description):
     )
 
 
-def _lattice_verdict(polyhedron, label, component):
-    """None when the polytope is compact with integer vertices, or is an
-    empty or unbounded component (other rows' business); else a failing
-    report.  A component's box is asked for before its emptiness, so one
-    projection settles both."""
+def _lattice_verdict(polyhedron, label):
+    """None when the polytope is compact with integer vertices, else a failing report."""
     name = "gamma-integrality"
-    if component and (not polyhedron.is_bounded() or polyhedron.is_empty()):
-        return None
     try:
         if polyhedron.is_lattice_polytope():
             return None
@@ -193,12 +177,17 @@ def _lattice_verdict(polyhedron, label, component):
 def check_gamma_integrality(description):
     """Every compact polytope in the description must be a lattice polytope;
     empty and unbounded components are other checks' business."""
-    return _polytope_rows(description, ("gamma-integrality",))[0]
+    verdicts = (
+        _lattice_verdict(polyhedron, label)
+        for label, polyhedron in _polytopes(
+            # the box settles emptiness too, so it is asked for first
+            description, lambda p: not p.is_bounded() or p.is_empty()
+        )
+    )
+    return next(filter(None, verdicts), CheckReport("gamma-integrality", True))
 
 
-def _delzant_verdict(polyhedron, label, component):
-    """None when every vertex of the polytope is smooth, or when it is
-    empty or holds a line, component or not; else a failing report."""
+def _delzant_verdict(polyhedron, label):
     try:
         failure = polyhedron.delzant_failure()
     except (EmptyPolyhedronError, NoVerticesError):
@@ -209,13 +198,14 @@ def _delzant_verdict(polyhedron, label, component):
     return CheckReport("delzant", False, witness=(label, vertex), message=reason)
 
 
-_VERDICTS = {"gamma-integrality": _lattice_verdict, "delzant": _delzant_verdict}
-
-
 def check_delzant(description):
     """Every vertex of every polytope in the description must be smooth;
     empty components are skipped."""
-    return _polytope_rows(description, ("delzant",))[0]
+    verdicts = (
+        _delzant_verdict(polyhedron, label)
+        for label, polyhedron in _polytopes(description, lambda p: p.is_empty())
+    )
+    return next(filter(None, verdicts), CheckReport("delzant", True))
 
 
 def check_mu_integrality(description):

@@ -198,7 +198,7 @@ def collapse_signed_tails(description, self_check=True):
         core = polyhedron
         for end in ends:
             # keep <cut_normal, x> >= -threshold + 1; exact on lattice points
-            core = core._cut(
+            core = core.with_inequality(
                 tuple(-x for x in end.cut_normal), end.threshold - 1
             )
         if not core.is_bounded():
@@ -215,7 +215,9 @@ def collapse_signed_tails(description, self_check=True):
             for subset in combinations(ends, size):
                 overlap = polyhedron
                 for end in subset:
-                    overlap = overlap._cut(end.cut_normal, -end.threshold)
+                    overlap = overlap.with_inequality(
+                        end.cut_normal, -end.threshold
+                    )
                 if overlap.is_empty():
                     continue
                 if not overlap.is_bounded():

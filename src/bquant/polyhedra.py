@@ -24,14 +24,14 @@ emptiness and boundedness are cached together.
 Each instance also keeps one vertex table (`_vertex_table`): every vertex
 as an integer point over a positive integer scale, with the rows tight
 there, in the order `vertices` lists them.  The lattice-polytope test
-reads the scales, the Delzant test the tight rows, and the tail threshold
-the integer extent; `vertices` builds its Fractions from the table only
-when it is called.  The table's points come from the box in rank 1, are
-the one point () in rank 0 and come from exhaustive facet-subset
-intersection in rank >= 2.  Recession rays come from cone analysis over
-the lineality space; rays are listed only where they are asked for, never
-to decide boundedness.  Instances are immutable and safe to share across
-threads.
+reads the scales, the Delzant test the tight rows, the tail threshold
+the integer extent and the translate test the least vertices; `vertices`
+builds its Fractions from the table only when it is called.  The table's
+points come from the box in rank 1, are the one point () in rank 0 and
+come from exhaustive facet-subset intersection in rank >= 2.  Recession
+rays come from cone analysis over the lineality space; rays are listed
+only where they are asked for, never to decide boundedness.  Instances are
+immutable and safe to share across threads.
 """
 
 from fractions import Fraction
@@ -589,6 +589,20 @@ class LatticePolyhedron:
             rows.append((normal, p // common, q // common))
         return tuple(rows)
 
+    def _is_translate_of(self, other):
+        """True iff self equals, as a set, other moved so that its least
+        vertex lands on self's least vertex, for nonempty polyhedra of one
+        rank that have vertices.  The offset a/s - b/t of the least
+        vertices is moved as the int vector a * t - b * s over s * t."""
+        anchor, scale, _ = self._vertex_table()[0]
+        other_anchor, other_scale, _ = other._vertex_table()[0]
+        offset = tuple(
+            a * other_scale - b * scale for a, b in zip(anchor, other_anchor)
+        )
+        return self.set_equals(LatticePolyhedron._from_rows(
+            self.rank, other._shifted_rows(offset, scale * other_scale)
+        ))
+
     def product(self, other):
         left = [
             (normal + (0,) * other.rank, p, q)
@@ -601,26 +615,8 @@ class LatticePolyhedron:
         return LatticePolyhedron._from_rows(self.rank + other.rank, left + right)
 
     def with_inequality(self, normal, bound):
-        return self._with_row(_integer_row(self.rank, normal, bound))
-
-    def _cut(self, normal, bound):
-        """self & {<normal, x> <= bound} for an int tuple ``normal`` and an
-        int ``bound``, which the caller vouches for: only the length and a
-        zero normal are refused, as `with_inequality` refuses them."""
-        if len(normal) != self.rank:
-            raise DimensionMismatchError(
-                f"normal {normal} has length {len(normal)}, expected rank {self.rank}"
-            )
-        row = _reduced_row(normal, bound, 1)
-        if not any(row[0]):
-            raise ValueError("inequality normals must be nonzero")
-        return self._with_row(row)
-
-    def _with_row(self, row):
-        """self & the reduced ``row``, kept only if tighter than self's row
-        of the same normal."""
-        merged = {held[0]: held for held in self.integer_inequalities}
-        _merge_row(merged, row)
+        merged = {row[0]: row for row in self.integer_inequalities}
+        _merge_row(merged, _integer_row(self.rank, normal, bound))
         return LatticePolyhedron._from_rows(self.rank, merged.values())
 
     def reflect_through_origin(self):

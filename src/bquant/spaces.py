@@ -24,7 +24,8 @@ from functools import lru_cache
 from . import _linalg
 from .checks import (
     CheckReport,
-    _polytope_rows,
+    check_delzant,
+    check_gamma_integrality,
     check_modular_dichotomy,
     check_mu_integrality,
     check_properness,
@@ -343,10 +344,8 @@ def tail_threshold(description, index):
 
 
 def tail_cut(polyhedron, splitting, threshold):
-    """The tail {x in polyhedron : <splitting, x> <= -threshold}, for a
-    nonzero integer splitting covector of the polyhedron's rank and an
-    integer threshold."""
-    return polyhedron._cut(tuple(splitting), -threshold)
+    """The tail {x in polyhedron : <splitting, x> <= -threshold}."""
+    return polyhedron.with_inequality(tuple(splitting), -threshold)
 
 
 def cross_section(polyhedron, modular_weight, splitting, basis, level):
@@ -427,17 +426,13 @@ def _check_orientation(description):
     return CheckReport(name, True)
 
 
-def _product_tail(polyhedron, record, threshold, basis, leaf_anchor):
+def _product_tail(polyhedron, record, threshold, basis):
     """The tail of `polyhedron` beyond `threshold` if it is a half-line times
     a lattice translate of the record's leaf, else the first failed test's
     message.  Each test reads the tail only as a set, given the record and
     threshold (emptiness, the shifted versus the deeper tail, the slice at
     the threshold, its boundedness and least vertex), and a component with
     a nonempty tail is nonempty: a tail set-equal to a passing one passes.
-    ``leaf_anchor`` is the leaf's least vertex as (point, scale) from its
-    vertex table.  The slice is a translate of the leaf iff it equals the
-    leaf moved by the difference of the least vertices; when the rows of
-    the two differ, `set_equals` decides.
 
     Write P for the component, v for the modular weight, s for the
     splitting (<v, s> = 1), t for the threshold, T for the tail P &
@@ -493,15 +488,7 @@ def _product_tail(polyhedron, record, threshold, basis, leaf_anchor):
     section = cross_section(polyhedron, weight, splitting, basis, -threshold)
     if not section.is_bounded():
         return "tail cross-section is unbounded"
-    # the leaf moved by offset = anchor - leaf anchor, the least vertices,
-    # as (anchor * leaf scale - leaf anchor * scale) / (scale * leaf scale)
-    anchor, scale, _ = section._vertex_table()[0]
-    leaf_point, leaf_scale = leaf_anchor
-    offset = tuple(a * leaf_scale - b * scale for a, b in zip(anchor, leaf_point))
-    moved = record.leaf._shifted_rows(offset, scale * leaf_scale)
-    if moved != section.integer_inequalities and not section.set_equals(
-        LatticePolyhedron._from_rows(section.rank, moved)
-    ):
+    if not section._is_translate_of(record.leaf):
         return "tail cross-section is not a translate of the leaf polytope"
     return tail
 
@@ -522,10 +509,9 @@ def _check_tail_product(description):
         leaf = record.leaf
         if not leaf.is_bounded() or leaf.is_empty():
             continue  # a broken leaf polytope is the integrality row's business
-        leaf_anchor = leaf._vertex_table()[0][:2]  # the least vertex
         splitting = record.splitting
         threshold = tail_threshold(description, index)
-        frame = (record, threshold, leaf_embedding_basis(splitting), leaf_anchor)
+        frame = (record, threshold, leaf_embedding_basis(splitting))
         first, second = record.adjacent
         verdict = _product_tail(components[first][1], *frame)
         witness = (index, first)
@@ -565,23 +551,24 @@ def validate_description(description):
     """Run every geometric check; the description is immutable, so the
     report is cached per value, for the 64 descriptions validated last.  A
     passing b_toric report also carries the tail ends its tail-product row
-    certified.  The gamma-integrality and delzant rows come from one walk
-    over the polytopes (`checks._polytope_rows`)."""
+    certified."""
     if isinstance(description, CompactToricSpace):
-        return ValidationReport(checks=(
-            _check_compactness(description), *_polytope_rows(description)
-        ))
+        reports = (
+            _check_compactness(description),
+            check_gamma_integrality(description),
+            check_delzant(description),
+        )
+        return ValidationReport(checks=reports)
     if isinstance(description, BSpaceDescription):
-        gamma, delzant = _polytope_rows(description)
         leading = (
             check_modular_dichotomy(description),
-            gamma,
+            check_gamma_integrality(description),
             check_mu_integrality(description),
             check_properness(description),
             _check_orientation(description),
         )
         tail_product, tails = _check_tail_product(description)
-        reports = leading + (tail_product, delzant)
+        reports = leading + (tail_product, check_delzant(description))
         passed = all(check.passed for check in reports)
         return ValidationReport(checks=reports, tails=tails if passed else ())
     raise TypeError(

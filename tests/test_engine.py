@@ -1189,11 +1189,11 @@ def test_self_check_messages_write_derived_weights_in_full(monkeypatch):
 def test_one_cold_sphere_has_a_fixed_cost(monkeypatch):
     # a timing-free guard on the per-description work of acceptance
     # criterion 1: one rank-1 sphere, validated from a cold cache and
-    # quantized, builds 8 polyhedra and makes 1 feasibility test (the rank-0
+    # quantized, builds 9 polyhedra and makes 1 feasibility test (the rank-0
     # leaf's), 6 box projections, no kernel computation and no Fraction:
     # box ends and vertices stay integer pairs and tables
     expected = {
-        "polyhedra": 8, "fm_feasible": 1, "fm_box": 6,
+        "polyhedra": 9, "fm_feasible": 1, "fm_box": 6,
         "rational_kernel_basis": 0, "Fraction": 0,
     }
     counts = dict.fromkeys(expected, 0)

@@ -198,17 +198,13 @@ CHARACTER_ALGEBRA = {  # with the product of moment images, whose
 PATCHED_BY_NAME = {  # perfbench/spans.py wraps these by attribute name
     "VirtualCharacter.tensor", "LatticePolyhedron.lattice_points",
 }
-POLYHEDRON_CONSTRUCTIONS = {  # README's translates and the public one-row
-    # cut; the package moves rows with _shifted_rows and cuts with _cut
-    "LatticePolyhedron.translate", "LatticePolyhedron.with_inequality",
-}
-CHECK_ROWS = {  # README's bquant.checks rows, each run on its own;
-    # validation runs these two in one walk (checks._polytope_rows)
-    "check_gamma_integrality", "check_delzant",
+POLYHEDRON_CONSTRUCTIONS = {  # README's translates; the package moves
+    # rows with _shifted_rows
+    "LatticePolyhedron.translate",
 }
 ENTRY_POINTS = (
     README_LIBRARY | CHARACTER_ALGEBRA | PATCHED_BY_NAME
-    | POLYHEDRON_CONSTRUCTIONS | CHECK_ROWS
+    | POLYHEDRON_CONSTRUCTIONS
 )
 
 # Methods whose name another definition shares and whose callers reach them
