@@ -7,19 +7,21 @@ verification mismatch), 2 usage, I/O or parse problems and enumerations
 over the budget, 3 internal error (any other exception, reported as
 ``bquant: internal error: <type>: <message>``).
 
-One table in ``_build_parser`` declares the five commands, a row each:
-name, help, handler and the command's own arguments, between the file and
-the output options every command takes.  ``--threads N`` (N >= 1) is
-accepted and ignored; enumeration is sequential.  Each handler hands its
+One table, ``_COMMANDS``, declares the five commands, a row each: name,
+help, handler and the command's own arguments, between the file and the
+output options every command takes (``_COMMON``).  ``--threads N``
+(N >= 1) is accepted and ignored; enumeration is sequential.  Each handler hands its
 JSON payload and its table lines, both as callables, to ``_render``, which
 writes the envelope they share (command, input kind and rank, ``# bquant``
 header) and calls only the one the format needs.
 
-The argument grammar is built on the first ``main`` call and reused by
-every later call in the same process: parsing keeps no state on the
-parser (each call gets a fresh namespace, and usage, help and error text
-look up ``sys.stdout``, ``sys.stderr`` and the terminal width when they
-print), so in-process callers do not pay for rebuilding it.
+The argument grammar is built on the first ``main`` call for the command
+the line starts with, with that command's arguments only, and reused by
+every later call with that first word in the same process: parsing keeps
+no state on the parser (each call gets a fresh namespace, and usage, help
+and error text look up ``sys.stdout``, ``sys.stderr`` and the terminal
+width when they print), so in-process callers do not pay for rebuilding
+it.
 """
 
 import argparse
@@ -267,55 +269,64 @@ def _thread_count(text):
     return count
 
 
-@cache
-def _build_parser():
-    """The argument grammar, from one row per command: name, help, handler
-    and the command's own arguments, each an argument name and its
-    add_argument keywords."""
-    threads = ("--threads", dict(
-        type=_thread_count, default=1, metavar="N",
-        help="accepted for compatibility and ignored; must be at least 1",
-    ))
-    commands = (
-        ("check", "run every validation check", _cmd_check, ()),
-        ("quantize", "compute the finite character", _cmd_quantize, (
-            threads,
-            ("--verify", dict(
-                action="store_true",
-                help="cross-check the character against direct reduced-space "
-                     "counts and report facet-boundary weights",
-            )),
-        )),
-        ("reduce", "count the reduced space at one weight", _cmd_reduce, (
-            ("--weight", dict(
-                required=True, metavar="W",
-                help="comma-separated integer weight, e.g. 1 or 2,-1",
-            )),
-        )),
-        ("verify-qr", "check quantization commutes with reduction against a "
-                      "compact partner", _cmd_verify_qr,
-         (("partner", {}), threads)),
-        ("cancel", "show the cancelling tails at one hypersurface",
-         _cmd_cancel, (
-             ("--hypersurface", dict(
-                 type=int, required=True, metavar="I",
-                 help="index of the hypersurface record",
-             )),
-         )),
-    )
-    common = (
-        ("--format", dict(
-            choices=("table", "json"), default="table",
-            help="output format (default: table)",
-        )),
-        ("--no-header", dict(
+_THREADS = ("--threads", dict(
+    type=_thread_count, default=1, metavar="N",
+    help="accepted for compatibility and ignored; must be at least 1",
+))
+
+# one row per command: name -> help, handler and the command's own
+# arguments, each an argument name and its add_argument keywords
+_COMMANDS = {
+    "check": ("run every validation check", _cmd_check, ()),
+    "quantize": ("compute the finite character", _cmd_quantize, (
+        _THREADS,
+        ("--verify", dict(
             action="store_true",
-            help="omit the leading comment lines in table output",
+            help="cross-check the character against direct reduced-space "
+                 "counts and report facet-boundary weights",
         )),
-        ("--output", dict(
-            metavar="PATH", help="write the output to PATH instead of stdout",
+    )),
+    "reduce": ("count the reduced space at one weight", _cmd_reduce, (
+        ("--weight", dict(
+            required=True, metavar="W",
+            help="comma-separated integer weight, e.g. 1 or 2,-1",
         )),
-    )
+    )),
+    "verify-qr": ("check quantization commutes with reduction against a "
+                  "compact partner", _cmd_verify_qr,
+                  (("partner", {}), _THREADS)),
+    "cancel": ("show the cancelling tails at one hypersurface", _cmd_cancel, (
+        ("--hypersurface", dict(
+            type=int, required=True, metavar="I",
+            help="index of the hypersurface record",
+        )),
+    )),
+}
+
+# the file and output options every command takes
+_COMMON = (
+    ("--format", dict(
+        choices=("table", "json"), default="table",
+        help="output format (default: table)",
+    )),
+    ("--no-header", dict(
+        action="store_true",
+        help="omit the leading comment lines in table output",
+    )),
+    ("--output", dict(
+        metavar="PATH", help="write the output to PATH instead of stdout",
+    )),
+)
+
+
+@cache
+def _build_parser(command):
+    """The argument grammar for a command line whose first word is
+    `command`, from the rows of _COMMANDS.  Every command gets its
+    subparser, so usage and errors list all five, but only `command`'s
+    gets its arguments: argparse hands the rest of the line to the
+    subparser the first word names and reads no other.  None, for a line
+    that does not start with a command, fills in every command."""
     parser = argparse.ArgumentParser(
         prog="bquant",
         description="exact quantization of toric moment-image descriptions",
@@ -324,18 +335,19 @@ def _build_parser():
         "--version", action="version", version=f"bquant {__version__}"
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, handler, own in commands:
+    for name, (help_text, handler, own) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
-        for argument, keywords in (("file", {}), *own, *common):
-            sub.add_argument(argument, **keywords)
-        sub.set_defaults(handler=handler)
+        if command in (None, name):
+            for argument, keywords in (("file", {}), *own, *_COMMON):
+                sub.add_argument(argument, **keywords)
+            sub.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(
-        _glue_weight_values(sys.argv[1:] if argv is None else argv)
-    )
+    argv = _glue_weight_values(sys.argv[1:] if argv is None else argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         text, code = args.handler(args)
     except _SEMANTIC_ERRORS as exc:

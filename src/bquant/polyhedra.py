@@ -425,39 +425,61 @@ class LatticePolyhedron:
     def _scan(self, outer, low, high):
         """Points of self whose leading coordinates run over the ranges
         ``outer`` and whose last coordinate lies in [low, high], listed row
-        by row from the intervals :meth:`_rows` reads off the inequalities,
-        so every listed point is a point of self and nothing is filtered.
+        by row from the runs of rows :meth:`_rows` reads off the
+        inequalities, so every listed point is a point of self and nothing
+        is filtered.
 
         Raises EnumerationBudgetError before listing a row that would take
         the listing past ENUMERATION_BUDGET points.
         """
         points = []
-        for head, certificate in self._rows(outer, low, high):
+        for head, count, certificate in self._rows(outer, low, high):
             if len(certificate) == 4 and certificate[1] <= certificate[3]:
                 _, first, _, last = certificate
-                count = len(points) + last - first + 1
-                if count > ENUMERATION_BUDGET:
-                    raise EnumerationBudgetError(
-                        f"enumeration would list at least {count} lattice "
-                        f"points, over the budget of {ENUMERATION_BUDGET}",
-                        count=count,
+                for row in [head] if count == 1 else (
+                    head[:-1] + (y,) for y in range(head[-1], head[-1] + count)
+                ):
+                    total = len(points) + last - first + 1
+                    if total > ENUMERATION_BUDGET:
+                        raise EnumerationBudgetError(
+                            f"enumeration would list at least {total} lattice "
+                            f"points, over the budget of {ENUMERATION_BUDGET}",
+                            count=total,
+                        )
+                    points.extend(
+                        zip(*map(repeat, row), range(first, last + 1))
                     )
-                points.extend(zip(*map(repeat, head), range(first, last + 1)))
         return points
 
     def _rows(self, outer, low, high):
-        """Yield ``(head, certificate)`` for each row: each choice ``head``
-        of the leading coordinates from the ranges ``outer``, in
-        lexicographic order.  The row meets self in an interval of the last
-        coordinate within [low, high], read exactly off the inequalities.
+        """Yield ``(head, count, certificate)`` for each run of rows: the
+        ``count`` >= 1 consecutive rows whose leading coordinates are
+        ``head`` and its successors along the last of the ranges ``outer``
+        (the rest of ``head`` fixed), which all have the one certificate.
+        The runs come in lexicographic order and tile the rows of the
+        ranges: each choice of the other leading coordinates gets runs that
+        start at the start of the last range and follow each other to its
+        end.  Rank 1 has the one run ``((), 1, certificate)``.  Each row
+        meets self in an interval of the last coordinate within [low,
+        high], read exactly off the inequalities.
 
         The certificate says which inequalities set that interval:
         ``(lower, first, upper, last)`` for the interval [first, last]
         (empty when last < first), where ``upper`` is the index of the
-        inequality that set ``last`` and ``lower`` that of the one that set
-        ``first``, None where ``high`` or ``low`` did; or ``(index,)`` when
-        inequality ``index`` does not involve the last coordinate and fails
-        on the whole row.
+        first inequality that sets ``last`` and ``lower`` that of the first
+        one that sets ``first``, None where ``high`` or ``low`` did; or
+        ``(index,)`` when inequality ``index`` is the first that does not
+        involve the last coordinate and fails on the whole row.
+
+        A run ends where the certificate changes.  The scan finds that row
+        by galloping: it compares the next row, then rows 2, 4, 8, ...
+        further on, then bisects between the last equal row and the first
+        different one, whose certificate starts the next run.  Bisection is
+        sound because rows whose certificates agree at two rows agree on
+        every row between (each fact a certificate states is a closed
+        half-space or the complement of one, along a segment); the engine
+        re-checks every run at its two ends either way.  Rows that all
+        differ cost one certificate each.
 
         Raises EnumerationBudgetError before the first row when the ranges
         hold more than ENUMERATION_BUDGET rows.
@@ -469,27 +491,49 @@ class LatticePolyhedron:
                 f"{ENUMERATION_BUDGET}",
                 count=rows,
             )
-        # <normal, x> * q <= p becomes n * q * x_last <= room
-        split = [
-            (normal[:-1], normal[-1] * q, p, q)
-            for normal, p, q in self.integer_inequalities
-        ]
-        for head in iter_product(*outer):
-            first, last = low, high
-            lower = upper = None
-            for index, (rest, slope, p, q) in enumerate(split):
-                room = p - q * sum(map(mul, rest, head))
+        inner = outer[-1] if outer else range(1)  # rank 1: one row, head ()
+        if not inner:
+            return
+        for prefix in iter_product(*outer[:-1]):
+            # on the rows of this prefix, <normal, x> * q <= p reads
+            # slope * x_last <= base - lead * y at last leading coordinate y
+            level, rising, falling = [], [], []
+            for index, (normal, base, q) in enumerate(
+                self.integer_inequalities
+            ):
+                if prefix:
+                    base -= q * sum(map(mul, normal, prefix))
+                lead = q * normal[-2] if outer else 0
+                slope = normal[-1] * q
                 if slope > 0:
-                    if (bound := room // slope) < last:
-                        last, upper = bound, index
+                    rising.append((index, base, lead, slope))
                 elif slope < 0:
-                    if (bound := -(room // -slope)) > first:
-                        first, lower = bound, index
-                elif room < 0:
-                    yield head, (index,)
+                    falling.append((index, base, lead, -slope))
+                else:
+                    level.append((index, base, lead))
+            split = level, rising, falling, low, high
+            y, stop = inner.start, inner.stop
+            claim = _row_certificate(split, y)
+            while True:
+                good, bad, step = y, stop, 1
+                while good + 1 < stop:
+                    probe = min(good + step, stop - 1)
+                    after = _row_certificate(split, probe)
+                    if after != claim:
+                        bad = probe
+                        break
+                    good, step = probe, 2 * step
+                while bad - good > 1:
+                    middle = (good + bad) // 2
+                    found = _row_certificate(split, middle)
+                    if found == claim:
+                        good = middle
+                    else:
+                        bad, after = middle, found
+                yield prefix + (y,) if outer else (), good + 1 - y, claim
+                if bad == stop:
                     break
-            else:
-                yield head, (lower, first, upper, last)
+                y, claim = bad, after
 
     def is_lattice_polytope(self):
         if self.is_empty():
@@ -678,6 +722,25 @@ class LatticePolyhedron:
                 raise ParseError(f"{spot}.normal: must be nonzero")
             _merge_row(merged, _reduced_row(tuple(normal), p, q))
         return cls._from_rows(rank, merged.values())
+
+
+def _row_certificate(split, y):
+    """The certificate LatticePolyhedron._rows hands on for the row at last
+    leading coordinate y, from the inequalities `split` into those free of
+    the last coordinate and those rising and falling in it, each with its
+    index, base and lead (and slope, positive), and the window's ends."""
+    level, rising, falling, first, last = split
+    for index, base, lead in level:
+        if base < lead * y:
+            return (index,)
+    lower = upper = None
+    for index, base, lead, slope in rising:
+        if (bound := (base - lead * y) // slope) < last:
+            last, upper = bound, index
+    for index, base, lead, slope in falling:
+        if (bound := -((base - lead * y) // slope)) > first:
+            first, lower = bound, index
+    return lower, first, upper, last
 
 
 def _inequality_text(normal, p, q):

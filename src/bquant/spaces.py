@@ -186,6 +186,16 @@ def _no_unknown_fields(data, allowed, where):
         raise ParseError(f"{where}: unknown field {sorted(unknown)[0]!r}")
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass `cls` holding `fields` as given,
+    without the re-checks of its __post_init__: for parse_description,
+    which has made each of them already and reported a failure as a
+    ParseError naming the field."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
+
+
 def parse_description(text):
     """Parse a description from JSON text.  Structural checks only; geometric
     validation is a separate, explicit step (:func:`validate_description`)."""
@@ -220,7 +230,7 @@ def parse_description(text):
             raise ParseError(
                 f"polytope.rank: {polytope.rank} does not match rank {rank}"
             )
-        return CompactToricSpace(rank=rank, polytope=polytope)
+        return _trusted(CompactToricSpace, rank=rank, polytope=polytope)
     if kind == "b_toric":
         _no_unknown_fields(
             data,
@@ -284,15 +294,19 @@ def parse_description(text):
                         f"{where}.adjacent: component index {side} out of range"
                     )
             records.append(
-                HypersurfaceRecord(
+                _trusted(
+                    HypersurfaceRecord,
                     modular_weight=modular_weight,
                     splitting=splitting,
                     leaf=leaf,
                     adjacent=adjacent,
                 )
             )
-        return BSpaceDescription(
-            rank=rank, components=tuple(components), hypersurfaces=tuple(records)
+        return _trusted(
+            BSpaceDescription,
+            rank=rank,
+            components=tuple(components),
+            hypersurfaces=tuple(records),
         )
     raise ParseError(
         f"kind: expected 'compact_toric' or 'b_toric', got {kind!r}"

@@ -206,6 +206,19 @@ def test_quantize_threads_validation(run, capsys):
             )
 
 
+def test_a_stray_argument_is_reported_with_every_command(capsys):
+    # the grammar built for the line's command still declares all five, so
+    # the top-level usage lists them
+    with pytest.raises(SystemExit) as info:
+        main(["quantize", SEGMENT, "--bogus"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "usage: bquant [-h] [--version] {check,quantize,reduce,verify-qr,cancel}"
+    )
+    assert err.endswith("bquant: error: unrecognized arguments: --bogus\n")
+
+
 def test_threads_that_is_not_an_int_keeps_its_message(run, capsys):
     with pytest.raises(SystemExit) as info:
         main(["quantize", SEGMENT, "--threads", "two"])
@@ -743,15 +756,17 @@ print(counts)
 
 
 def test_grammar_is_built_once_per_process():
-    # importing builds nothing; the first call builds the top-level parser
-    # and one per command; later calls reuse them
+    # importing builds nothing; the first call with a command builds the
+    # top-level parser and one per command, with that command's arguments
+    # only; later calls with a command seen before reuse its grammar
     proc = subprocess.run(
         [sys.executable, "-c", BUILD_COUNT, f"quantize {SEGMENT}",
-         f"verify-qr {SEGMENT} {PARTNER}", f"check {SPHERE} --format json"],
+         f"verify-qr {SEGMENT} {PARTNER}", f"quantize {SEGMENT} --format json",
+         f"verify-qr {PARTNER} {PARTNER}", f"check {SPHERE} --format json"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 6, 6, 6]\n"
+    assert proc.stdout == "[0, 6, 12, 12, 12, 18]\n"
 
 
 def test_version_flag(capsys):

@@ -369,11 +369,11 @@ def test_self_check_catches_shortened_row_certificates(monkeypatch):
     real = LatticePolyhedron._rows
 
     def shortened(self, outer, low, high):
-        for head, claim in real(self, outer, low, high):
+        for head, count, claim in real(self, outer, low, high):
             if len(claim) == 4 and claim[1] <= claim[3]:
                 lower, first, upper, final = claim
                 claim = lower, first, upper, final - 1
-            yield head, claim
+            yield head, count, claim
 
     monkeypatch.setattr(LatticePolyhedron, "_rows", shortened)
     with pytest.raises(SelfCheckError, match="disagrees with its inequalities"):
@@ -564,20 +564,20 @@ def _claim_a_point_on_an_empty_row(polyhedron, claim):
     ("skew.json", _claim_a_point_on_an_empty_row),
 ])
 def test_self_check_refuses_forged_row_certificates(monkeypatch, name, forge):
-    # the row scan rewrites one row's certificate, as a faulty scan would;
-    # only the certificate check can object.  lattice_points scans with an
-    # open last coordinate, so only the self-check's windowed rows are
-    # forged and the collapsed character stays right
+    # the row scan rewrites the certificate of one run of rows, as a faulty
+    # scan would; only the certificate check can object.  lattice_points
+    # scans with an open last coordinate, so only the self-check's windowed
+    # rows are forged and the collapsed character stays right
     real = LatticePolyhedron._rows
     forged = []
 
     def rows(self, outer, low, high):
-        for head, claim in real(self, outer, low, high):
+        for head, count, claim in real(self, outer, low, high):
             new = None if forged or low == -math.inf else forge(self, claim)
             if new is not None:
-                forged.append((head, claim, new))
+                forged.append((head, count, claim, new))
                 claim = new
-            yield head, claim
+            yield head, count, claim
 
     monkeypatch.setattr(LatticePolyhedron, "_rows", rows)
     with pytest.raises(SelfCheckError, match="disagrees with its inequalities"):
@@ -1223,6 +1223,25 @@ def test_one_cold_sphere_has_a_fixed_cost(monkeypatch):
     character = quantize_b(parse(make_corpus.sphere(7, -3)))
     assert character.support() == [(k,) for k in range(-2, 8)]
     assert counts == expected
+
+
+def test_self_check_reads_a_sphere_product_in_few_runs(monkeypatch):
+    # a timing-free guard on the run-length row scan: over the self-check
+    # window of sphere_times_segment(20, -20, 20), 80 rows, each term's rows
+    # come in 2 runs, the rows it meets in full and the rows past its
+    # level inequality x <= a
+    real, runs = LatticePolyhedron._rows, []
+
+    def counted(self, outer, low, high):
+        scanned = list(real(self, outer, low, high))
+        if low != -math.inf:
+            runs.append([count for _, count, _ in scanned])
+        return iter(scanned)
+
+    monkeypatch.setattr(LatticePolyhedron, "_rows", counted)
+    character = quantize_b(parse(make_corpus.sphere_times_segment(20, -20, 20)))
+    assert character.dimension() == 40 * 21
+    assert runs == [[60, 20], [20, 60]]
 
 
 def test_validation_memo_is_bounded():
