@@ -15,13 +15,17 @@ JSON payload and its table lines, both as callables, to ``_render``, which
 writes the envelope they share (command, input kind and rank, ``# bquant``
 header) and calls only the one the format needs.
 
-The argument grammar is built on the first ``main`` call for the command
-the line starts with, with that command's arguments only, and reused by
-every later call with that first word in the same process: parsing keeps
-no state on the parser (each call gets a fresh namespace, and usage, help
-and error text look up ``sys.stdout``, ``sys.stderr`` and the terminal
-width when they print), so in-process callers do not pay for rebuilding
-it.
+A well-formed line is read straight from the table (``_read_line``)
+into the namespace argparse would give for it: the command name, then
+exact option names, ``--name=value`` and positionals, each value checked
+with the option's own ``type`` and ``choices``.  Any other line (help,
+``--version``, an abbreviation, a value that starts with ``-``, a
+missing or refused value) goes to argparse, which alone writes help,
+usage and error text.  Its grammar, every command with all of its
+arguments, is built on the first such line and reused by every later one
+in the same process: parsing keeps no state on the parser (each call
+gets a fresh namespace, and usage, help and error text look up
+``sys.stdout``, ``sys.stderr`` and the terminal width when they print).
 """
 
 import argparse
@@ -320,13 +324,10 @@ _COMMON = (
 
 
 @cache
-def _build_parser(command):
-    """The argument grammar for a command line whose first word is
-    `command`, from the rows of _COMMANDS.  Every command gets its
-    subparser, so usage and errors list all five, but only `command`'s
-    gets its arguments: argparse hands the rest of the line to the
-    subparser the first word names and reads no other.  None, for a line
-    that does not start with a command, fills in every command."""
+def _build_parser():
+    """The argument grammar argparse reads a line with, from the rows of
+    _COMMANDS: a subparser per command, each with its handler and its
+    arguments, the file first and the _COMMON options last."""
     parser = argparse.ArgumentParser(
         prog="bquant",
         description="exact quantization of toric moment-image descriptions",
@@ -337,17 +338,75 @@ def _build_parser(command):
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, handler, own) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
-        if command in (None, name):
-            for argument, keywords in (("file", {}), *own, *_COMMON):
-                sub.add_argument(argument, **keywords)
-            sub.set_defaults(handler=handler)
+        for argument, keywords in (("file", {}), *own, *_COMMON):
+            sub.add_argument(argument, **keywords)
+        sub.set_defaults(handler=handler)
     return parser
 
 
+def _read_line(argv):
+    """The namespace argparse gives for `argv`, read from the command
+    table, or None where the line is not plainly well formed.  After the
+    command name each token is an exact option name (a flag, or a value
+    option and its next token, which does not start with ``-``),
+    ``--name=value`` for a value option, or a positional that does not
+    start with ``-``; a value passes the option's ``type`` and
+    ``choices``, the positional count is right and every required option
+    is there.  A repeated option keeps its last value."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, tokens = argv[0], iter(argv[1:])
+    _, handler, own = _COMMANDS[command]
+    arguments = (("file", {}), *own, *_COMMON)
+    options = {name: keywords for name, keywords in arguments
+               if name.startswith("-")}
+    seen, positionals = {}, []
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        name, equals, value = token.partition("=")
+        keywords = options.get(name)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            if equals:
+                return None
+            seen[name] = True
+            continue
+        if not equals:
+            value = next(tokens, "-")  # a missing value is refused as "-"
+            if value.startswith("-"):
+                return None
+        try:
+            value = keywords.get("type", str)(value)
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        seen[name] = value
+    names = [name for name, _ in arguments if name not in options]
+    if len(positionals) != len(names):
+        return None
+    args = argparse.Namespace(command=command, handler=handler,
+                              **dict(zip(names, positionals)))
+    for name, keywords in options.items():
+        if name in seen:
+            value = seen[name]
+        elif keywords.get("required"):
+            return None
+        elif keywords.get("action") == "store_true":
+            value = False
+        else:
+            value = keywords.get("default")
+        setattr(args, name.lstrip("-").replace("-", "_"), value)
+    return args
+
+
 def main(argv=None):
-    argv = _glue_weight_values(sys.argv[1:] if argv is None else argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_line(argv) or \
+        _build_parser().parse_args(_glue_weight_values(argv))
     try:
         text, code = args.handler(args)
     except _SEMANTIC_ERRORS as exc:
