@@ -52,12 +52,16 @@ def make_primitive(vec):
 def exact(value):
     """``value`` as an int or a Fraction; those are returned as they are.
     A str or a bool raises TypeError: text is parsed only by the file
-    reader, and a truth value is not a number."""
+    reader, and a truth value is not a number.  An infinity or a NaN
+    raises ValueError naming it."""
     if type(value) in (int, Fraction):
         return value
     if isinstance(value, (str, bool)):
         raise TypeError(f"expected an exact number, got {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (OverflowError, ValueError):
+        raise ValueError(f"expected a finite number, got {value!r}") from None
 
 
 def exact_text(value):

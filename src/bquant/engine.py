@@ -12,21 +12,17 @@ distinct hypersurfaces overlap inside one component.  Validation certifies
 the cancellation and hands over the tail ends; the collapse certifies that
 every surviving piece is bounded, raising NotFiniteError with the offending
 piece otherwise.  The final character is re-checked against the formal
-character on a window twice the size of its support, from certified row
-intervals: the row scan hands on consecutive rows with one certificate as
-one run of rows.  Every check reads rows only that way: _certified_rows
-checks that the runs of rows tile the window and checks each run's
-certificate at its first and last row, which proves it on every row
-between, before handing it on; _box_rows folds a box's rows into runs of
-the formal count, _first_difference (in rank 0, _point_mismatch) names
-the least weight where a character parts from them, and support_audit
-reads a support's rows once for its multiplicities and its facet-boundary
-weights.
+character on a window twice the size of its support.  Every check reads
+rows only as LatticePolyhedron._certified_rows hands them on, certified
+run by run: _box_rows folds a box's rows into runs of the formal count,
+_first_difference (in rank 0, _point_mismatch) names the least weight
+where a character parts from them, and support_audit reads a support's
+rows once for its multiplicities and its facet-boundary weights.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, groupby, product as iter_product
+from itertools import combinations, groupby
 from math import ceil, floor
 from operator import itemgetter, mul
 
@@ -81,8 +77,8 @@ class QRReport:
     `invariant_from_characters` is the invariant part of chi (x) P, read off
     as the pairing sum over w of chi(w) * P(-w) without forming the tensor;
     `invariant_from_geometry` sums the reduced-space counts over the weights
-    of the reflected partner, read row by row off the certified runs of
-    row intervals of the components, never forming a character.
+    of the reflected partner, read off the components' certified runs of
+    rows (LatticePolyhedron._certified_rows), never forming a character.
     `checked_weights` is the number of those weights.  `first_mismatch`,
     when not None, is (weight, character multiplicity, reduced-space count)
     at the lexicographically first of them where the routes disagree.
@@ -182,9 +178,8 @@ def collapse_signed_tails(description, self_check=True):
 
     The result is then re-checked against the formal character on a
     window twice the size of its support (SelfCheckError otherwise).  The
-    re-check reads the formal count off every term's certified row
-    intervals, checked a run of equal rows at a time, and lists no points;
-    see _self_check.
+    re-check reads the formal count off every term's certified runs of
+    rows and lists no points; see _self_check.
     """
     matching = tail_matching(description)
     formal = formal_character(description)
@@ -252,17 +247,16 @@ def _self_check(formal, character, window):
     weight outside it.
 
     The formal count is never listed point by point: _box_rows reads it
-    off the row certificates of every term, which _certified_rows checks
-    a run of rows at a time (the runs must tile the window, and each run's
-    certificate is tested at its first and last row) with exact
-    single-inequality tests rather than with the scan's own arithmetic,
-    and _first_difference matches the count's runs along each row against
-    the character's sorted entries a run at a time, so a fault in the scan
-    shows up here even though the character came from the same scan.  In
-    rank 0 the window is empty and _point_mismatch tests the one weight.
+    off every term's certified runs of rows
+    (LatticePolyhedron._certified_rows), and _first_difference matches the
+    count's runs along each row against the character's sorted entries a
+    run at a time.  The collapse's points are certified where they are
+    listed, so this tests the collapse's pieces and signs, and
+    validation's cancellation, against the formal count.  In rank 0 the
+    window is empty and _point_mismatch tests the one weight.
     """
     mismatch = (
-        _first_difference(_box_rows(formal, window), character.items())
+        _first_difference(_box_rows(formal.terms, window), character.items())
         if window else _point_mismatch(formal, character)
     )
     if mismatch is not None:
@@ -281,155 +275,28 @@ def _point_mismatch(formal, character):
     return None if found == expected else ((), found, expected)
 
 
-def _box_rows(formal, box):
+def _box_rows(terms, box):
     """(head, runs) for each row of `box` (one range per coordinate, rank
-    at least 1) where the signed count of `formal` is not zero, in order:
-    each term's sign jumps in at the first weight of its certified interval
-    on a row and out just past the last, and _runs cuts the jumps into
-    runs."""
+    at least 1) where the signed count of the (sign, polyhedron) `terms`
+    is not zero, in order: each term's sign jumps in at the first weight of
+    its certified interval on a row (LatticePolyhedron._certified_rows) and
+    out just past the last, and _runs cuts the jumps into runs."""
     *outer, last = box
     steps = {}
-    for sign, _, heads, first, final in _certified_rows(
-        formal, outer, last.start, last.stop - 1
-    ):
-        for head in heads:
-            jumps = steps.setdefault(head, {})
-            jumps[first] = jumps.get(first, 0) + sign
-            jumps[final + 1] = jumps.get(final + 1, 0) - sign
+    for sign, polyhedron in terms:
+        for heads, first, final in polyhedron._certified_rows(
+            outer, last.start, last.stop - 1
+        ):
+            for head in heads:
+                jumps = steps.setdefault(head, {})
+                jumps[first] = jumps.get(first, 0) + sign
+                jumps[final + 1] = jumps.get(final + 1, 0) - sign
     rows = []
     for head in sorted(steps):
         runs = _runs(steps[head], last.start, last.stop)
         if runs:
             rows.append((head, runs))
     return rows
-
-
-def _certified_rows(formal, outer, low, high):
-    """Yield (sign, integer rows, heads, first, final) for each term of
-    `formal` and each run of rows of `outer` x [low, high] the term meets,
-    term by term and run by run in lexicographic order: the term meets
-    each row `head` of `heads`, consecutive along the last range of
-    `outer`, exactly in first..final, and its integer rows
-    <normal, x> * q <= p (integer_inequalities) are handed on with it.
-    This is the one place the engine reads LatticePolyhedron._rows.
-
-    _rows names, per run of rows, the inequalities that bound every row of
-    it; each run is checked here against the term's integer rows, never
-    with the scan's floor division, in two parts.
-
-    Tiling.  For each choice of the leading coordinates but the last, in
-    order, the runs must start at the start of the last range and follow
-    each other with no gap, no overlap and no overrun, each of count >= 1,
-    and no run may follow the last row; in rank 1 the one run is
-    ((), 1, certificate).  So whatever the scan computed, every window row
-    gets exactly one certificate, or the check fails.
-
-    Certificate.  The tests are filed by index 0..m-1 and by the sign of
-    their last-coordinate slope, so an index that names no inequality
-    (negative or out of range) or one of the wrong slope finds no test and
-    is refused; each test below is made at the run's first row and, when
-    the run has more than one, at its last row:
-    - (index,): inequality `index` has last-coordinate slope 0 and fails
-      on the row, so the row is empty;
-    - (lower, first, upper, final): inequality `upper` has positive slope
-      and fails at final + 1, hence at every x > final (None: final is at
-      or past `high`), and `lower` has negative slope and fails at
-      first - 1, hence at every x < first (None: first is at or before
-      `low`).  When final < first the row is empty: by Helly's theorem in
-      dimension 1, every integer fails one of the two.  Otherwise first
-      and final lie in [low, high] and pass every test of the term, so the
-      row is exactly first..final.
-    The two end rows prove every row between.  Along a run of rows h, the
-    points (h, final + 1), (h, first - 1), (h, first) and (h, final), and
-    (h, low) in the first case, move on segments, since first and final
-    are the run's.  A closed half-space that holds at both ends of a
-    segment holds along all of it, and so does an open one, the failure of
-    an inequality; [low, high] and the None cases do not depend on h.  So
-    each interior row's certificate holds exactly as at the ends, whatever
-    the scan did to find the run.
-
-    An empty run costs at most four single-inequality tests.  A run that
-    fails raises SelfCheckError naming the term and a weight where it
-    fails.
-    """
-    if outer:
-        *leading, inner = outer
-    else:
-        leading, inner = (), range(1)  # rank 1: one row, head ()
-    for index, (sign, polyhedron) in enumerate(formal.terms):
-        tests = polyhedron.integer_inequalities
-        level, rising, falling = {}, {}, {}
-        for number, test in enumerate(tests):
-            slope = test[0][-1]
-            filed = rising if slope > 0 else falling if slope < 0 else level
-            filed[number] = test
-        runs = polyhedron._rows(outer, low, high)
-        for prefix in iter_product(*leading):
-            y = inner.start
-            while y < inner.stop:
-                row = prefix + (y,) if outer else ()
-                head, count, claim = next(runs, (None, 0, ()))
-                if head != row or not 1 <= count <= inner.stop - y:
-                    raise _refused(index, row + (low,))
-                if count == 1:
-                    heads = ends = [row]
-                else:
-                    heads = [prefix + (x,) for x in range(y, y + count)]
-                    ends = heads[0], heads[-1]
-                y += count
-                if len(claim) == 1:
-                    test = level.get(claim[0])
-                    for end in ends:
-                        point = end + (low,)
-                        if test is None or \
-                                sum(map(mul, test[0], point)) * test[2] <= test[1]:
-                            raise _refused(index, point)
-                    continue
-                if len(claim) != 4:
-                    raise _refused(index, row + (low,))
-                lower, first, upper, final = claim
-                for end in ends:
-                    point = end + (final + 1,)
-                    if upper is None:
-                        if final < high:
-                            raise _refused(index, point)
-                    elif (test := rising.get(upper)) is None or \
-                            sum(map(mul, test[0], point)) * test[2] <= test[1]:
-                        raise _refused(index, point)
-                    point = end + (first - 1,)
-                    if lower is None:
-                        if first > low:
-                            raise _refused(index, point)
-                    elif (test := falling.get(lower)) is None or \
-                            sum(map(mul, test[0], point)) * test[2] <= test[1]:
-                        raise _refused(index, point)
-                if final < first:
-                    continue
-                for x in (first, final):
-                    if not low <= x <= high:
-                        raise _refused(index, row + (x,))
-                for end in ends:
-                    for normal, p, q in tests:
-                        # <normal, x> * q <= p on the row: slope * x <= room
-                        # (map stops at the end of the head, so room takes
-                        # the leading part)
-                        room = p - q * sum(map(mul, normal, end))
-                        slope = normal[-1] * q
-                        if slope * first > room:
-                            raise _refused(index, end + (first,))
-                        if slope * final > room:
-                            raise _refused(index, end + (final,))
-                yield sign, tests, heads, first, final
-        extra = next(runs, None)
-        if extra is not None:
-            raise _refused(index, tuple(extra[0]) + (low,))
-
-
-def _refused(index, weight):
-    return SelfCheckError(
-        f"enumeration of term {index} over the check window disagrees with "
-        f"its inequalities at weight {_linalg.exact_text(weight)}"
-    )
 
 
 def _runs(jumps, start, stop):
@@ -516,7 +383,7 @@ def quantize_b(description):
 
     Validation certifies that the tails at each hypersurface are set-equal
     with opposite signs, the collapse that the cores and overlaps left are
-    bounded, and the self-check re-checks the result run by run of rows.
+    bounded, and the self-check (_self_check) re-checks the result.
 
     Raises ZeroModularWeightError before validation when every modular
     weight vanishes: that is the other branch of the modular-weight
@@ -553,7 +420,7 @@ def quantize_local_model(model):
     The two tails must agree as sets and carry opposite signs; anything else
     leaves an unbounded remainder and raises NotFiniteError.  The signed
     count is additionally re-checked on a box around the truncation face,
-    from certified runs of row intervals (see _box_rows), so a long tail
+    from the tails' certified runs of rows (_box_rows), so a long tail
     costs its runs and rows, not its points.
     """
     if not isinstance(model, LocalModel):
@@ -578,7 +445,7 @@ def quantize_local_model(model):
         except NoVerticesError:
             corners = ()
     if corners and tail_a.rank > 0:
-        rows = _box_rows(PolyhedralCharacter(tail_a.rank, model.tails), [
+        rows = _box_rows(model.tails, [
             range(floor(min(values)) - 1, ceil(max(values)) + 2)
             for values in zip(*corners)
         ])
@@ -643,24 +510,26 @@ def support_audit(description, character):
     ]
     heads = {weight[:-1] for weight, _ in items}
     steps, spans, points = {}, {}, set()  # tight: whole intervals; weights
-    for sign, tests, run, first, final in _certified_rows(
-        formal, outer, last.start, last.stop - 1
-    ):
-        for head in run:
-            if head not in heads:
-                continue
-            jumps = steps.setdefault(head, {})
-            jumps[first] = jumps.get(first, 0) + sign
-            jumps[final + 1] = jumps.get(final + 1, 0) - sign
-            for normal, p, q in tests:
-                room = p - q * sum(map(mul, normal, head))
-                slope = normal[-1] * q
-                if not slope:
-                    if not room:
-                        spans.setdefault(head, []).append((first, final))
-                elif not room % slope and \
-                        first <= (x := room // slope) <= final:
-                    points.add(head + (x,))
+    for sign, polyhedron in formal.terms:
+        tests = polyhedron.integer_inequalities
+        for run, first, final in polyhedron._certified_rows(
+            outer, last.start, last.stop - 1
+        ):
+            for head in run:
+                if head not in heads:
+                    continue
+                jumps = steps.setdefault(head, {})
+                jumps[first] = jumps.get(first, 0) + sign
+                jumps[final + 1] = jumps.get(final + 1, 0) - sign
+                for normal, p, q in tests:
+                    room = p - q * sum(map(mul, normal, head))
+                    slope = normal[-1] * q
+                    if not slope:
+                        if not room:
+                            spans.setdefault(head, []).append((first, final))
+                    elif not room % slope and \
+                            first <= (x := room // slope) <= final:
+                        points.add(head + (x,))
     mismatch, boundary = None, []
     for head, entries in groupby(items, key=lambda item: item[0][:-1]):
         runs = _runs(steps.get(head, {}), last.start, last.stop)
@@ -687,13 +556,13 @@ def verify_qr_product(description, partner, character=None):
     the pairing sum over w of chi(w) * P(-w), one lookup per weight, without
     forming the tensor.  Route two never forms the first character: it
     counts reduced-space points of `description` directly on the weights of
-    the reflected partner polytope, a row at a time.  Each component's
-    certified runs of row intervals (_box_rows, as in the self-check) give the
-    signed count on a row as runs.  They are clipped to the reflected
-    partner's interval on that row, certified the same way
-    (_certified_rows), and summed, and compared once with the character's
-    entries inside the partner (_first_difference) to pin down the first
-    disagreement, if any.  Rank 0 has the one weight (), tested by
+    the reflected partner polytope, a row at a time.  The components'
+    certified runs of rows (_box_rows, as in the self-check) give the
+    signed count on each row as runs.  They are clipped to the reflected
+    partner's certified interval on that row
+    (LatticePolyhedron._certified_rows), summed, and compared once with the
+    character's entries inside the partner (_first_difference) to pin down
+    the first disagreement, if any.  Rank 0 has the one weight (), tested by
     _point_mismatch.
 
     `character` substitutes a precomputed character for `description`
@@ -726,13 +595,12 @@ def verify_qr_product(description, partner, character=None):
             range(1 - values.stop, 1 - values.start)
             for values in partner.polytope._vertex_box()
         ]
-        runs_at = dict(_box_rows(formal, box))
+        runs_at = dict(_box_rows(formal.terms, box))
         *outer, last = box
         weights, items = character.support(), character.items()
         rows, inside, checked = [], [], 0
-        for _, _, heads, first, final in _certified_rows(
-            PolyhedralCharacter(reflected.rank, ((1, reflected),)),
-            outer, last.start, last.stop - 1,
+        for heads, first, final in reflected._certified_rows(
+            outer, last.start, last.stop - 1
         ):
             checked += (final + 1 - first) * len(heads)
             for head in heads:

@@ -30,8 +30,13 @@ builds its Fractions from the table only when it is called.  The table's
 points come from the box in rank 1, are the one point () in rank 0 and
 come from exhaustive facet-subset intersection in rank >= 2.  Recession
 rays come from cone analysis over the lineality space; rays are listed
-only where they are asked for, never to decide boundedness.  Instances are
-immutable and safe to share across threads.
+only where they are asked for, never to decide boundedness.
+
+Rows of a box (all coordinates but the last fixed) are read off the
+inequalities in runs of rows with one certificate by one scan (`_rows`),
+whose one reader, `_certified_rows`, checks every run before handing it
+on; `lattice_points` and the engine's checks read rows only from it.
+Instances are immutable and safe to share across threads.
 """
 
 from fractions import Fraction
@@ -48,6 +53,7 @@ from .errors import (
     EnumerationBudgetError,
     NoVerticesError,
     ParseError,
+    SelfCheckError,
     UnboundedPolyhedronError,
 )
 
@@ -388,14 +394,15 @@ class LatticePolyhedron:
     # lattice points
 
     def lattice_points(self):
-        """All integer points, in lexicographic order.
+        """All integer points, in lexicographic order, listed from the
+        certified runs of rows (`_certified_rows`) over the exact bounding
+        box (`_box`) in all but the last coordinate; the inequalities alone
+        bound the last coordinate on every row because self is bounded.
 
-        Scans the exact bounding box (`_box`) in all but the last
-        coordinate and reads the last coordinate's exact interval off the
-        inequalities.  Raises UnboundedPolyhedronError, with a recession ray
-        as witness, when self is unbounded and EnumerationBudgetError when
-        the scan would go over ENUMERATION_BUDGET rows or points; returns []
-        for the empty polyhedron.
+        Raises UnboundedPolyhedronError, with a recession ray as witness,
+        when self is unbounded and EnumerationBudgetError when the scan
+        would go over ENUMERATION_BUDGET rows or points; returns [] for the
+        empty polyhedron.
         """
         if self._box() is None:
             return []
@@ -408,10 +415,20 @@ class LatticePolyhedron:
             )
         if self.rank == 0:
             return [()]
-        # the box limits the outer coordinates; the last one is cut from
-        # the inequalities alone, which bound it on every slice because
-        # self is bounded
-        return self._scan(self._vertex_box()[:-1], -inf, inf)
+        points = []
+        for heads, first, final in self._certified_rows(
+            self._vertex_box()[:-1], -inf, inf
+        ):
+            for head in heads:
+                total = len(points) + final - first + 1
+                if total > ENUMERATION_BUDGET:
+                    raise EnumerationBudgetError(
+                        f"enumeration would list at least {total} lattice "
+                        f"points, over the budget of {ENUMERATION_BUDGET}",
+                        count=total,
+                    )
+                points.extend(zip(*map(repeat, head), range(first, final + 1)))
+        return points
 
     def _vertex_box(self):
         """One range per coordinate, from the least to the greatest integer
@@ -422,64 +439,147 @@ class LatticePolyhedron:
             for low, high in self._box()
         ]
 
-    def _scan(self, outer, low, high):
-        """Points of self whose leading coordinates run over the ranges
-        ``outer`` and whose last coordinate lies in [low, high], listed row
-        by row from the runs of rows :meth:`_rows` reads off the
-        inequalities, so every listed point is a point of self and nothing
-        is filtered.
+    def _certified_rows(self, outer, low, high):
+        """Yield ``(heads, first, final)`` for each run of rows of ``outer``
+        x [low, high] that self meets, in lexicographic order: self meets
+        each row ``head`` of ``heads``, consecutive along the last range of
+        ``outer``, exactly in first..final (rank 1 has the one row ()).
+        This is the one reader of the row scan (`_rows`): each run it hands
+        on is checked here against `integer_inequalities`, never with the
+        scan's floor division, so every row a caller reads is certified.
 
-        Raises EnumerationBudgetError before listing a row that would take
-        the listing past ENUMERATION_BUDGET points.
+        Runs.  The scan hands on ``(head, count, certificate)`` for each run
+        of ``count`` consecutive rows, from row ``head`` on along the last
+        range, that have one certificate.  A row's certificate says which
+        inequalities set its interval of the last coordinate within [low,
+        high]: ``(lower, first, upper, final)`` for [first, final] (empty
+        when final < first), where ``upper`` is the index of the first
+        inequality that sets ``final`` and ``lower`` that of the first one
+        that sets ``first``, None where ``high`` or ``low`` did; or
+        ``(index,)`` when inequality ``index`` is the first that does not
+        involve the last coordinate and fails on the whole row.  A run ends
+        where the certificate changes: the scan compares the next row, then
+        rows 2, 4, 8, ... further on, then bisects between the last equal
+        row and the first different one, whose certificate starts the next
+        run; rows that all differ cost one certificate each.
+
+        Tiling.  For each choice of the leading coordinates but the last, in
+        order, the runs must start at the start of the last range and follow
+        each other with no gap, no overlap and no overrun, each of count >= 1,
+        and no run may follow the last row; in rank 1 the one run is
+        ((), 1, certificate).  So whatever the scan computed, every row gets
+        exactly one certificate, or the check fails.
+
+        Certificate.  The tests are filed by index 0..m-1 and by the sign of
+        their last-coordinate slope, so an index that names no inequality
+        (negative or out of range) or one of the wrong slope finds no test and
+        is refused; each test below is made at the run's first row and, when
+        the run has more than one, at its last row:
+        - (index,): inequality `index` has last-coordinate slope 0 and fails
+          on the row, so the row is empty;
+        - (lower, first, upper, final): inequality `upper` has positive slope
+          and fails at final + 1, hence at every x > final (None: final is at
+          or past `high`), and `lower` has negative slope and fails at
+          first - 1, hence at every x < first (None: first is at or before
+          `low`).  When final < first the row is empty: by Helly's theorem in
+          dimension 1, every integer fails one of the two.  Otherwise first
+          and final lie in [low, high] and pass every test, so the row is
+          exactly first..final.
+
+        The two end rows prove every row between, which also makes the
+        scan's bisection sound.  Along a run of rows h, the points
+        (h, final + 1), (h, first - 1), (h, first) and (h, final) move on
+        segments, since first and final are the run's.  A closed half-space
+        that holds at both ends of a segment holds along all of it, and so
+        does an open one, the failure of an inequality; [low, high], the
+        None cases and the slope-0 inequalities, which do not read the last
+        coordinate, do not depend on it.  So each interior row's certificate
+        holds exactly as at the ends, whatever the scan did to find the run.
+
+        An empty run costs at most four single-inequality tests.  A run that
+        fails raises SelfCheckError naming self and a weight where it fails.
         """
-        points = []
-        for head, count, certificate in self._rows(outer, low, high):
-            if len(certificate) == 4 and certificate[1] <= certificate[3]:
-                _, first, _, last = certificate
-                for row in [head] if count == 1 else (
-                    head[:-1] + (y,) for y in range(head[-1], head[-1] + count)
-                ):
-                    total = len(points) + last - first + 1
-                    if total > ENUMERATION_BUDGET:
-                        raise EnumerationBudgetError(
-                            f"enumeration would list at least {total} lattice "
-                            f"points, over the budget of {ENUMERATION_BUDGET}",
-                            count=total,
-                        )
-                    points.extend(
-                        zip(*map(repeat, row), range(first, last + 1))
-                    )
-        return points
+        def refused(weight):
+            return SelfCheckError(
+                f"enumeration of {self} disagrees with its inequalities at "
+                f"weight {_linalg.exact_text(weight)}"
+            )
+
+        if outer:
+            *leading, inner = outer
+        else:
+            leading, inner = (), range(1)  # rank 1: one row, head ()
+        tests = self.integer_inequalities
+        level, rising, falling = {}, {}, {}
+        for number, test in enumerate(tests):
+            slope = test[0][-1]
+            filed = rising if slope > 0 else falling if slope < 0 else level
+            filed[number] = test
+        runs = self._rows(outer, low, high)
+        for prefix in iter_product(*leading):
+            y = inner.start
+            while y < inner.stop:
+                row = prefix + (y,) if outer else ()
+                head, count, claim = next(runs, (None, 0, ()))
+                if head != row or not 1 <= count <= inner.stop - y:
+                    raise refused(row + (low,))
+                if count == 1:
+                    heads = ends = [row]
+                else:
+                    heads = [prefix + (x,) for x in range(y, y + count)]
+                    ends = heads[0], heads[-1]
+                y += count
+                if len(claim) == 1:
+                    test = level.get(claim[0])
+                    for end in ends:
+                        # slope 0: the head alone decides the row
+                        if test is None or \
+                                sum(map(mul, test[0], end)) * test[2] <= test[1]:
+                            raise refused(end + (low,))
+                    continue
+                if len(claim) != 4:
+                    raise refused(row + (low,))
+                lower, first, upper, final = claim
+                for end in ends:
+                    point = end + (final + 1,)
+                    if upper is None:
+                        if final < high:
+                            raise refused(point)
+                    elif (test := rising.get(upper)) is None or \
+                            sum(map(mul, test[0], point)) * test[2] <= test[1]:
+                        raise refused(point)
+                    point = end + (first - 1,)
+                    if lower is None:
+                        if first > low:
+                            raise refused(point)
+                    elif (test := falling.get(lower)) is None or \
+                            sum(map(mul, test[0], point)) * test[2] <= test[1]:
+                        raise refused(point)
+                if final < first:
+                    continue
+                for x in (first, final):
+                    if not low <= x <= high:
+                        raise refused(row + (x,))
+                for end in ends:
+                    for normal, p, q in tests:
+                        # <normal, x> * q <= p on the row: slope * x <= room
+                        # (map stops at the end of the head, so room takes
+                        # the leading part)
+                        room = p - q * sum(map(mul, normal, end))
+                        slope = normal[-1] * q
+                        if slope * first > room:
+                            raise refused(end + (first,))
+                        if slope * final > room:
+                            raise refused(end + (final,))
+                yield heads, first, final
+        extra = next(runs, None)
+        if extra is not None:
+            raise refused(tuple(extra[0]) + (low,))
 
     def _rows(self, outer, low, high):
-        """Yield ``(head, count, certificate)`` for each run of rows: the
-        ``count`` >= 1 consecutive rows whose leading coordinates are
-        ``head`` and its successors along the last of the ranges ``outer``
-        (the rest of ``head`` fixed), which all have the one certificate.
-        The runs come in lexicographic order and tile the rows of the
-        ranges: each choice of the other leading coordinates gets runs that
-        start at the start of the last range and follow each other to its
-        end.  Rank 1 has the one run ``((), 1, certificate)``.  Each row
-        meets self in an interval of the last coordinate within [low,
-        high], read exactly off the inequalities.
-
-        The certificate says which inequalities set that interval:
-        ``(lower, first, upper, last)`` for the interval [first, last]
-        (empty when last < first), where ``upper`` is the index of the
-        first inequality that sets ``last`` and ``lower`` that of the first
-        one that sets ``first``, None where ``high`` or ``low`` did; or
-        ``(index,)`` when inequality ``index`` is the first that does not
-        involve the last coordinate and fails on the whole row.
-
-        A run ends where the certificate changes.  The scan finds that row
-        by galloping: it compares the next row, then rows 2, 4, 8, ...
-        further on, then bisects between the last equal row and the first
-        different one, whose certificate starts the next run.  Bisection is
-        sound because rows whose certificates agree at two rows agree on
-        every row between (each fact a certificate states is a closed
-        half-space or the complement of one, along a segment); the engine
-        re-checks every run at its two ends either way.  Rows that all
-        differ cost one certificate each.
+        """Yield ``(head, count, certificate)`` for each run of rows of
+        ``outer`` x [low, high], in the form and order `_certified_rows`,
+        its one reader, states and checks.
 
         Raises EnumerationBudgetError before the first row when the ranges
         hold more than ENUMERATION_BUDGET rows.

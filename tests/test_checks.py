@@ -233,6 +233,12 @@ def test_properness_passes_on_matched_ends():
     assert check_properness(sphere_like()).passed
 
 
+def test_properness_passes_on_compact_spaces():
+    report = check_properness(CompactToricSpace(1, segment(0, 3)))
+    assert report.passed
+    assert report.message == "no unbounded directions"
+
+
 def test_properness_flags_empty_component():
     empty = LatticePolyhedron(1, [((1,), -1), ((-1,), 0)])
     d = BSpaceDescription(

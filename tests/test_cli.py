@@ -353,6 +353,22 @@ def test_verify_qr_json(run):
     assert payload["partner"] == {"kind": "compact_toric", "rank": 1}
 
 
+def test_verify_qr_reports_the_first_mismatch(run, monkeypatch):
+    report = bquant.QRReport(3, 2, 3, first_mismatch=((1,), 2, 1))
+    monkeypatch.setattr(cli, "verify_qr_product", lambda *_: report)
+    code, out, _ = run("verify-qr", SPHERE, PARTNER)
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "first mismatch: weight 1 gives 2 from characters, 1 from geometry",
+        "result: MISMATCH",
+    ]
+    code, out, _ = run("verify-qr", SPHERE, PARTNER, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["report"]["first_mismatch"] == {
+        "weight": [1], "from_characters": 2, "from_geometry": 1,
+    }
+
+
 def test_verify_qr_rejects_b_partner(run):
     code, _, err = run("verify-qr", SEGMENT, BTORUS)
     assert code == 2

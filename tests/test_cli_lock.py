@@ -8,7 +8,7 @@ tests/cli_lock.json.  The calls, each in table and in JSON form, over all
 ``cancel --hypersurface i`` for every hypersurface record (and ``0`` on a
 file without records), ``reduce --weight`` at the zero weight and
 ``verify-qr`` against every compact corpus file of the same rank.  That
-is 798 calls; the test takes about 0.6 s of a tier-1 run.
+is 798 calls; the test takes about 0.25 s of a tier-1 run (0.4 s alone).
 
 Every line is well formed, so no call prints argparse's help, usage or
 error text (which differs between Python versions), and every file

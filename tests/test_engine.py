@@ -135,6 +135,11 @@ def test_tail_matching_requires_b_description():
         tail_matching(load("c_seg_0_3.json"))
 
 
+def test_quantize_b_requires_b_description():
+    with pytest.raises(TypeError, match="expected a BSpaceDescription"):
+        quantize_b(load("c_seg_0_3.json"))
+
+
 @pytest.mark.parametrize(
     "name", ["chain3.json", "btorus_4cycle.json", "chain3_x_seg.json"]
 )
@@ -336,8 +341,8 @@ def test_overlap_correction_restores_double_counted_points(monkeypatch):
 
 
 def test_self_check_catches_corrupted_enumeration(monkeypatch):
-    # the self-check reads the formal count off the row certificates
-    # (_certified_rows), not off lattice_points
+    # the self-check reads the formal count off the certified runs of rows
+    # (LatticePolyhedron._certified_rows), not off lattice_points
     real = LatticePolyhedron.lattice_points
 
     def corrupted(self):
@@ -345,20 +350,6 @@ def test_self_check_catches_corrupted_enumeration(monkeypatch):
 
     monkeypatch.setattr(LatticePolyhedron, "lattice_points", corrupted)
     with pytest.raises(SelfCheckError):
-        quantize_b(load("sphere_a2_bm1.json"))
-
-
-def test_self_check_catches_shortened_row_intervals(monkeypatch):
-    # lattice_points lists the collapse's points through the row scan; the
-    # self-check reads the formal count off the row certificates instead,
-    # so a listing that drops points parts from it
-    real = LatticePolyhedron._scan
-
-    def shortened(self, outer, low, high):
-        return real(self, outer, low, high)[:-1]
-
-    monkeypatch.setattr(LatticePolyhedron, "_scan", shortened)
-    with pytest.raises(SelfCheckError, match="formal signed count"):
         quantize_b(load("sphere_a2_bm1.json"))
 
 
@@ -1166,8 +1157,15 @@ def test_self_check_messages_write_derived_weights_in_full(monkeypatch):
         f"collapsed character gives 0 at weight {text} but the formal "
         "signed count is 1"
     )
-    assert str(engine._refused(0, (HUGE,))).endswith(
-        f"its inequalities at weight {text}"
+    # a row scan that hands on no run at all: the run check refuses the
+    # first row at the window's start
+    with monkeypatch.context() as patch:
+        patch.setattr(LatticePolyhedron, "_rows", lambda *_: iter(()))
+        with pytest.raises(SelfCheckError) as info:
+            list(point._certified_rows([], HUGE, HUGE))
+    assert str(info.value) == (
+        f"enumeration of {point} disagrees with its inequalities at weight "
+        f"{text}"
     )
     # a local model at a huge level whose second tail is moved by one:
     # with the set-equality proof forced through, the re-check names the

@@ -6,7 +6,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, inf, lcm, nan
 from operator import add, mul
 
 import pytest
@@ -86,6 +86,24 @@ def test_bounds_and_shifts_refuse_text_and_bools(build, value):
     # "p/q"), and a truth value is not a number, as for the normals
     with pytest.raises(TypeError):
         build(value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda value: LatticePolyhedron(1, [((1,), value)]),
+    lambda value: segment(0, 3).with_inequality((1,), value),
+    lambda value: segment(0, 3).implies((1,), value),
+    lambda value: segment(0, 3).translate((value,)),
+    lambda value: segment(0, 3).contains_point((value,)),
+], ids=["constructor", "with_inequality", "implies", "translate",
+        "contains_point"])
+@pytest.mark.parametrize("value", [
+    inf, -inf, nan, Decimal("Infinity"), Decimal("NaN"),
+], ids=repr)
+def test_bounds_and_shifts_refuse_non_finite_numbers(build, value):
+    # an infinity or a NaN has no exact value; the refusal names it
+    with pytest.raises(ValueError) as info:
+        build(value)
+    assert str(info.value) == f"expected a finite number, got {value!r}"
 
 
 def test_rank_mismatch_rejected():
@@ -234,6 +252,11 @@ def test_lattice_points_against_brute_force():
         (box(-1, 2, 0, 1), range(-3, 4)),
         (LatticePolyhedron(2, [((1, 2), 3), ((-1, 0), 1), ((0, -1), 1)]),
          range(-3, 7)),
+        # no integer in the first coordinate's range: no row to scan
+        (LatticePolyhedron(2, [((1, 0), Fraction(2, 3)),
+                               ((-1, 0), Fraction(-1, 3)),
+                               ((0, 1), 1), ((0, -1), 0)]),
+         range(-3, 4)),
     ]:
         expected = [
             pt for pt in product(window, repeat=2) if poly.contains_point(pt)
@@ -247,9 +270,9 @@ def test_lattice_points_lex_order_and_fractional_bounds():
 
 
 def test_points_in_box_against_brute_force():
-    # the box scan that lists a polyhedron's points row by row (the engine
-    # reads its self-check off the same rows); unbounded and fractional
-    # polyhedra too: the box alone makes it finite
+    # the certified runs of rows over a box, which lattice_points and the
+    # engine's checks read; unbounded and fractional polyhedra too: the box
+    # alone makes it finite
     for poly in [
         TRIANGLE,
         LatticePolyhedron(2, [((1, 2), Fraction(7, 2)), ((-3, 1), 2)]),
@@ -261,7 +284,14 @@ def test_points_in_box_against_brute_force():
             pt for pt in product(*box_ranges) if poly.contains_point(pt)
         ]
         *outer, last = box_ranges
-        assert poly._scan(outer, last.start, last.stop - 1) == expected
+        assert [
+            head + (x,)
+            for heads, first, final in poly._certified_rows(
+                outer, last.start, last.stop - 1
+            )
+            for head in heads
+            for x in range(first, final + 1)
+        ] == expected
 
 
 def test_lattice_points_empty():

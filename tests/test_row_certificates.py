@@ -1,21 +1,18 @@
-"""Property tests of the row scan and the certificates it hands the
-self-check.
+"""Property tests of the row scan and of its one reader, the run check.
 
-`LatticePolyhedron._rows` reads each row's interval of the last coordinate
-off the inequalities, names the inequalities that bound it and hands the
-rows on in runs, (head, count, certificate), of consecutive rows with one
-certificate; `engine._certified_rows` checks that the runs tile the
-window's rows and checks each certificate at its run's two end rows with
-single-inequality tests, never with the scan's own arithmetic, and hands
-on each nonempty interval with its term's sign.  On random polyhedra of
-ranks 1-3 (empty, unbounded and lower-dimensional ones included) over
-random windows, the scan must agree with a brute-force contains_point
-filter and with a scan of each row alone, end each run where the
-certificate changes, and pass the check.  The check must refuse runs with
-a point or a row missing, a certificate missing or with one entry changed,
-a point added to a certificate, an index that names no inequality, a run
-extended one row past a certificate change, a gap, an overlap, an overrun,
-a run carried into the next row prefix, and a count of 0 or -1.
+`LatticePolyhedron._rows` hands on runs of rows with one certificate;
+`LatticePolyhedron._certified_rows`, whose docstring states the
+certificate format and why a run's two end rows prove every row between,
+checks each run and hands on its nonempty interval.  On random polyhedra
+of ranks 1-3 (empty, unbounded and lower-dimensional ones included) over
+random windows, the check must pass and its intervals agree with a
+brute-force contains_point filter, and the scan must agree with a scan
+of each row alone and end each run where the certificate changes.  The
+check must refuse runs with a point or a row missing, a certificate
+missing or with one entry changed, a point added to a certificate, an
+index that names no inequality, a run extended one row past a
+certificate change, a gap, an overlap, an overrun, a run carried into
+the next row prefix, and a count of 0 or -1.
 """
 
 from fractions import Fraction
@@ -29,12 +26,10 @@ from conftest import corpus_path
 
 from bquant import (
     LatticePolyhedron,
-    PolyhedralCharacter,
     SelfCheckError,
     load_description,
     quantize_b,
 )
-from bquant.engine import _certified_rows
 
 BOUNDS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
 
@@ -72,18 +67,16 @@ def run_rows(head, count):
 
 
 def steps_of(polyhedron, window, rows=None):
-    """The (sign, integer rows, heads, first, final) intervals
-    _certified_rows yields on `polyhedron` alone over `window`, with its
-    row scan replaced by the (head, count, certificate) runs `rows` when
-    given; None when the check refuses."""
+    """The (heads, first, final) intervals `polyhedron._certified_rows`
+    yields over `window`, with its row scan replaced by the (head, count,
+    certificate) runs `rows` when given; None when the check refuses."""
     *outer, last = window
-    formal = PolyhedralCharacter(polyhedron.rank, [(1, polyhedron)])
     with pytest.MonkeyPatch.context() as patch:
         if rows is not None:
             patch.setattr(LatticePolyhedron, "_rows", lambda *_: iter(rows))
         try:
             return list(
-                _certified_rows(formal, outer, last.start, last.stop - 1)
+                polyhedron._certified_rows(outer, last.start, last.stop - 1)
             )
         except SelfCheckError:
             return None
@@ -214,8 +207,14 @@ def test_scan_agrees_with_brute_force_and_passes_the_check(case):
     polyhedron, window = case
     *outer, last = window
     low, high = last.start, last.stop - 1
-    points = polyhedron._scan(outer, low, high)
-    assert points == [
+    steps = steps_of(polyhedron, window)
+    assert steps is not None
+    assert [
+        head + (x,)
+        for heads, first, final in steps
+        for head in heads
+        for x in range(first, final + 1)
+    ] == [
         point for point in product(*window) if polyhedron.contains_point(point)
     ]
     runs = list(polyhedron._rows(outer, low, high))
@@ -231,14 +230,6 @@ def test_scan_agrees_with_brute_force_and_passes_the_check(case):
             assert list(polyhedron._rows(alone, low, high)) == [(row, 1, claim)]
     for (head, _, claim), (next_head, _, next_claim) in zip(runs, runs[1:]):
         assert next_head[:-1] != head[:-1] or next_claim != claim
-    steps = steps_of(polyhedron, window)
-    assert steps is not None
-    assert {
-        head + (x,): sign
-        for sign, _, heads, first, final in steps
-        for head in heads
-        for x in range(first, final + 1)
-    } == dict.fromkeys(points, 1)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -313,14 +304,13 @@ def test_check_refuses_indices_that_name_no_inequality(case):
     *outer, last = window
     low, high = last.start, last.stop - 1
     rows = list(polyhedron._rows(outer, low, high))
-    formal = PolyhedralCharacter(polyhedron.rank, [(1, polyhedron)])
     for label, bad_rows in index_forgeries(polyhedron, rows):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(LatticePolyhedron, "_rows", lambda *_: iter(bad_rows))
             with pytest.raises(
                 SelfCheckError, match="disagrees with its inequalities"
             ):
-                list(_certified_rows(formal, outer, low, high))
+                list(polyhedron._certified_rows(outer, low, high))
                 pytest.fail(f"accepted {label}")
 
 

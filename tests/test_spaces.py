@@ -69,6 +69,14 @@ def test_parse_compact():
     assert space.polytope.contains_point((3,))
 
 
+def test_parse_compact_refuses_a_polytope_of_another_rank():
+    data = json.loads(json.dumps(SEGMENT))
+    data["rank"] = 2
+    with pytest.raises(ParseError) as info:
+        parse(data)
+    assert str(info.value) == "polytope.rank: 1 does not match rank 2"
+
+
 def test_parse_b_toric():
     d = parse(SPHERE)
     assert isinstance(d, BSpaceDescription)
@@ -128,6 +136,10 @@ def test_syntax_error_reports_position():
             leaf={"rank": 1, "inequalities": [
                 {"normal": [1], "bound": 0}]}), "leaf.rank"),
         (lambda d: d["hypersurfaces"][0].update(surprise=3), "unknown field"),
+        (lambda d: d["hypersurfaces"].__setitem__(0, 7),
+         "hypersurfaces[0]: expected an object"),
+        (lambda d: d["components"][0]["polyhedron"]["inequalities"][0].update(
+            extra=1), "inequalities[0]: unknown field 'extra'"),
     ],
 )
 def test_structural_errors(mutate, fragment):
@@ -189,6 +201,16 @@ def test_description_validation():
             BSpaceDescription(1, ((sign, poly), (-1, poly)), ())
     with pytest.raises(DimensionMismatchError):
         CompactToricSpace(2, poly)
+    with pytest.raises(DimensionMismatchError, match="component rank"):
+        BSpaceDescription(1, ((1, LatticePolyhedron(2, [])),), ())
+    square_record = HypersurfaceRecord(
+        (1, 0), (1, 0), LatticePolyhedron(1, []), (0, 1)
+    )
+    with pytest.raises(DimensionMismatchError, match="record rank"):
+        BSpaceDescription(1, ((1, poly), (-1, poly)), (square_record,))
+    line_record = HypersurfaceRecord((1,), (1,), LatticePolyhedron(0, []), (0, 5))
+    with pytest.raises(ValueError, match="index 5 out of range"):
+        BSpaceDescription(1, ((1, poly), (-1, poly)), (line_record,))
 
 
 # ----------------------------------------------------------------------
