@@ -9,13 +9,12 @@ cancellation is certified before it is used.
 
 __version__ = "0.1.0"
 
-from .characters import PolyhedralCharacter, VirtualCharacter
+from .characters import VirtualCharacter
 from .engine import (
     QRReport,
     ReducedSpaceResult,
     TailEnd,
     collapse_signed_tails,
-    formal_character,
     quantize_b,
     quantize_compact_toric,
     quantize_description,
@@ -72,7 +71,6 @@ __all__ = [
     "NotFiniteError",
     "NotValidatedError",
     "ParseError",
-    "PolyhedralCharacter",
     "QRReport",
     "ReducedSpaceResult",
     "SelfCheckError",
@@ -82,7 +80,6 @@ __all__ = [
     "VirtualCharacter",
     "ZeroModularWeightError",
     "collapse_signed_tails",
-    "formal_character",
     "leaf_embedding_basis",
     "load_description",
     "local_model",

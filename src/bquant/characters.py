@@ -4,20 +4,15 @@ Weights of the rank-n torus are identified with Z^n through the standard
 basis once and for all; a weight is a plain tuple of ints.  A
 `VirtualCharacter` is a finitely supported map weight -> multiplicity in Z,
 stored canonically (zero multiplicities dropped, iteration in lexicographic
-weight order).  A `PolyhedralCharacter` is a formal signed combination of
-polyhedron indicators; it performs no simplification, and collapsing one to
-a finite `VirtualCharacter` is the quantization engine's job.
+weight order).  The engine reads a description's formal signed sum of
+polyhedron indicators straight off its components; nothing wraps it here.
 """
 
 from operator import neg
 
 from .errors import DimensionMismatchError
-from .polyhedra import LatticePolyhedron
 
-__all__ = [
-    "VirtualCharacter",
-    "PolyhedralCharacter",
-]
+__all__ = ["VirtualCharacter"]
 
 
 def _check_rank(rank):
@@ -196,41 +191,3 @@ class VirtualCharacter:
             ],
         }
 
-
-class PolyhedralCharacter:
-    """Formal signed combination of polyhedron indicator functions.
-
-    Evaluation at a weight is the signed membership count.  Terms are kept
-    verbatim (no cancellation): turning this into a finite VirtualCharacter
-    is an explicit, certified step in the quantization engine.
-    """
-
-    __slots__ = ("rank", "terms")
-
-    def __init__(self, rank, terms):
-        _check_rank(rank)
-        terms = tuple((sign, polyhedron) for sign, polyhedron in terms)
-        for sign, polyhedron in terms:
-            if type(sign) is not int or sign not in (1, -1):
-                raise ValueError(f"term sign must be +1 or -1, got {sign!r}")
-            if not isinstance(polyhedron, LatticePolyhedron):
-                raise TypeError("term must pair a sign with a LatticePolyhedron")
-            if polyhedron.rank != rank:
-                raise DimensionMismatchError(
-                    f"rank {polyhedron.rank} term in rank {rank} character"
-                )
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyhedralCharacter is immutable")
-
-    def multiplicity(self, weight):
-        weight = _as_weight(weight, self.rank)
-        return sum(
-            sign for sign, polyhedron in self.terms
-            if polyhedron.contains_point(weight)
-        )
-
-    def __repr__(self):
-        return f"PolyhedralCharacter(rank={self.rank}, {len(self.terms)} terms)"

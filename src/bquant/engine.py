@@ -27,7 +27,7 @@ from math import ceil, floor
 from operator import itemgetter, mul
 
 from . import _linalg
-from .characters import PolyhedralCharacter, VirtualCharacter, _as_weight
+from .characters import VirtualCharacter, _as_weight
 from .errors import (
     DescriptionKindError,
     DimensionMismatchError,
@@ -48,7 +48,6 @@ __all__ = [
     "TailEnd",
     "ReducedSpaceResult",
     "QRReport",
-    "formal_character",
     "tail_matching",
     "collapse_signed_tails",
     "quantize_compact_toric",
@@ -115,14 +114,15 @@ class QRReport:
 
 
 # ----------------------------------------------------------------------
-# formal characters and tail matching
+# formal terms and tail matching
 
 
-def formal_character(description):
-    """The signed sum of component indicators (compact: one positive term)."""
+def _terms(description):
+    """The formal character's (sign, polyhedron) terms, the components
+    (compact: the polytope, with sign 1)."""
     if isinstance(description, CompactToricSpace):
-        return PolyhedralCharacter(description.rank, ((1, description.polytope),))
-    return PolyhedralCharacter(description.rank, description.components)
+        return ((1, description.polytope),)
+    return description.components
 
 
 def tail_matching(description):
@@ -182,8 +182,7 @@ def collapse_signed_tails(description, self_check=True):
     rows and lists no points; see _self_check.
     """
     matching = tail_matching(description)
-    formal = formal_character(description)
-    rank = formal.rank
+    terms = _terms(description)
     ends_at = {}
     for end in matching:
         ends_at.setdefault(end.plus_component, []).append(end)
@@ -192,7 +191,7 @@ def collapse_signed_tails(description, self_check=True):
     # assemble the surviving bounded pieces in a fixed order
     pieces = []
     coefficients = []
-    for index, (sign, polyhedron) in enumerate(formal.terms):
+    for index, (sign, polyhedron) in enumerate(terms):
         ends = ends_at.get(index, [])
         core = polyhedron
         for end in ends:
@@ -234,17 +233,17 @@ def collapse_signed_tails(description, self_check=True):
     table = {}
     for coefficient, piece in zip(coefficients, pieces):
         _accumulate(table, piece.lattice_points(), coefficient)
-    character = VirtualCharacter._from_table(rank, table)
+    character = VirtualCharacter._from_table(description.rank, table)
 
     if self_check:
-        _self_check(formal, character, _verification_box(character, pieces))
+        _self_check(terms, character, _verification_box(character, pieces))
     return character
 
 
-def _self_check(formal, character, window):
-    """Raise SelfCheckError unless `character` equals the formal signed
-    count at every point of `window` (one range per coordinate) and has no
-    weight outside it.
+def _self_check(terms, character, window):
+    """Raise SelfCheckError unless `character` equals the signed count of
+    the (sign, polyhedron) `terms` at every point of `window` (one range
+    per coordinate) and has no weight outside it.
 
     The formal count is never listed point by point: _box_rows reads it
     off every term's certified runs of rows
@@ -256,8 +255,8 @@ def _self_check(formal, character, window):
     window is empty and _point_mismatch tests the one weight.
     """
     mismatch = (
-        _first_difference(_box_rows(formal.terms, window), character.items())
-        if window else _point_mismatch(formal, character)
+        _first_difference(_box_rows(terms, window), character.items())
+        if window else _point_mismatch(terms, character)
     )
     if mismatch is not None:
         weight, found, expected = mismatch
@@ -268,10 +267,12 @@ def _self_check(formal, character, window):
         )
 
 
-def _point_mismatch(formal, character):
-    """Rank 0: ((), multiplicity in `character`, formal signed count) at
-    the one weight () when the two differ, else None."""
-    found, expected = character.multiplicity(()), formal.multiplicity(())
+def _point_mismatch(terms, character):
+    """Rank 0: ((), multiplicity in `character`, signed number of the
+    (sign, polyhedron) `terms` that contain ()) when the two differ, else
+    None."""
+    found = character.multiplicity(())
+    expected = sum(sign for sign, term in terms if term.contains_point(()))
     return None if found == expected else ((), found, expected)
 
 
@@ -468,7 +469,7 @@ def reduced_space_quantization(description, weight):
     weight = _as_weight(weight, description.rank)
     contributions = tuple(
         sign * int(polyhedron.contains_point(weight))
-        for sign, polyhedron in formal_character(description).terms
+        for sign, polyhedron in _terms(description)
     )
     return ReducedSpaceResult(
         weight=weight, count=sum(contributions), contributions=contributions
@@ -501,16 +502,16 @@ def support_audit(description, character):
     items = character.items()
     if not items:
         return None, ()
-    formal = formal_character(description)
+    terms = _terms(description)
     if not character.rank:
-        return _point_mismatch(formal, character), ()
+        return _point_mismatch(terms, character), ()
     *outer, last = [
         range(min(values), max(values) + 1)
         for values in zip(*character.support())
     ]
     heads = {weight[:-1] for weight, _ in items}
     steps, spans, points = {}, {}, set()  # tight: whole intervals; weights
-    for sign, polyhedron in formal.terms:
+    for sign, polyhedron in terms:
         tests = polyhedron.integer_inequalities
         for run, first, final in polyhedron._certified_rows(
             outer, last.start, last.stop - 1
@@ -584,18 +585,19 @@ def verify_qr_product(description, partner, character=None):
     partner_character = quantize_compact_toric(partner)
     invariant_from_characters = character.invariant_pairing(partner_character)
 
-    formal = formal_character(description)
+    terms = _terms(description)
     reflected = partner.polytope.reflect_through_origin()
     if not reflected.rank:
-        invariant_from_geometry, checked = formal.multiplicity(()), 1
-        first_mismatch = _point_mismatch(formal, character)
+        invariant_from_geometry, checked = (
+            reduced_space_quantization(description, ()).count, 1)
+        first_mismatch = _point_mismatch(terms, character)
     else:
         # the reflected box is the partner's, negated
         box = [
             range(1 - values.stop, 1 - values.start)
             for values in partner.polytope._vertex_box()
         ]
-        runs_at = dict(_box_rows(formal.terms, box))
+        runs_at = dict(_box_rows(terms, box))
         *outer, last = box
         weights, items = character.support(), character.items()
         rows, inside, checked = [], [], 0

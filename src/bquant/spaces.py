@@ -145,7 +145,6 @@ class TailEnd:
     plus_component: int
     minus_component: int
     cut_normal: tuple  # splitting covector; tails satisfy <cut_normal, x> <= -threshold
-    tail_ray: tuple  # primitive direction shared by both tails
     threshold: int
 
 
@@ -162,6 +161,15 @@ def _reject_float(literal):
 
 def _reject_constant(literal):
     raise ParseError(f"non-finite literal {literal!r} is not allowed")
+
+
+def _reject_duplicate(pairs):
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for at, key in enumerate(keys) if key in keys[:at])
+        raise ParseError(f"duplicate field {repeated!r}")
+    return data
 
 
 def _expect_int(value, where):
@@ -201,14 +209,15 @@ def parse_description(text):
     validation is a separate, explicit step (:func:`validate_description`)."""
     try:
         data = json.loads(
-            text, parse_float=_reject_float, parse_constant=_reject_constant
+            text, parse_float=_reject_float, parse_constant=_reject_constant,
+            object_pairs_hook=_reject_duplicate,
         )
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except ParseError:
-        raise  # a float or non-finite literal, named by its hook
+        raise  # a float, non-finite literal or repeated field, named by a hook
     except ValueError as exc:  # an integer over Python's int-string digit limit
         raise ParseError(f"integer literal: {str(exc).split(';')[0]}") from None
     except RecursionError:  # arrays or objects nested past the recursion limit
@@ -342,11 +351,22 @@ def leaf_embedding_basis(splitting):
     return tuple(_linalg.lattice_kernel_basis(tuple(splitting)))
 
 
+def _record(description, index):
+    """The record of hypersurface `index`; HypersurfaceIndexError unless
+    `index` is an int (not a bool) that names one."""
+    count = len(description.hypersurfaces)
+    if type(index) is not int or not 0 <= index < count:
+        raise HypersurfaceIndexError(
+            f"hypersurface index {index!r} out of range (have {count})"
+        )
+    return description.hypersurfaces[index]
+
+
 def tail_threshold(description, index):
     """Integer cut level for the tails of hypersurface `index`: strictly
     beyond the extent of every adjacent component's vertices along the
     splitting coordinate, read in integers off each vertex table."""
-    record = description.hypersurfaces[index]
+    record = _record(description, index)
     extent = 0  # the floor of the largest |<splitting, vertex>| so far
     for side in record.adjacent:
         _, polyhedron = description.components[side]
@@ -540,8 +560,7 @@ def _check_tail_product(description):
             return CheckReport(name, False, witness=witness, message=verdict), ()
         sign = components[first][0]
         plus, minus = (first, second) if sign == 1 else (second, first)
-        tail_ray = tuple(-x for x in record.modular_weight)  # primitive: gcd 1
-        ends.append(TailEnd(index, plus, minus, splitting, tail_ray, threshold))
+        ends.append(TailEnd(index, plus, minus, splitting, threshold))
     return CheckReport(name, True), tuple(ends)
 
 
@@ -612,17 +631,10 @@ def local_model(description, index):
         raise DescriptionKindError(
             "local models exist only for b_toric descriptions"
         )
-    if not 0 <= index < len(description.hypersurfaces):
-        raise HypersurfaceIndexError(
-            f"hypersurface index {index} out of range "
-            f"(have {len(description.hypersurfaces)})"
-        )
+    record = _record(description, index)
     threshold = require_validated(description).tails[index].threshold
-    record = description.hypersurfaces[index]
     tails = []
     for side in record.adjacent:
         sign, polyhedron = description.components[side]
         tails.append((sign, tail_cut(polyhedron, record.splitting, threshold)))
-    return LocalModel(
-        hypersurface=index, threshold=threshold, tails=tuple(tails)
-    )
+    return LocalModel(index, threshold, tuple(tails))

@@ -1,4 +1,4 @@
-"""Virtual characters and formal polyhedral characters."""
+"""Virtual characters."""
 
 import random
 
@@ -13,8 +13,6 @@ from conftest import (
 
 from bquant import (
     DimensionMismatchError,
-    LatticePolyhedron,
-    PolyhedralCharacter,
     VirtualCharacter,
     load_description,
     parse_description,
@@ -175,31 +173,3 @@ def test_equality_and_rank():
 def test_weight_multiplicity_alias():
     a = char([((5,), 9)])
     assert a.multiplicity((5,)) == 9
-
-
-def test_polyhedral_character_signed_membership():
-    plus = LatticePolyhedron(1, [((1,), 2)])
-    minus = LatticePolyhedron(1, [((1,), -1)])
-    f = PolyhedralCharacter(1, [(1, plus), (-1, minus)])
-    assert f.multiplicity((-5,)) == 0
-    assert f.multiplicity((0,)) == 1
-    assert f.multiplicity((2,)) == 1
-    assert f.multiplicity((3,)) == 0
-
-
-def test_polyhedral_character_validation():
-    p = LatticePolyhedron(1, [((1,), 0)])
-    with pytest.raises(ValueError):
-        PolyhedralCharacter(1, [(2, p)])
-    with pytest.raises(TypeError):
-        PolyhedralCharacter(1, [(1, "not a polyhedron")])
-    with pytest.raises(DimensionMismatchError):
-        PolyhedralCharacter(2, [(1, p)])
-    with pytest.raises(AttributeError):
-        PolyhedralCharacter(1, [(1, p)]).rank = 5
-    for rank in ("x", True, -1):
-        with pytest.raises(ValueError):
-            PolyhedralCharacter(rank, [])
-    for sign in (True, False, 1.0):  # a truth value is not a sign
-        with pytest.raises(ValueError, match="term sign"):
-            PolyhedralCharacter(1, [(sign, p)])

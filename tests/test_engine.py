@@ -34,14 +34,12 @@ from bquant import (
     LatticePolyhedron,
     NotFiniteError,
     NotValidatedError,
-    PolyhedralCharacter,
     QRReport,
     SelfCheckError,
     TailEnd,
     VirtualCharacter,
     ZeroModularWeightError,
     collapse_signed_tails,
-    formal_character,
     load_description,
     local_model,
     parse_description,
@@ -71,24 +69,25 @@ def load(name):
     return load_description(corpus_path(name))
 
 
+def signed_terms(description):
+    """The (sign, polyhedron) terms of a description's formal character,
+    read off it without the engine: its components, or its polytope with
+    sign 1."""
+    if isinstance(description, BSpaceDescription):
+        return description.components
+    return ((1, description.polytope),)
+
+
+def signed_count(description, weight):
+    """The formal signed count at `weight`, one contains_point per term."""
+    return sum(
+        sign for sign, polyhedron in signed_terms(description)
+        if polyhedron.contains_point(weight)
+    )
+
+
 # ----------------------------------------------------------------------
-# formal characters and matchings
-
-
-def test_formal_character_compact():
-    space = load("c_seg_0_3.json")
-    formal = formal_character(space)
-    assert isinstance(formal, PolyhedralCharacter)
-    assert formal.terms == ((1, space.polytope),)
-
-
-def test_formal_character_signed_terms():
-    d = load("sphere_a2_bm1.json")
-    formal = formal_character(d)
-    assert [sign for sign, _ in formal.terms] == [1, -1]
-    assert formal.multiplicity((0,)) == 1
-    assert formal.multiplicity((-5,)) == 0  # both memberships cancel
-    assert formal.multiplicity((3,)) == 0  # outside both
+# tail matching
 
 
 def test_tail_matching_sphere():
@@ -98,7 +97,6 @@ def test_tail_matching_sphere():
         plus_component=0,
         minus_component=1,
         cut_normal=(1,),
-        tail_ray=(-1,),
         threshold=3,
     )
 
@@ -396,10 +394,9 @@ def test_self_check_names_the_first_wrong_weight(name):
     # the run-by-run match must refuse every single fault in the character
     # and name the least weight where it parts from the honest one
     d = load(name)
-    formal = formal_character(d)
     honest = quantize_b(d)
     window = engine._verification_box(honest, [])
-    engine._self_check(formal, honest, window)
+    engine._self_check(d.components, honest, window)
     table = dict(honest.items())
     for wrong in wrong_tables(table, d.rank):
         weight = min(
@@ -407,7 +404,9 @@ def test_self_check_names_the_first_wrong_weight(name):
             if table.get(w, 0) != wrong.get(w, 0)
         )
         with pytest.raises(SelfCheckError) as info:
-            engine._self_check(formal, VirtualCharacter(d.rank, wrong), window)
+            engine._self_check(
+                d.components, VirtualCharacter(d.rank, wrong), window
+            )
         assert str(info.value) == (
             f"collapsed character gives {wrong.get(weight, 0)} at weight "
             f"{weight} but the formal signed count is {table.get(weight, 0)}"
@@ -416,12 +415,12 @@ def test_self_check_names_the_first_wrong_weight(name):
 
 def test_self_check_tests_rank_0_directly():
     point = LatticePolyhedron(0, [])
-    formal = PolyhedralCharacter(0, [(1, point), (1, point)])
-    engine._self_check(formal, VirtualCharacter(0, {(): 2}), [])
+    terms = ((1, point), (1, point))
+    engine._self_check(terms, VirtualCharacter(0, {(): 2}), [])
     with pytest.raises(SelfCheckError, match=(
         r"gives 1 at weight \(\) but the formal signed count is 2"
     )):
-        engine._self_check(formal, VirtualCharacter(0, {(): 1}), [])
+        engine._self_check(terms, VirtualCharacter(0, {(): 1}), [])
 
 
 def first_difference_oracle(rows, items, box):
@@ -504,7 +503,7 @@ def test_first_difference_matches_the_per_weight_oracle():
 
 def test_point_mismatch_compares_the_one_weight_of_rank_0():
     point = LatticePolyhedron(0, [])
-    twice = PolyhedralCharacter(0, [(1, point), (1, point)])
+    twice = ((1, point), (1, point))
     assert engine._point_mismatch(twice, VirtualCharacter(0, {(): 2})) is None
     assert engine._point_mismatch(twice, VirtualCharacter(0, {(): 1})) == (
         (), 1, 2
@@ -512,7 +511,7 @@ def test_point_mismatch_compares_the_one_weight_of_rank_0():
     assert engine._point_mismatch(twice, VirtualCharacter.zero(0)) == (
         (), 0, 2
     )
-    cancelled = PolyhedralCharacter(0, [(1, point), (-1, point)])
+    cancelled = ((1, point), (-1, point))
     assert engine._point_mismatch(cancelled, VirtualCharacter.zero(0)) is None
     assert engine._point_mismatch(
         cancelled, VirtualCharacter(0, {(): -1})
@@ -700,6 +699,13 @@ def test_reduced_space_counts_sphere():
     outside = reduced_space_quantization(d, (5,))
     assert outside.count == 0
     assert outside.contributions == (0, 0)
+    # the two memberships at 0 and far down the tails, and above both
+    for weight, contributions in [
+        ((0,), (1, 0)), ((-5,), (1, -1)), ((3,), (0, 0))
+    ]:
+        result = reduced_space_quantization(d, weight)
+        assert result.contributions == contributions
+        assert result.count == sum(contributions)
 
 
 def test_reduced_space_counts_compact():
@@ -721,8 +727,6 @@ def test_weight_validation():
         reduced_space_quantization(d, (True,))
     with pytest.raises(ValueError):
         reduced_space_quantization(d, ("1",))
-    with pytest.raises(ValueError):
-        formal_character(d).multiplicity(("1",))
 
 
 def test_pointwise_multiplicity_matches_oracle():
@@ -733,7 +737,7 @@ def test_pointwise_multiplicity_matches_oracle():
         for _ in range(40):
             weight = tuple(rng.randint(-8, 8) for _ in range(d.rank))
             expected = raw_multiplicity(data, weight)
-            assert formal_character(d).multiplicity(weight) == expected
+            assert signed_count(d, weight) == expected
             assert reduced_space_quantization(d, weight).count == expected
 
 
@@ -754,10 +758,9 @@ def facet_boundary_oracle(description, character):
     """What support_audit must return as its boundary, weight by weight: each
     support weight that some component contains and meets in one of its
     inequalities with equality."""
-    terms = formal_character(description).terms
     out = []
     for weight in character.support():
-        for _, polyhedron in terms:
+        for _, polyhedron in signed_terms(description):
             if not polyhedron.contains_point(weight):
                 continue
             if any(
@@ -892,33 +895,14 @@ def test_qr_product_never_forms_the_tensor(monkeypatch):
     assert report.invariant_from_geometry == 6
 
 
-def test_qr_product_builds_the_formal_character_once(monkeypatch):
-    d = load("product_k1.json")
-    partner = load("c_box_m3_0_x_m1_0.json")
-    character = quantize_description(d)
-    calls = []
-    real = engine.formal_character
-
-    def counted(description):
-        calls.append(description)
-        return real(description)
-
-    monkeypatch.setattr(engine, "formal_character", counted)
-    report = verify_qr_product(d, partner, character=character)
-    assert report.matches
-    assert report.checked_weights > 1
-    assert calls == [d]
-
-
 def route_two_oracle(description, partner, character):
     """The report verify_qr_product must give, by the per-weight definition
     of route two: the formal signed count at each lattice point of the
     reflected partner, in lexicographic order."""
-    formal = formal_character(description)
     geometry = checked = 0
     first_mismatch = None
     for weight in partner.polytope.reflect_through_origin().lattice_points():
-        direct = formal.multiplicity(weight)
+        direct = signed_count(description, weight)
         geometry += direct
         checked += 1
         from_character = character.multiplicity(weight)
@@ -938,6 +922,36 @@ RANK_0_POINT = {
     "schema": "bquant/1", "kind": "compact_toric", "rank": 0,
     "polytope": {"rank": 0, "inequalities": []},
 }
+
+
+def rank_0_sum(*signs):
+    """A rank-0 b_toric description: one point component per sign."""
+    return parse({
+        "schema": "bquant/1", "kind": "b_toric", "rank": 0,
+        "components": [
+            {"sign": sign, "polyhedron": {"rank": 0, "inequalities": []}}
+            for sign in signs
+        ],
+        "hypersurfaces": [],
+    })
+
+
+@pytest.mark.parametrize("signs, count", [((1, 1), 2), ((1, -1), 0)])
+def test_rank_0_sums_through_the_public_api(signs, count):
+    # the signed count at the one weight () is the number of +1 points
+    # less the number of -1 points, by every route
+    description = rank_0_sum(*signs)
+    point = parse(RANK_0_POINT)
+    character = quantize_description(description)
+    assert character == VirtualCharacter(0, {(): count})
+    assert support_audit(description, character) == (None, ())
+    result = reduced_space_quantization(description, ())
+    assert (result.count, result.contributions) == (count, signs)
+    assert verify_qr_product(description, point) == QRReport(count, count, 1)
+    corrupted = VirtualCharacter(0, {(): 1})
+    report = verify_qr_product(description, point, character=corrupted)
+    assert report == QRReport(1, count, 1, first_mismatch=((), 1, count))
+    assert support_audit(description, corrupted) == (((), 1, count), ())
 
 
 def qr_pairs():
@@ -1091,7 +1105,7 @@ def test_random_spheres_have_interval_spectra():
         assert character.dimension() == a - b
         for _ in range(10):
             weight = (rng.randint(-30, 30),)
-            direct = formal_character(d).multiplicity(weight)
+            direct = signed_count(d, weight)
             assert character.multiplicity(weight) == direct
             assert reduced_space_quantization(d, weight).count == direct
 
@@ -1148,10 +1162,9 @@ def test_collapse_messages_write_derived_rays_in_full(monkeypatch):
 def test_self_check_messages_write_derived_weights_in_full(monkeypatch):
     text = "(" + str(Decimal(HUGE)) + ",)"
     point = LatticePolyhedron(1, [((1,), HUGE), ((-1,), -HUGE)])
-    formal = PolyhedralCharacter(1, ((1, point),))
     with pytest.raises(SelfCheckError) as info:
         engine._self_check(
-            formal, VirtualCharacter.zero(1), [range(HUGE, HUGE + 1)]
+            ((1, point),), VirtualCharacter.zero(1), [range(HUGE, HUGE + 1)]
         )
     assert str(info.value) == (
         f"collapsed character gives 0 at weight {text} but the formal "

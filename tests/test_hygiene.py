@@ -5,8 +5,9 @@ the package; every public one has a user too or is one of the library's
 listed entry points; a name two definitions share is used only through a
 reference that names its own definition, or when a commented list gives
 its caller; every name a module exports exists; the engine reads a
-polyhedron's row scan only where it certifies the rows; and a Fraction is
-built only by the listed functions at the public edge."""
+polyhedron's row scan only where it certifies the rows; a Fraction is
+built only by the listed functions at the public edge; and each module
+imports from inside the package only the modules its listed set names."""
 
 import ast
 import importlib
@@ -212,8 +213,6 @@ ENTRY_POINTS = (
 SHARED_NAME_CALLERS = {
     "LatticePolyhedron.to_payload",  # cli._cmd_cancel, each tail
     "VirtualCharacter.to_payload",  # cli._cmd_quantize, cli._cmd_cancel
-    "VirtualCharacter.multiplicity",  # engine._point_mismatch
-    "PolyhedralCharacter.multiplicity",  # engine._point_mismatch
     "CheckReport.payload",  # spaces.ValidationReport.payload, each check
     "ValidationReport.payload",  # cli._cmd_check
     "QRReport.payload",  # cli._cmd_verify_qr
@@ -488,3 +487,77 @@ def test_rows_are_read_only_through_certified_rows():
         name for name, source in sources.items()
         if "def _certified_rows(" in source
     ] == ["polyhedra.py"]
+
+
+def package_imports(source, modules):
+    """The modules of the package that `source` imports from, at any depth,
+    by stem; "bquant" stands for the package itself, imported or read a
+    name off that is no module in `modules`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = "bquant" if node.level else None
+            base = ".".join(filter(None, [package, node.module]))
+            names = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            top, _, rest = name.partition(".")
+            if top == "bquant":
+                module = rest.split(".")[0]
+                found.add(module if module in modules else "bquant")
+    return found
+
+
+def test_scan_finds_package_imports():
+    source = (
+        "import json\nfrom . import _linalg, __version__\n"
+        "from .errors import ParseError\nimport bquant.spaces\n"
+        "from bquant import engine\nfrom bquant.checks import CheckReport\n"
+        "from os import path\n"
+        "def late():\n    from .polyhedra import LatticePolyhedron\n"
+    )
+    modules = {"_linalg", "errors", "spaces", "engine", "checks", "polyhedra"}
+    assert package_imports(source, modules) == modules | {"bquant"}
+    assert package_imports("import bquant\nimport os\n", modules) == {
+        "bquant"
+    }
+
+
+# Each module's imports from inside the package, by stem ("bquant": the
+# package's own __init__).  _linalg and errors sit at the bottom; polyhedra,
+# checks and characters on them; then spaces, the engine and the cli.
+IMPORT_GRAPH = {
+    "__init__": {"characters", "engine", "errors", "polyhedra", "spaces"},
+    "__main__": {"cli"},
+    "_linalg": set(),
+    "characters": {"errors"},
+    "checks": {"_linalg", "errors"},
+    "cli": {"bquant", "_linalg", "engine", "errors", "spaces"},
+    "engine": {"_linalg", "characters", "errors", "spaces"},
+    "errors": set(),
+    "polyhedra": {"_linalg", "errors"},
+    "spaces": {"_linalg", "checks", "errors", "polyhedra"},
+}
+
+
+def test_each_module_imports_only_its_listed_modules():
+    paths = sorted(Path(bquant.__file__).parent.glob("*.py"))
+    modules = {path.stem for path in paths}
+    edges = {
+        path.stem: package_imports(path.read_text(), modules)
+        for path in paths
+    }
+    assert sorted(modules) == sorted(IMPORT_GRAPH)
+    assert [
+        f"{module} imports {target}"
+        for module in sorted(edges)
+        for target in sorted(edges[module] - IMPORT_GRAPH[module])
+    ] == []
+    assert [
+        f"{module} no longer imports {target}"
+        for module in sorted(edges)
+        for target in sorted(IMPORT_GRAPH[module] - edges[module])
+    ] == []

@@ -108,6 +108,22 @@ def test_nonfinite_literals_rejected():
     assert "NaN" in str(info.value)
 
 
+@pytest.mark.parametrize("old, new, field", [
+    ('"rank": 1, "components"', '"rank": 1, "rank": 1, "components"',
+     "rank"),
+    ('"sign": 1,', '"sign": 1, "sign": -1,', "sign"),
+    ('"bound": 2}', '"bound": 2, "bound": 2}', "bound"),
+], ids=["top level", "component", "inequality"])
+def test_repeated_fields_are_refused(old, new, field):
+    # a top-level field, a component's and an inequality's: JSON keeps the
+    # last of two equal keys, which would read the sign 1, -1 as -1
+    text = json.dumps(SPHERE)
+    assert text.count(old) == 1
+    with pytest.raises(ParseError) as info:
+        parse_description(text.replace(old, new))
+    assert str(info.value) == f"duplicate field {field!r}"
+
+
 def test_syntax_error_reports_position():
     with pytest.raises(ParseError) as info:
         parse_description("{\n  broken")
@@ -653,8 +669,7 @@ def _two_sided_tail_product(description):
         plus, minus = record.adjacent
         if description.components[plus][0] == -1:
             plus, minus = minus, plus
-        tail_ray = tuple(-x for x in v)
-        ends.append(TailEnd(index, plus, minus, splitting, tail_ray, threshold))
+        ends.append(TailEnd(index, plus, minus, splitting, threshold))
     return CheckReport(name, True), tuple(ends)
 
 
@@ -790,6 +805,19 @@ def test_local_model_tails():
     assert signs == [1, -1]
     for _, tail in model.tails:
         assert tail.set_equals(LatticePolyhedron(1, [((1,), -3)]))
+
+
+def test_hypersurface_indexes_are_checked():
+    # an int (not a bool) that names a record, or HypersurfaceIndexError
+    chain = load_description(corpus_path("chain3.json"))
+    count = len(chain.hypersurfaces)
+    for index in (-1, count, True, "0"):
+        for function in (tail_threshold, local_model):
+            with pytest.raises(HypersurfaceIndexError) as info:
+                function(chain, index)
+            assert str(info.value) == (
+                f"hypersurface index {index!r} out of range (have {count})"
+            )
 
 
 def test_local_model_errors():
