@@ -4,11 +4,10 @@ Everything here works over Python ints and fractions.Fraction; nothing is
 ever rounded.  The eliminations are fraction-free: row reduction, the
 determinant and Fourier-Motzkin work on integer rows and divide only where
 the quotient is exact.  A Fraction is built only by exact, for a number
-handed in, and for solve_unique's solution, which the public vertex
-listing hands out; fm_box gives each finite end of a range as its reduced
-pair (p, q) for p/q.  Both
-Fourier-Motzkin entry points, fm_feasible and fm_box, take a polyhedron's
-stored rows ``(normal, p, q)`` for <normal, x> * q <= p as they are.
+handed in: solve_unique gives its solution as an int point over a scale,
+and fm_box each finite end of a range as its reduced pair (p, q) for p/q.
+Both Fourier-Motzkin entry points, fm_feasible and fm_box, take a
+polyhedron's stored rows ``(normal, p, q)`` for <normal, x> * q <= p.
 Scales are small (rank <= 3, handfuls of rows), so the algorithms favour
 clarity over asymptotics.
 """
@@ -135,22 +134,22 @@ def _row_reduce(rows):
 
 
 def solve_unique(rows, rhs):
-    """Solve the square-ish system rows * x = rhs; None unless the solution is unique."""
+    """The solution of rows * x = rhs as ``(point, scale)``, the int tuple
+    ``point`` over the least positive int ``scale``; None unless it is
+    unique, that is, unless the pivots of the augmented rows
+    (`_row_reduce`) are the coefficient columns, each pivot row reading
+    x_c = b / pivot."""
     if not rows:
-        return () if not rhs else None
+        return ((), 1) if not rhs else None
     ncols = len(rows[0])
-    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
-    mat, pivots = _row_reduce(augmented)
-    pivots_coeff = [c for c in pivots if c < ncols]
-    if len(pivots_coeff) < ncols:
-        return None  # underdetermined
-    for row in mat[len(pivots_coeff):]:
-        if row[ncols] != 0:
-            return None  # inconsistent
-    solution = [Fraction(0)] * ncols
-    for row, c in zip(mat, pivots_coeff):
-        solution[c] = Fraction(row[ncols], row[c])
-    return tuple(solution)
+    mat, pivots = _row_reduce([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots != list(range(ncols)):
+        return None
+    pivot_rows = mat[:ncols]
+    scale = lcm(1, *(row[c] for c, row in enumerate(pivot_rows)))
+    point = [row[-1] * (scale // row[c]) for c, row in enumerate(pivot_rows)]
+    common = gcd(scale, *point)  # scale // common is the least scale
+    return tuple(x // common for x in point), scale // common
 
 
 def determinant(rows):

@@ -8,8 +8,6 @@ weight order).  The engine reads a description's formal signed sum of
 polyhedron indicators straight off its components; nothing wraps it here.
 """
 
-from operator import neg
-
 from .errors import DimensionMismatchError
 
 __all__ = ["VirtualCharacter"]
@@ -147,26 +145,6 @@ class VirtualCharacter:
                 key = tuple(a + b for a, b in zip(wa, wb))
                 table[key] = table.get(key, 0) + ma * mb
         return VirtualCharacter(self.rank, table)
-
-    def invariant_pairing(self, other):
-        """Sum over w of self(w) * other(-w).
-
-        This equals `self.tensor(other).invariant_part()` without forming the
-        convolution: one lookup per weight of the smaller support.
-        """
-        if not isinstance(other, VirtualCharacter):
-            raise TypeError("invariant_pairing expects a VirtualCharacter")
-        if self.rank != other.rank:
-            raise DimensionMismatchError(
-                f"cannot pair characters of ranks {self.rank} and {other.rank}"
-            )
-        small, large = self._multiplicities, other._multiplicities
-        if len(small) > len(large):
-            small, large = large, small
-        return sum(
-            multiplicity * large.get(tuple(map(neg, weight)), 0)
-            for weight, multiplicity in small.items()
-        )
 
     def __eq__(self, other):
         if not isinstance(other, VirtualCharacter):

@@ -73,11 +73,13 @@ class ReducedSpaceResult:
 class QRReport:
     """Two-route comparison of quantization and reduction on a product.
 
-    `invariant_from_characters` is the invariant part of chi (x) P, read off
-    as the pairing sum over w of chi(w) * P(-w) without forming the tensor;
-    `invariant_from_geometry` sums the reduced-space counts over the weights
-    of the reflected partner, read off the components' certified runs of
-    rows (LatticePolyhedron._certified_rows), never forming a character.
+    `invariant_from_characters` is the invariant part of chi (x) P, the
+    sum over w of chi(w) * P(-w): chi summed over the weights of the
+    reflected partner -P, read off its certified runs of rows
+    (LatticePolyhedron._certified_rows) without forming the tensor;
+    `invariant_from_geometry` sums the reduced-space counts over the same
+    weights, read off the components' certified runs of rows, never
+    forming a character.
     `checked_weights` is the number of those weights.  `first_mismatch`,
     when not None, is (weight, character multiplicity, reduced-space count)
     at the lexicographically first of them where the routes disagree.
@@ -476,6 +478,15 @@ def reduced_space_quantization(description, weight):
     )
 
 
+def _check_rank(description, character):
+    """DimensionMismatchError unless `character` has `description`'s rank."""
+    if character.rank != description.rank:
+        raise DimensionMismatchError(
+            f"rank {character.rank} character checked against rank "
+            f"{description.rank} description"
+        )
+
+
 def support_audit(description, character):
     """(mismatch, boundary) for the support of `character`, from one read
     of every component's certified rows over the support's box.
@@ -494,11 +505,7 @@ def support_audit(description, character):
     more rows than the budget.
     """
     require_validated(description)
-    if character.rank != description.rank:
-        raise DimensionMismatchError(
-            f"rank {character.rank} character checked against rank "
-            f"{description.rank} description"
-        )
+    _check_rank(description, character)
     items = character.items()
     if not items:
         return None, ()
@@ -552,23 +559,25 @@ def verify_qr_product(description, partner, character=None):
     """Check that quantization commutes with reduction against a compact
     partner space.
 
+    Both routes run over the weights of the reflected partner polytope
+    -P, read off its certified runs of rows
+    (LatticePolyhedron._certified_rows); P's points are never listed.
     Route one is the invariant part of chi (x) P, where chi is the
-    character of `description` and P that of `partner`.  It is computed as
-    the pairing sum over w of chi(w) * P(-w), one lookup per weight, without
-    forming the tensor.  Route two never forms the first character: it
-    counts reduced-space points of `description` directly on the weights of
-    the reflected partner polytope, a row at a time.  The components'
-    certified runs of rows (_box_rows, as in the self-check) give the
-    signed count on each row as runs.  They are clipped to the reflected
-    partner's certified interval on that row
-    (LatticePolyhedron._certified_rows), summed, and compared once with the
-    character's entries inside the partner (_first_difference) to pin down
-    the first disagreement, if any.  Rank 0 has the one weight (), tested by
-    _point_mismatch.
+    character of `description` and P that of `partner`: the sum over w of
+    chi(w) * P(-w), that is, of chi's entries at the weights of -P, found
+    on each row by bisection.  Route two never forms the first character:
+    it counts reduced-space points of `description` directly on the same
+    weights.  The components' certified runs of rows (_box_rows, as in the
+    self-check) give the signed count on each row as runs, which are
+    clipped to -P's interval on that row, summed, and compared once with
+    chi's entries inside -P (_first_difference) to pin down the first
+    disagreement, if any.  Rank 0 has the one weight (): route one reads
+    chi(()) and _point_mismatch tests it.
 
     `character` substitutes a precomputed character for `description`
     (route one and the row comparison then test that value), so a stale or
-    corrupted cache is caught rather than silently trusted.
+    corrupted cache is caught rather than silently trusted.  A character
+    of another rank raises DimensionMismatchError.
     """
     if not isinstance(partner, CompactToricSpace):
         raise DescriptionKindError(
@@ -582,12 +591,13 @@ def verify_qr_product(description, partner, character=None):
     require_validated(partner)
     if character is None:
         character = quantize_description(description)
-    partner_character = quantize_compact_toric(partner)
-    invariant_from_characters = character.invariant_pairing(partner_character)
+    else:
+        _check_rank(description, character)
 
     terms = _terms(description)
     reflected = partner.polytope.reflect_through_origin()
     if not reflected.rank:
+        invariant_from_characters = character.multiplicity(())
         invariant_from_geometry, checked = (
             reduced_space_quantization(description, ()).count, 1)
         first_mismatch = _point_mismatch(terms, character)
@@ -614,6 +624,7 @@ def verify_qr_product(description, partner, character=None):
                     for a, b, value in runs_at.get(head, ())
                     if a <= final and b > first
                 ]))
+        invariant_from_characters = sum(map(itemgetter(1), inside))
         invariant_from_geometry = sum(
             value * (b - a) for _, runs in rows for a, b, value in runs
         )

@@ -28,9 +28,10 @@ reads the scales, the Delzant test the tight rows, the tail threshold
 the integer extent and the translate test the least vertices; `vertices`
 builds its Fractions from the table only when it is called.  The table's
 points come from the box in rank 1, are the one point () in rank 0 and
-come from exhaustive facet-subset intersection in rank >= 2.  Recession
-rays come from cone analysis over the lineality space; rays are listed
-only where they are asked for, never to decide boundedness.
+come from exhaustive facet-subset intersection, solved in integers, in
+rank >= 2.  Recession rays come from cone analysis over the lineality
+space; rays are listed only where they are asked for, never to decide
+boundedness.
 
 Rows of a box (all coordinates but the last fixed) are read off the
 inequalities in runs of rows with one certificate by one scan (`_rows`),
@@ -41,7 +42,7 @@ Instances are immutable and safe to share across threads.
 
 from fractions import Fraction
 from itertools import combinations, product as iter_product, repeat
-from math import gcd, inf, prod
+from math import gcd, inf, lcm, prod
 from numbers import Number
 from operator import mul
 import re
@@ -222,6 +223,11 @@ class LatticePolyhedron:
             if not all(isinstance(x, Number) for x in point):
                 raise TypeError(f"point entries must be numbers, got {point!r}")
             point, scale = _linalg.integer_scaled(point)
+        return self._holds(point, scale)
+
+    def _holds(self, point, scale):
+        """True iff the int ``point`` over the positive int ``scale`` lies
+        in self: <normal, point> * q <= p * scale for every row."""
         for normal, p, q in self.integer_inequalities:
             if sum(map(mul, normal, point)) * q > p * scale:
                 return False
@@ -297,7 +303,8 @@ class LatticePolyhedron:
 
         Rank 0 has the one vertex (); in rank 1 the vertices are the finite
         ends of the range (`_box`), already reduced pairs; in rank >= 2 every
-        `rank` rows are solved and the solutions in self kept."""
+        `rank` rows are solved in integers (`_linalg.solve_unique`) and the
+        solutions in self kept."""
         cached = self._cache.get("table")
         if cached is not None:
             return cached
@@ -314,20 +321,21 @@ class LatticePolyhedron:
                 for end in dict.fromkeys(ends) if end is not None
             ]
         else:
-            # the rows (q * normal | p) of the bounds p/q
+            # the rows (q * normal | p) of the bounds p/q; equal vertices
+            # solve to equal pairs, sorted on their points at one scale
             rows = [tuple(q * n for n in normal) for normal, _, q in tests]
             sides = [p for _, p, _ in tests]
             found = set()
             for subset in combinations(range(len(rows)), self.rank):
-                point = _linalg.solve_unique(
+                solved = _linalg.solve_unique(
                     [rows[i] for i in subset], [sides[i] for i in subset]
                 )
-                if point is not None and self.contains_point(point):
-                    found.add(point)
-            corners = [
-                (tuple(point), scale)
-                for point, scale in map(_linalg.integer_scaled, sorted(found))
-            ]
+                if solved is not None and self._holds(*solved):
+                    found.add(solved)
+            common = lcm(1, *(scale for _, scale in found))
+            corners = sorted(found, key=lambda corner: tuple(
+                x * (common // corner[1]) for x in corner[0]
+            ))
         table = tuple(
             (point, scale, tuple(
                 row for row in tests

@@ -351,9 +351,15 @@ def leaf_embedding_basis(splitting):
     return tuple(_linalg.lattice_kernel_basis(tuple(splitting)))
 
 
-def _record(description, index):
-    """The record of hypersurface `index`; HypersurfaceIndexError unless
-    `index` is an int (not a bool) that names one."""
+def _record(description, index, what):
+    """The record of hypersurface `index`; DescriptionKindError, naming
+    `what`, unless `description` is a BSpaceDescription and
+    HypersurfaceIndexError unless `index` is an int (not a bool) that names
+    one."""
+    if not isinstance(description, BSpaceDescription):
+        raise DescriptionKindError(
+            f"{what} exist only for b_toric descriptions"
+        )
     count = len(description.hypersurfaces)
     if type(index) is not int or not 0 <= index < count:
         raise HypersurfaceIndexError(
@@ -366,7 +372,7 @@ def tail_threshold(description, index):
     """Integer cut level for the tails of hypersurface `index`: strictly
     beyond the extent of every adjacent component's vertices along the
     splitting coordinate, read in integers off each vertex table."""
-    record = _record(description, index)
+    record = _record(description, index, "tail thresholds")
     extent = 0  # the floor of the largest |<splitting, vertex>| so far
     for side in record.adjacent:
         _, polyhedron = description.components[side]
@@ -627,11 +633,7 @@ def require_validated(description):
 def local_model(description, index):
     """The two signed truncated tails at hypersurface `index`, in adjacent
     order, cut at the threshold validation certified."""
-    if not isinstance(description, BSpaceDescription):
-        raise DescriptionKindError(
-            "local models exist only for b_toric descriptions"
-        )
-    record = _record(description, index)
+    record = _record(description, index, "local models")
     threshold = require_validated(description).tails[index].threshold
     tails = []
     for side in record.adjacent:

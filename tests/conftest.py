@@ -1,7 +1,9 @@
-"""Shared fixtures and the raw-JSON membership oracle.
+"""Shared fixtures, the raw-JSON membership oracle and the Fraction solver.
 
 The oracle reads description files with nothing but json and Fraction, so
-expected values in the tests never depend on the library under test.
+expected values in the tests never depend on the library under test.  The
+Fraction solver is the library's former `solve_unique`, the reference for
+the integer one and for the vertex table.
 """
 
 import importlib.util
@@ -113,6 +115,27 @@ def address_space_cap(headroom=2**30):
         yield
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def solve_by_fractions(rows, rhs):
+    """Solve the square-ish system rows * x = rhs; None unless the solution is unique."""
+    from bquant._linalg import _row_reduce
+
+    if not rows:
+        return () if not rhs else None
+    ncols = len(rows[0])
+    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
+    mat, pivots = _row_reduce(augmented)
+    pivots_coeff = [c for c in pivots if c < ncols]
+    if len(pivots_coeff) < ncols:
+        return None  # underdetermined
+    for row in mat[len(pivots_coeff):]:
+        if row[ncols] != 0:
+            return None  # inconsistent
+    solution = [Fraction(0)] * ncols
+    for row, c in zip(mat, pivots_coeff):
+        solution[c] = Fraction(row[ncols], row[c])
+    return tuple(solution)
 
 
 def raw_description(name):

@@ -1,6 +1,5 @@
 """Virtual characters."""
 
-import random
 
 import pytest
 
@@ -118,46 +117,6 @@ def test_invariant_part_reads_zero_weight():
     # pairing against the reflected character counts weight coincidences
     b = char([((-1, 1), 3)])
     assert a.tensor(b).invariant_part() == 6
-    assert a.invariant_pairing(b) == 6
-
-
-def random_character(rng, rank):
-    size = rng.choice([0, 1, 5, 30])
-    return VirtualCharacter(rank, [
-        (tuple(rng.randint(-4, 4) for _ in range(rank)), rng.randint(-3, 3))
-        for _ in range(size)
-    ])
-
-
-def test_invariant_pairing_is_invariant_part_of_tensor():
-    rng = random.Random(23)
-    for _ in range(400):
-        rank = rng.randint(0, 3)
-        a = random_character(rng, rank)
-        b = random_character(rng, rank)
-        expected = a.tensor(b).invariant_part()
-        assert a.invariant_pairing(b) == expected
-        assert b.invariant_pairing(a) == expected
-
-
-def test_invariant_pairing_edge_supports():
-    a = char([((1, 2), 3), ((0, 0), -2), ((-1, 0), 5)])
-    assert a.invariant_pairing(VirtualCharacter.zero(2)) == 0
-    # disjoint supports after reflection: no weight pairs with its negative
-    assert a.invariant_pairing(char([((5, 5), 4)])) == 0
-    assert a.invariant_pairing(char([((-1, -2), 2), ((1, 0), -1)])) == 3 * 2 + 5 * -1
-    # rank 0: the only weight is (), so the pairing is the product
-    assert VirtualCharacter.delta((), 3).invariant_pairing(
-        VirtualCharacter.delta((), -4)
-    ) == -12
-
-
-def test_invariant_pairing_validation():
-    a = char([((0,), 1)])
-    with pytest.raises(DimensionMismatchError):
-        a.invariant_pairing(char([((0, 0), 1)]))
-    with pytest.raises(TypeError):
-        a.invariant_pairing({(0,): 1})
 
 
 def test_payload_round_trip():

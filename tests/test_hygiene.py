@@ -412,13 +412,12 @@ def test_scan_finds_a_fraction_builder():
 
 
 # The only functions that build a Fraction: where the public API hands a
-# rational number out (a vertex, a bound of the inequalities view, a
-# solution, the text of a bound) or takes an exact number in.  The kernels
-# keep integer rows, box ends and vertex tables.
+# rational number out (a vertex, a bound of the inequalities view, the text
+# of a bound) or takes an exact number in.  The kernels keep integer rows,
+# box ends, solutions and vertex tables.
 FRACTION_BUILDERS = {
     "_linalg.py": {
         "exact",  # any other exact number handed in
-        "solve_unique",  # its rational solution; the rank >= 2 vertices
     },
     "polyhedra.py": {
         "_as_pairs",  # the inequalities view and irredundant_inequalities

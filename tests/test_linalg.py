@@ -2,8 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import pytest
+
+from conftest import solve_by_fractions
 
 from bquant import _linalg as la
 
@@ -39,23 +43,65 @@ def test_dot():
 
 
 def test_solve_unique():
-    assert la.solve_unique([(2, 0), (0, 1)], [4, 3]) == (Fraction(2), Fraction(3))
+    assert la.solve_unique([(2, 0), (0, 1)], [4, 3]) == ((2, 3), 1)
     # underdetermined
     assert la.solve_unique([(1, 1)], [1]) is None
     # inconsistent
     assert la.solve_unique([(1, 0), (1, 0)], [0, 1]) is None
     # redundant but consistent rows still pin the answer
-    assert la.solve_unique([(1, 0), (1, 0), (0, 1)], [2, 2, 5]) == (2, 5)
+    assert la.solve_unique([(1, 0), (1, 0), (0, 1)], [2, 2, 5]) == ((2, 5), 1)
     # empty system in zero variables has the empty solution
-    assert la.solve_unique([], []) == ()
+    assert la.solve_unique([], []) == ((), 1)
     # square singular systems have no unique solution
     assert la.solve_unique([(1, 2), (2, 4)], [1, 2]) is None
-    # rational entries on both sides
-    solution = la.solve_unique(
+    # rational entries on both sides: (13/3, 1/3) over its least scale
+    assert la.solve_unique(
         [(Fraction(1, 2), 1), (0, Fraction(3))], [Fraction(5, 2), 1]
+    ) == ((13, 1), 3)
+    # negative pivots: x = -1/2, y = 3/4, the scale stays positive
+    point, scale = la.solve_unique([(-2, 0), (0, -4)], [1, -3])
+    assert (point, scale) == ((-2, 3), 4)
+    assert all(type(x) is int for x in (*point, scale))
+
+
+def test_solve_unique_matches_the_fraction_solver():
+    # 2,760 square systems of rank 1-4 (random_matrices: dense, singular,
+    # unimodular, with zero columns), each with a right-hand side in its
+    # image and two random ones, so singular systems come consistent and,
+    # almost always, inconsistent; about 0.2 s.  The integer solution is
+    # the Fraction solver's over its least scale, and a system has one iff
+    # its determinant is not zero, where rows * point = rhs * scale
+    rng = random.Random(1968)
+    seen = dict.fromkeys(
+        ("unique", "singular image", "singular random", "negative pivot"), 0
     )
-    assert solution == (Fraction(13, 3), Fraction(1, 3))
-    assert all(type(x) is Fraction for x in solution)
+    for _, mat in random_matrices(rng):
+        n = len(mat)
+        if not n:
+            continue
+        image = [rng.randint(-9, 9) for _ in range(n)]
+        for kind, rhs in (
+            ("image", [sum(map(mul, row, image)) for row in mat]),
+            ("random", [rng.randint(-9, 9) for _ in range(n)]),
+            ("random", [rng.randint(-2**40, 2**40) for _ in range(n)]),
+        ):
+            solved = la.solve_unique(mat, rhs)
+            expected = solve_by_fractions(mat, rhs)
+            if expected is not None:
+                scale = lcm(1, *(x.denominator for x in expected))
+                expected = tuple(int(x * scale) for x in expected), scale
+            assert solved == expected
+            if la.determinant(mat):
+                seen["unique"] += 1
+                point, scale = solved
+                assert [sum(map(mul, row, point)) for row in mat] == \
+                    [b * scale for b in rhs]
+            else:
+                seen[f"singular {kind}"] += 1
+                assert solved is None
+            seen["negative pivot"] += mat[0][0] < 0
+    assert sum(seen.values()) - seen["negative pivot"] >= 2000, seen
+    assert min(seen.values()) >= 100, seen
 
 
 def test_determinant():

@@ -11,6 +11,8 @@ from operator import add, mul
 
 import pytest
 
+from conftest import solve_by_fractions
+
 from bquant import _linalg
 from bquant import (
     DimensionMismatchError,
@@ -555,7 +557,7 @@ def vertices_by_fractions(polyhedron):
     bounds = [b for _, b in polyhedron.inequalities]
     found = set()
     for subset in combinations(range(len(normals)), polyhedron.rank):
-        point = _linalg.solve_unique(
+        point = solve_by_fractions(
             [normals[i] for i in subset], [bounds[i] for i in subset]
         )
         if point is not None and polyhedron.contains_point(point):

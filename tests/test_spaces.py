@@ -820,6 +820,21 @@ def test_hypersurface_indexes_are_checked():
             )
 
 
+def test_hypersurface_records_need_a_b_toric_description():
+    # a compact description has no hypersurface records: both readers of
+    # one refuse it with DescriptionKindError, as the command line's
+    # `cancel` reports it, not with an AttributeError
+    compact = load_description(corpus_path("c_seg_0_3.json"))
+    for function, what in (
+        (tail_threshold, "tail thresholds"), (local_model, "local models")
+    ):
+        with pytest.raises(DescriptionKindError) as info:
+            function(compact, 0)
+        assert str(info.value) == (
+            f"{what} exist only for b_toric descriptions"
+        )
+
+
 def test_local_model_errors():
     with pytest.raises(TypeError) as wrong_kind:
         local_model(parse(SEGMENT), 0)
