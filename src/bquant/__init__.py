@@ -15,12 +15,12 @@ from .engine import (
     ReducedSpaceResult,
     TailEnd,
     collapse_signed_tails,
+    facet_weights,
     quantize_b,
     quantize_compact_toric,
     quantize_description,
     quantize_local_model,
     reduced_space_quantization,
-    support_audit,
     tail_matching,
     verify_qr_product,
 )
@@ -80,6 +80,7 @@ __all__ = [
     "VirtualCharacter",
     "ZeroModularWeightError",
     "collapse_signed_tails",
+    "facet_weights",
     "leaf_embedding_basis",
     "load_description",
     "local_model",
@@ -89,7 +90,6 @@ __all__ = [
     "quantize_description",
     "quantize_local_model",
     "reduced_space_quantization",
-    "support_audit",
     "tail_matching",
     "tail_threshold",
     "validate_description",

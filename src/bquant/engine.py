@@ -16,13 +16,13 @@ character on a window twice the size of its support.  Every check reads
 rows only as LatticePolyhedron._certified_rows hands them on, certified
 run by run: _box_rows folds a box's rows into runs of the formal count,
 _first_difference (in rank 0, _point_mismatch) names the least weight
-where a character parts from them, and support_audit reads a support's
-rows once for its multiplicities and its facet-boundary weights.
+where a character parts from them, and facet_weights reads a support's
+rows once for its facet-boundary weights.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations
 from math import ceil, floor
 from operator import itemgetter, mul
 
@@ -55,7 +55,7 @@ __all__ = [
     "quantize_description",
     "quantize_local_model",
     "reduced_space_quantization",
-    "support_audit",
+    "facet_weights",
     "verify_qr_product",
 ]
 
@@ -356,29 +356,24 @@ def _first_difference(rows, items):
 def _verification_box(character, pieces):
     """Lattice window for the self-check, one range per coordinate:
     the character support widened by its own extent (plus margin), falling
-    back to the bounding box of the collapsed pieces, falling back to a box
-    around the origin."""
-    rank = character.rank
+    back to the extent of the collapsed pieces' exact boxes (`_box`, which
+    the collapse's boundedness tests have cached; for a bounded nonempty
+    piece, its vertices' extent), falling back to a box around the origin."""
     support = character.support()
-    columns = None
     if support:
-        columns = list(zip(*support))
+        extents = [(min(values), max(values)) for values in zip(*support)]
     else:
-        corner_pool = []
-        for piece in pieces:
-            if not piece.is_empty():
-                corner_pool.extend(piece.vertices())
-        if corner_pool:
-            columns = list(zip(*corner_pool))
-    if columns is None:
-        ranges = [range(-2, 3)] * rank
-    else:
-        ranges = []
-        for values in columns:
-            low, high = floor(min(values)), ceil(max(values))
-            pad = (high - low) // 2 + 1
-            ranges.append(range(low - pad, high + pad + 1))
-    return ranges
+        extents = [
+            (min(p // q for (p, q), _ in ends),
+             max(-(-p // q) for _, (p, q) in ends))
+            for ends in zip(*filter(None, (piece._box() for piece in pieces)))
+        ]
+    if not extents:
+        return [range(-2, 3)] * character.rank
+    return [
+        range(low - (high - low) // 2 - 1, high + (high - low) // 2 + 2)
+        for low, high in extents
+    ]
 
 
 def quantize_b(description):
@@ -487,48 +482,33 @@ def _check_rank(description, character):
         )
 
 
-def support_audit(description, character):
-    """(mismatch, boundary) for the support of `character`, from one read
-    of every component's certified rows over the support's box.
-
-    `mismatch` is (weight, multiplicity in `character`, direct count) at
-    the least support weight where the two differ, else None; the direct
-    count is reduced_space_quantization's signed number of components that
-    contain the weight.  `boundary` lists the support weights on a facet
-    hyperplane of a component containing them, in order: only these are
+def facet_weights(description, character):
+    """The support weights of `character` on a facet hyperplane of a
+    component containing them, in order, from one read of every
+    component's certified rows over the support's box: only these are
     sensitive to the closed-boundary convention.  On a row, an inequality
     <normal, x> * q <= p of last-coordinate slope 0 is tight on the whole
     interval or nowhere; any other at most at the one x where slope * x
-    equals the room the leading coordinates leave.  In rank 0,
-    _point_mismatch tests the one weight () and no weight is on a facet (a
-    normal is nonzero).  Raises EnumerationBudgetError when the box has
-    more rows than the budget.
+    equals the room the leading coordinates leave.  In rank 0 no weight is
+    on a facet (a normal is nonzero).  Raises EnumerationBudgetError when
+    the box has more rows than the budget.
     """
     require_validated(description)
     _check_rank(description, character)
-    items = character.items()
-    if not items:
-        return None, ()
-    terms = _terms(description)
-    if not character.rank:
-        return _point_mismatch(terms, character), ()
+    support = character.support()
+    if not support or not character.rank:
+        return ()
     *outer, last = [
-        range(min(values), max(values) + 1)
-        for values in zip(*character.support())
+        range(min(values), max(values) + 1) for values in zip(*support)
     ]
-    heads = {weight[:-1] for weight, _ in items}
-    steps, spans, points = {}, {}, set()  # tight: whole intervals; weights
-    for sign, polyhedron in terms:
+    heads = {weight[:-1] for weight in support}
+    spans, points = {}, set()  # tight: whole intervals; weights
+    for _, polyhedron in _terms(description):
         tests = polyhedron.integer_inequalities
         for run, first, final in polyhedron._certified_rows(
             outer, last.start, last.stop - 1
         ):
-            for head in run:
-                if head not in heads:
-                    continue
-                jumps = steps.setdefault(head, {})
-                jumps[first] = jumps.get(first, 0) + sign
-                jumps[final + 1] = jumps.get(final + 1, 0) - sign
+            for head in heads.intersection(run):
                 for normal, p, q in tests:
                     room = p - q * sum(map(mul, normal, head))
                     slope = normal[-1] * q
@@ -538,21 +518,11 @@ def support_audit(description, character):
                     elif not room % slope and \
                             first <= (x := room // slope) <= final:
                         points.add(head + (x,))
-    mismatch, boundary = None, []
-    for head, entries in groupby(items, key=lambda item: item[0][:-1]):
-        runs = _runs(steps.get(head, {}), last.start, last.stop)
-        tight = spans.get(head, ())
-        at = 0
-        for weight, found in entries:
-            x = weight[-1]
-            while at < len(runs) and runs[at][1] <= x:
-                at += 1
-            direct = runs[at][2] if at < len(runs) and runs[at][0] <= x else 0
-            if mismatch is None and found != direct:
-                mismatch = weight, found, direct
-            if weight in points or any(a <= x <= b for a, b in tight):
-                boundary.append(weight)
-    return mismatch, tuple(boundary)
+    return tuple(
+        weight for weight in support
+        if weight in points
+        or any(a <= weight[-1] <= b for a, b in spans.get(weight[:-1], ()))
+    )
 
 
 def verify_qr_product(description, partner, character=None):
@@ -572,7 +542,7 @@ def verify_qr_product(description, partner, character=None):
     clipped to -P's interval on that row, summed, and compared once with
     chi's entries inside -P (_first_difference) to pin down the first
     disagreement, if any.  Rank 0 has the one weight (): route one reads
-    chi(()) and _point_mismatch tests it.
+    chi(()) and route two counts the components that contain it, once.
 
     `character` substitutes a precomputed character for `description`
     (route one and the row comparison then test that value), so a stale or
@@ -597,10 +567,11 @@ def verify_qr_product(description, partner, character=None):
     terms = _terms(description)
     reflected = partner.polytope.reflect_through_origin()
     if not reflected.rank:
-        invariant_from_characters = character.multiplicity(())
-        invariant_from_geometry, checked = (
-            reduced_space_quantization(description, ()).count, 1)
-        first_mismatch = _point_mismatch(terms, character)
+        found = invariant_from_characters = character.multiplicity(())
+        expected = invariant_from_geometry = (
+            reduced_space_quantization(description, ()).count)
+        checked = 1
+        first_mismatch = None if found == expected else ((), found, expected)
     else:
         # the reflected box is the partner's, negated
         box = [

@@ -136,22 +136,18 @@ def test_quantize_verify_lines(run):
     assert lines[-1] == "verify: 1 of 3 support weights lie on facet boundaries"
 
 
-def test_quantize_verify_names_the_first_wrong_support_weight(
-    run, monkeypatch
-):
-    # a wrong character from the engine: weight 1 doubled, weight 7 added;
-    # the cross-check reports the least wrong support weight and exits 1
-    honest = bquant.quantize_description(load_description(SPHERE))
-    wrong = honest + bquant.VirtualCharacter(1, {(1,): 1, (7,): 3})
+def test_quantize_verify_rests_on_the_self_check(run, monkeypatch):
+    # the --verify match line is printed because the character has passed
+    # the self-check: a listing that drops a point fails there, exit 1,
+    # before any line reaches stdout
+    real = bquant.LatticePolyhedron.lattice_points
     monkeypatch.setattr(
-        "bquant.cli.quantize_description", lambda description: wrong
+        bquant.LatticePolyhedron, "lattice_points",
+        lambda self: real(self)[:-1],
     )
-    code, out, _ = run("quantize", SPHERE, "--verify", "--no-header")
-    assert code == 1
-    assert out.splitlines()[-2:] == [
-        "verify: MISMATCH at weight 1: character 2, reduced space 1",
-        "verify: 1 of 4 support weights lie on facet boundaries",
-    ]
+    code, out, err = run("quantize", SPHERE, "--verify")
+    assert (code, out) == (1, "")
+    assert err.startswith("bquant: collapsed character gives")
 
 
 def test_quantize_verify_keeps_json_payload_stable(run):

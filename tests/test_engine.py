@@ -40,6 +40,7 @@ from bquant import (
     VirtualCharacter,
     ZeroModularWeightError,
     collapse_signed_tails,
+    facet_weights,
     load_description,
     local_model,
     parse_description,
@@ -48,7 +49,6 @@ from bquant import (
     quantize_description,
     quantize_local_model,
     reduced_space_quantization,
-    support_audit,
     tail_matching,
     validate_description,
     verify_qr_product,
@@ -413,6 +413,38 @@ def test_self_check_names_the_first_wrong_weight(name):
         )
 
 
+def test_empty_support_window_is_the_pieces_vertex_extent(monkeypatch):
+    # with an empty support the window falls back to the collapsed pieces'
+    # exact boxes; for a bounded piece that is the extent of its vertices,
+    # so the window is the one the vertices would give, range for range
+    real, seen = engine._verification_box, {}
+
+    def spy(character, pieces):
+        seen[name] = character, pieces
+        return real(character, pieces)
+
+    monkeypatch.setattr(engine, "_verification_box", spy)
+    for name in VALID_B_FILES:
+        quantize_b(load(name))
+    empty = sorted(name for name, (chi, _) in seen.items() if chi.is_zero())
+    assert empty == [
+        "btorus.json", "btorus_4cycle.json",
+        "strip_btorus.json", "strip_btorus_k2.json",
+    ]
+    for name in empty:
+        character, pieces = seen[name]
+        corners = [
+            corner for piece in pieces if not piece.is_empty()
+            for corner in piece.vertices()
+        ]
+        expected = []
+        for values in zip(*corners):
+            low, high = math.floor(min(values)), math.ceil(max(values))
+            pad = (high - low) // 2 + 1
+            expected.append(range(low - pad, high + pad + 1))
+        assert expected and real(character, pieces) == expected
+
+
 def test_self_check_tests_rank_0_directly():
     point = LatticePolyhedron(0, [])
     terms = ((1, point), (1, point))
@@ -744,18 +776,18 @@ def test_pointwise_multiplicity_matches_oracle():
 def test_facet_boundary_weights_segment():
     space = load("c_seg_0_3.json")
     character = quantize_compact_toric(space)
-    assert support_audit(space, character)[1] == ((0,), (3,))
+    assert facet_weights(space, character) == ((0,), (3,))
 
 
 def test_facet_boundary_weights_sphere():
     d = load("sphere_a2_bm1.json")
     character = quantize_b(d)
     # only the top weight meets a facet of a component containing it
-    assert support_audit(d, character)[1] == ((2,),)
+    assert facet_weights(d, character) == ((2,),)
 
 
 def facet_boundary_oracle(description, character):
-    """What support_audit must return as its boundary, weight by weight: each
+    """What facet_weights must return, weight by weight: each
     support weight that some component contains and meets in one of its
     inequalities with equality."""
     out = []
@@ -801,28 +833,26 @@ def test_facet_boundary_weights_match_the_per_weight_oracle():
             characters.append(corrupted)
         for character in characters:
             expected = facet_boundary_oracle(description, character)
-            assert support_audit(description, character)[1] == expected
+            assert facet_weights(description, character) == expected
             found += len(expected)
     assert found > 2000
 
 
 def test_facet_boundary_weights_refuse_a_character_of_another_rank():
     with pytest.raises(DimensionMismatchError):
-        support_audit(
-            load("c_seg_0_3.json"), VirtualCharacter.delta((0, 0))
-        )
+        facet_weights(load("c_seg_0_3.json"), VirtualCharacter.delta((0, 0)))
 
 
-def test_support_audit_requires_validation():
-    # the facet-boundary half reads rows too, so it needs a validated
-    # description as much as the comparison does
+def test_facet_weights_require_validation():
+    # the boundary weights are read off certified rows, so they need a
+    # validated description
     description = load("neg_equal_signs.json")
     with pytest.raises(NotValidatedError):
-        support_audit(description, VirtualCharacter.delta((0,)))
+        facet_weights(description, VirtualCharacter.delta((0,)))
 
 
-def test_support_audit_reads_each_component_once(monkeypatch):
-    # one certified pass gives both the mismatch and the boundary weights
+def test_facet_weights_read_each_component_once(monkeypatch):
+    # one certified pass over the support's box gives the boundary weights
     description = parse(make_corpus.sphere_times_segment(7, 3, 5))
     character = quantize_description(description)
     real, calls = LatticePolyhedron._rows, []
@@ -832,20 +862,15 @@ def test_support_audit_reads_each_component_once(monkeypatch):
         return real(self, *args)
 
     monkeypatch.setattr(LatticePolyhedron, "_rows", counted)
-    mismatch, boundary = support_audit(description, character)
-    assert mismatch is None and boundary
+    assert facet_weights(description, character)
     assert calls == [polyhedron for _, polyhedron in description.components]
 
 
-def test_support_audit_of_an_empty_support_and_in_rank_0():
-    assert support_audit(load("btorus.json"), VirtualCharacter.zero(1)) == (
-        None, ()
-    )
+def test_facet_weights_of_an_empty_support_and_in_rank_0():
+    assert facet_weights(load("btorus.json"), VirtualCharacter.zero(1)) == ()
     point = parse(RANK_0_POINT)
-    assert support_audit(point, quantize_description(point)) == (None, ())
-    assert support_audit(point, VirtualCharacter.delta((), 2)) == (
-        ((), 2, 1), ()
-    )
+    assert facet_weights(point, quantize_description(point)) == ()
+    assert facet_weights(point, VirtualCharacter.delta((), 2)) == ()
 
 
 # ----------------------------------------------------------------------
@@ -958,14 +983,13 @@ def test_rank_0_sums_through_the_public_api(signs, count):
     point = parse(RANK_0_POINT)
     character = quantize_description(description)
     assert character == VirtualCharacter(0, {(): count})
-    assert support_audit(description, character) == (None, ())
+    assert facet_weights(description, character) == ()
     result = reduced_space_quantization(description, ())
     assert (result.count, result.contributions) == (count, signs)
     assert verify_qr_product(description, point) == QRReport(count, count, 1)
     corrupted = VirtualCharacter(0, {(): 1})
     report = verify_qr_product(description, point, character=corrupted)
     assert report == QRReport(1, count, 1, first_mismatch=((), 1, count))
-    assert support_audit(description, corrupted) == (((), 1, count), ())
 
 
 def qr_pairs():
@@ -1021,60 +1045,6 @@ def test_qr_route_two_matches_the_oracle_on_benchmark_cases(seed):
         report = verify_qr_product(description, partner)
         assert report == route_two_oracle(description, partner, character)
         assert report.payload() == case.expected()["report"]
-
-
-def support_mismatch_oracle(description, character):
-    """What support_audit must return as its mismatch, by the per-weight
-    loop of `bquant quantize --verify`: one reduced_space_quantization per
-    support weight, in lexicographic order, up to the first disagreement."""
-    for weight in character.support():
-        direct = reduced_space_quantization(description, weight).count
-        if direct != character.multiplicity(weight):
-            return weight, character.multiplicity(weight), direct
-    return None
-
-
-def test_support_mismatch_matches_the_per_weight_oracle():
-    rng = random.Random(37)
-    descriptions = [parse(RANK_0_POINT)]
-    descriptions += [load(name) for name in VALID_B_FILES + COMPACT_FILES]
-    descriptions += [
-        parse_description(case.texts[0])
-        for case in benchmark_workloads().generate("qr_verify", 7919)
-    ]
-    mismatches = 0
-    for description in descriptions:
-        honest = quantize_description(description)
-        assert support_audit(description, honest)[0] is None
-        wrong = []
-        # 1-3 seeded additive corruptions, on or off the support
-        for _ in range(4):
-            corrupted = honest
-            for _ in range(rng.randint(1, 3)):
-                weight = tuple(
-                    rng.randint(-6, 6) for _ in range(description.rank)
-                )
-                corrupted += VirtualCharacter.delta(
-                    weight, rng.choice([-2, -1, 1, 2])
-                )
-            wrong.append(corrupted)
-        if not honest.is_zero() and description.rank:
-            # one multiplicity moved a step along the last axis
-            table = dict(honest.items())
-            weight = rng.choice(sorted(table))
-            moved = weight[:-1] + (weight[-1] + rng.choice([-1, 1]),)
-            table[moved] = table.get(moved, 0) + table.pop(weight)
-            wrong.append(VirtualCharacter(description.rank, table))
-        for character in wrong:
-            expected = support_mismatch_oracle(description, character)
-            assert support_audit(description, character)[0] == expected
-            mismatches += expected is not None
-    assert mismatches > 150
-
-
-def test_support_mismatch_refuses_a_character_of_another_rank():
-    with pytest.raises(DimensionMismatchError):
-        support_audit(load("c_seg_0_3.json"), VirtualCharacter.delta((0, 0)))
 
 
 def test_qr_product_partner_must_be_compact():
