@@ -67,6 +67,35 @@ ENUMERATION_BUDGET = 10**6
 _FRACTION_TOKEN = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+def _fields(data, where, names):
+    """`data`'s values at `names`, in order, when `data` is an object that
+    holds exactly those fields; otherwise a ParseError naming `where`,
+    which reports a field outside `names` before a missing one.  The one
+    object check of every bquant/1 reader."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{where}: expected an object, got {type(data).__name__}")
+    if len(data) == len(names):
+        try:
+            return [data[name] for name in names]
+        except KeyError:
+            pass  # as many fields as names, so one of them is unknown
+    unknown = sorted(set(data).difference(names))
+    if unknown:
+        raise ParseError(f"{where}: unknown field {unknown[0]!r}")
+    missing = next(name for name in names if name not in data)
+    raise ParseError(f"{where}: needs {missing!r}")
+
+
+def _expect_int_list(value, where, length=None):
+    if not isinstance(value, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise ParseError(f"{where}: expected a list of integers")
+    if length is not None and len(value) != length:
+        raise ParseError(f"{where}: expected length {length}, got {len(value)}")
+    return tuple(value)
+
+
 def _parse_exact_number(value, where):
     """The reduced pair (p, q), q > 0, of an int or a 'p/q' string;
     reject anything inexact."""
@@ -793,42 +822,34 @@ class LatticePolyhedron:
 
     @classmethod
     def from_payload(cls, data, where="polyhedron"):
-        if not isinstance(data, dict):
-            raise ParseError(f"{where}: expected an object, got {type(data).__name__}")
-        unknown = set(data) - {"rank", "inequalities"}
-        if unknown:
-            raise ParseError(f"{where}: unknown field {sorted(unknown)[0]!r}")
-        if "rank" not in data or "inequalities" not in data:
-            raise ParseError(f"{where}: needs 'rank' and 'inequalities'")
-        rank = data["rank"]
+        """The polyhedron of a bquant/1 payload, refused with a ParseError
+        naming the JSON path of its first fault.  A rank whose square is
+        over ENUMERATION_BUDGET raises EnumerationBudgetError: checking the
+        polyhedron eliminates rank * (rank - 1) times even with no rows."""
+        rank, raw = _fields(data, where, ("rank", "inequalities"))
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
             raise ParseError(f"{where}.rank: expected a nonnegative integer")
-        raw = data["inequalities"]
+        if rank * rank > ENUMERATION_BUDGET:
+            raise EnumerationBudgetError(
+                f"{where}.rank: rank {rank} squared is {rank * rank}, over "
+                f"the budget of {ENUMERATION_BUDGET}",
+                count=rank * rank,
+            )
         if not isinstance(raw, list):
             raise ParseError(f"{where}.inequalities: expected a list")
         merged = {}
         for index, item in enumerate(raw):
             spot = f"{where}.inequalities[{index}]"
-            if not isinstance(item, dict):
-                raise ParseError(f"{spot}: expected an object")
-            unknown = set(item) - {"normal", "bound"}
-            if unknown:
-                raise ParseError(f"{spot}: unknown field {sorted(unknown)[0]!r}")
-            if "normal" not in item or "bound" not in item:
-                raise ParseError(f"{spot}: needs 'normal' and 'bound'")
-            normal = item["normal"]
-            if (not isinstance(normal, list)
-                    or not all(isinstance(x, int) and not isinstance(x, bool)
-                               for x in normal)):
-                raise ParseError(f"{spot}.normal: expected a list of integers")
-            p, q = _parse_exact_number(item["bound"], f"{spot}.bound")
+            normal, bound = _fields(item, spot, ("normal", "bound"))
+            normal = _expect_int_list(normal, f"{spot}.normal")
+            p, q = _parse_exact_number(bound, f"{spot}.bound")
             if len(normal) != rank:
                 raise ParseError(
                     f"{spot}.normal: length {len(normal)} does not match rank {rank}"
                 )
             if not any(normal):
                 raise ParseError(f"{spot}.normal: must be nonzero")
-            _merge_row(merged, _reduced_row(tuple(normal), p, q))
+            _merge_row(merged, _reduced_row(normal, p, q))
         return cls._from_rows(rank, merged.values())
 
 

@@ -37,7 +37,7 @@ from .errors import (
     NotValidatedError,
     ParseError,
 )
-from .polyhedra import LatticePolyhedron
+from .polyhedra import LatticePolyhedron, _expect_int_list, _fields
 
 __all__ = [
     "CompactToricSpace",
@@ -172,28 +172,6 @@ def _reject_duplicate(pairs):
     return data
 
 
-def _expect_int(value, where):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"{where}: expected an integer")
-    return value
-
-
-def _expect_int_list(value, where, length=None):
-    if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
-        raise ParseError(f"{where}: expected a list of integers")
-    if length is not None and len(value) != length:
-        raise ParseError(f"{where}: expected length {length}, got {len(value)}")
-    return tuple(value)
-
-
-def _no_unknown_fields(data, allowed, where):
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ParseError(f"{where}: unknown field {sorted(unknown)[0]!r}")
-
-
 def _trusted(cls, **fields):
     """An instance of the frozen dataclass `cls` holding `fields` as given,
     without the re-checks of its __post_init__: for parse_description,
@@ -202,6 +180,16 @@ def _trusted(cls, **fields):
     instance = object.__new__(cls)
     instance.__dict__.update(fields)
     return instance
+
+
+def _polyhedron(data, where, rank):
+    """The polyhedron of the payload `data` at `where`, of rank `rank`."""
+    polyhedron = LatticePolyhedron.from_payload(data, where)
+    if polyhedron.rank != rank:
+        raise ParseError(
+            f"{where}.rank: {polyhedron.rank} does not match rank {rank}"
+        )
+    return polyhedron
 
 
 def parse_description(text):
@@ -229,96 +217,58 @@ def parse_description(text):
             f"schema: expected {SCHEMA!r}, got {data.get('schema')!r}"
         )
     kind = data.get("kind")
-    if kind == "compact_toric":
-        _no_unknown_fields(data, ("schema", "kind", "rank", "polytope"), "top level")
-        rank = _expect_int(data.get("rank"), "rank")
-        if "polytope" not in data:
-            raise ParseError("compact_toric description needs 'polytope'")
-        polytope = LatticePolyhedron.from_payload(data["polytope"], "polytope")
-        if polytope.rank != rank:
-            raise ParseError(
-                f"polytope.rank: {polytope.rank} does not match rank {rank}"
-            )
+    if kind not in ("compact_toric", "b_toric"):
+        raise ParseError(
+            f"kind: expected 'compact_toric' or 'b_toric', got {kind!r}"
+        )
+    compact = kind == "compact_toric"
+    names = ("polytope",) if compact else ("components", "hypersurfaces")
+    _, _, rank, *rest = _fields(
+        data, "top level", ("schema", "kind", "rank", *names)
+    )
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise ParseError("rank: expected an integer")
+    if compact:
+        polytope = _polyhedron(rest[0], "polytope", rank)
         return _trusted(CompactToricSpace, rank=rank, polytope=polytope)
-    if kind == "b_toric":
-        _no_unknown_fields(
-            data,
-            ("schema", "kind", "rank", "components", "hypersurfaces"),
-            "top level",
+    raw_components, raw_hypersurfaces = rest
+    if not isinstance(raw_components, list) or not raw_components:
+        raise ParseError("components: expected a nonempty list")
+    components = []
+    for index, item in enumerate(raw_components):
+        where = f"components[{index}]"
+        sign, polyhedron = _fields(item, where, ("sign", "polyhedron"))
+        if type(sign) is not int or sign not in (1, -1):
+            raise ParseError(f"{where}.sign: expected 1 or -1, got {sign!r}")
+        components.append(
+            (sign, _polyhedron(polyhedron, f"{where}.polyhedron", rank))
         )
-        rank = _expect_int(data.get("rank"), "rank")
-        raw_components = data.get("components")
-        if not isinstance(raw_components, list) or not raw_components:
-            raise ParseError("components: expected a nonempty list")
-        components = []
-        for index, item in enumerate(raw_components):
-            where = f"components[{index}]"
-            if not isinstance(item, dict):
-                raise ParseError(f"{where}: expected an object")
-            _no_unknown_fields(item, ("sign", "polyhedron"), where)
-            sign = item.get("sign")
-            if type(sign) is not int or sign not in (1, -1):
-                raise ParseError(f"{where}.sign: expected 1 or -1, got {sign!r}")
-            if "polyhedron" not in item:
-                raise ParseError(f"{where}: needs 'polyhedron'")
-            polyhedron = LatticePolyhedron.from_payload(
-                item["polyhedron"], f"{where}.polyhedron"
-            )
-            if polyhedron.rank != rank:
-                raise ParseError(
-                    f"{where}.polyhedron.rank: {polyhedron.rank} does not "
-                    f"match rank {rank}"
-                )
-            components.append((sign, polyhedron))
-        raw_hypersurfaces = data.get("hypersurfaces")
-        if not isinstance(raw_hypersurfaces, list):
-            raise ParseError("hypersurfaces: expected a list (may be empty)")
-        records = []
-        for index, item in enumerate(raw_hypersurfaces):
-            where = f"hypersurfaces[{index}]"
-            if not isinstance(item, dict):
-                raise ParseError(f"{where}: expected an object")
-            _no_unknown_fields(
-                item, ("modular_weight", "splitting", "leaf", "adjacent"), where
-            )
-            for field in ("modular_weight", "splitting", "leaf", "adjacent"):
-                if field not in item:
-                    raise ParseError(f"{where}: needs {field!r}")
-            modular_weight = _expect_int_list(
-                item["modular_weight"], f"{where}.modular_weight", rank
-            )
-            splitting = _expect_int_list(
-                item["splitting"], f"{where}.splitting", rank
-            )
-            leaf = LatticePolyhedron.from_payload(item["leaf"], f"{where}.leaf")
-            if leaf.rank != rank - 1:
-                raise ParseError(
-                    f"{where}.leaf.rank: {leaf.rank} does not match rank "
-                    f"{rank} - 1"
-                )
-            adjacent = _expect_int_list(item["adjacent"], f"{where}.adjacent", 2)
-            for side in adjacent:
-                if not 0 <= side < len(components):
-                    raise ParseError(
-                        f"{where}.adjacent: component index {side} out of range"
-                    )
-            records.append(
-                _trusted(
-                    HypersurfaceRecord,
-                    modular_weight=modular_weight,
-                    splitting=splitting,
-                    leaf=leaf,
-                    adjacent=adjacent,
-                )
-            )
-        return _trusted(
-            BSpaceDescription,
-            rank=rank,
-            components=tuple(components),
-            hypersurfaces=tuple(records),
+    if not isinstance(raw_hypersurfaces, list):
+        raise ParseError("hypersurfaces: expected a list (may be empty)")
+    records = []
+    for index, item in enumerate(raw_hypersurfaces):
+        where = f"hypersurfaces[{index}]"
+        modular_weight, splitting, leaf, adjacent = _fields(
+            item, where, ("modular_weight", "splitting", "leaf", "adjacent")
         )
-    raise ParseError(
-        f"kind: expected 'compact_toric' or 'b_toric', got {kind!r}"
+        modular_weight = _expect_int_list(
+            modular_weight, f"{where}.modular_weight", rank
+        )
+        splitting = _expect_int_list(splitting, f"{where}.splitting", rank)
+        leaf = _polyhedron(leaf, f"{where}.leaf", rank - 1)
+        adjacent = _expect_int_list(adjacent, f"{where}.adjacent", 2)
+        for side in adjacent:
+            if not 0 <= side < len(components):
+                raise ParseError(
+                    f"{where}.adjacent: component index {side} out of range"
+                )
+        records.append(_trusted(
+            HypersurfaceRecord, modular_weight=modular_weight,
+            splitting=splitting, leaf=leaf, adjacent=adjacent,
+        ))
+    return _trusted(
+        BSpaceDescription, rank=rank, components=tuple(components),
+        hypersurfaces=tuple(records),
     )
 
 

@@ -484,6 +484,26 @@ def test_huge_enumeration_is_usage_error(run, tmp_path, rank):
     assert err.endswith(" over the budget of 1000000\n")
 
 
+def test_hostile_rank_is_refused_where_it_is_read(run, tmp_path):
+    # with no inequalities at all, checking a rank-r polytope eliminates
+    # r * (r - 1) times; the reader refuses a rank whose square is over
+    # the enumeration budget before any of that work
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "schema": "bquant/1", "kind": "compact_toric", "rank": 1001,
+        "polytope": {"rank": 1001, "inequalities": []},
+    }), encoding="utf-8")
+    started = time.perf_counter()
+    with address_space_cap():
+        code, out, err = run("check", str(path))
+    assert time.perf_counter() - started < 0.5
+    assert (code, out) == (2, "")
+    assert err == (
+        "bquant: error: polytope.rank: rank 1001 squared is 1002001, over "
+        "the budget of 1000000\n"
+    )
+
+
 @pytest.mark.parametrize("literal, where", [
     ("9" * 5001, "integer literal: "),
     ('"' + "9" * 5001 + '/2"', "polytope.inequalities[0].bound: "),

@@ -488,6 +488,62 @@ def test_rows_are_read_only_through_certified_rows():
     ] == ["polyhedra.py"]
 
 
+def field_check_texts(source, checker="_fields"):
+    """(function, line) for each ParseError built in `source` outside the
+    function named `checker` whose text names an unknown or a missing
+    field, so that the object check of the bquant/1 reader is made once."""
+    tree = ast.parse(source)
+    enclosing = {  # the innermost function around each node, as above
+        id(child): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for child in ast.walk(node)
+    }
+    return sorted(
+        (enclosing.get(id(node), "<module>"), node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        == "ParseError"
+        and enclosing.get(id(node)) != checker
+        and any(
+            isinstance(part, ast.Constant) and isinstance(part.value, str)
+            and ("unknown field" in part.value or "needs" in part.value)
+            for argument in node.args for part in ast.walk(argument)
+        )
+    )
+
+
+def test_scan_finds_a_field_check_outside_fields():
+    source = (
+        "def _fields(data, where, names):\n"
+        "    raise ParseError(f'{where}: unknown field {names[0]!r}')\n"
+        "def read(data):\n"
+        "    raise ParseError(f'{data}: needs ' + repr('rank'))\n"
+        "def other(data):\n"
+        "    def inner():\n"
+        "        raise errors.ParseError('top: unknown field x')\n"
+        "    raise ParseError('rank: expected an integer')\n"
+        "ERROR = ParseError('needs a schema')\n"
+        "NOTE = ValueError('needs')\n"
+    )
+    assert field_check_texts(source) == [
+        ("<module>", 9), ("inner", 7), ("read", 4)
+    ]
+
+
+def test_fields_alone_checks_the_reader_objects():
+    # the reader's "unknown field" and "needs" texts come from
+    # polyhedra._fields only, which every object of a description goes
+    # through
+    root = Path(bquant.__file__).parent
+    assert {
+        name: texts for name in ("polyhedra.py", "spaces.py")
+        if (texts := field_check_texts((root / name).read_text()))
+    } == {}
+    assert "def _fields(" in (root / "polyhedra.py").read_text()
+
+
 def package_imports(source, modules):
     """The modules of the package that `source` imports from, at any depth,
     by stem; "bquant" stands for the package itself, imported or read a

@@ -17,6 +17,7 @@ from bquant import _linalg
 from bquant import (
     DimensionMismatchError,
     EmptyPolyhedronError,
+    EnumerationBudgetError,
     LatticePolyhedron,
     NoVerticesError,
     ParseError,
@@ -507,6 +508,20 @@ def test_from_payload_rejects(payload, fragment):
     with pytest.raises(ParseError) as info:
         LatticePolyhedron.from_payload(payload)
     assert fragment in str(info.value)
+
+
+def test_from_payload_refuses_a_rank_whose_square_is_over_the_budget():
+    # a polyhedron's box eliminates rank * (rank - 1) times even with no
+    # inequalities, so a hostile rank is refused where it is read
+    assert LatticePolyhedron.from_payload(
+        {"rank": 1000, "inequalities": []}
+    ).rank == 1000
+    with pytest.raises(EnumerationBudgetError) as info:
+        LatticePolyhedron.from_payload({"rank": 1001, "inequalities": []}, "leaf")
+    assert info.value.count == 1001**2
+    assert str(info.value) == (
+        "leaf.rank: rank 1001 squared is 1002001, over the budget of 1000000"
+    )
 
 
 def test_str():

@@ -166,6 +166,113 @@ def test_structural_errors(mutate, fragment):
     assert fragment in str(info.value)
 
 
+COMPONENT = "components[0]"
+RECORD = "hypersurfaces[0]"
+POLYHEDRON = "components[0].polyhedron"
+INEQUALITY = "components[0].polyhedron.inequalities[0]"
+
+
+def _first_component(d):
+    return d["components"][0]
+
+
+def _first_record(d):
+    return d["hypersurfaces"][0]
+
+
+def _first_polyhedron(d):
+    return d["components"][0]["polyhedron"]
+
+
+def _first_inequality(d):
+    return d["components"][0]["polyhedron"]["inequalities"][0]
+
+
+# (description, mutation, the exact message): each object level of the
+# reader, not an object, with an unknown field and without each field
+READER_CASES = [
+    # the top level: the schema and kind pick the fields it holds
+    (SPHERE, lambda d: d.update(extra=1), "top level: unknown field 'extra'"),
+    (SPHERE, lambda d: d.pop("schema"),
+     "schema: expected 'bquant/1', got None"),
+    (SPHERE, lambda d: d.pop("kind"),
+     "kind: expected 'compact_toric' or 'b_toric', got None"),
+    (SPHERE, lambda d: d.pop("rank"), "top level: needs 'rank'"),
+    (SPHERE, lambda d: d.pop("components"), "top level: needs 'components'"),
+    (SPHERE, lambda d: d.pop("hypersurfaces"),
+     "top level: needs 'hypersurfaces'"),
+    (SEGMENT, lambda d: d.pop("rank"), "top level: needs 'rank'"),
+    (SEGMENT, lambda d: d.pop("polytope"), "top level: needs 'polytope'"),
+    (SEGMENT, lambda d: d.update(components=[]),
+     "top level: unknown field 'components'"),
+    # a component
+    (SPHERE, lambda d: d["components"].__setitem__(0, 7),
+     f"{COMPONENT}: expected an object, got int"),
+    (SPHERE, lambda d: _first_component(d).update(extra=1),
+     f"{COMPONENT}: unknown field 'extra'"),
+    (SPHERE, lambda d: _first_component(d).pop("sign"), f"{COMPONENT}: needs 'sign'"),
+    (SPHERE, lambda d: _first_component(d).pop("polyhedron"),
+     f"{COMPONENT}: needs 'polyhedron'"),
+    # a hypersurface record
+    (SPHERE, lambda d: d["hypersurfaces"].__setitem__(0, 7),
+     f"{RECORD}: expected an object, got int"),
+    (SPHERE, lambda d: _first_record(d).update(surprise=3),
+     f"{RECORD}: unknown field 'surprise'"),
+    (SPHERE, lambda d: _first_record(d).pop("modular_weight"),
+     f"{RECORD}: needs 'modular_weight'"),
+    (SPHERE, lambda d: _first_record(d).pop("splitting"),
+     f"{RECORD}: needs 'splitting'"),
+    (SPHERE, lambda d: _first_record(d).pop("leaf"), f"{RECORD}: needs 'leaf'"),
+    (SPHERE, lambda d: _first_record(d).pop("adjacent"),
+     f"{RECORD}: needs 'adjacent'"),
+    (SPHERE, lambda d: _first_record(d).update(leaf={"rank": 1, "inequalities": []}),
+     f"{RECORD}.leaf.rank: 1 does not match rank 0"),
+    # a polyhedron, here a component's and then the leaf and the polytope
+    (SPHERE, lambda d: _first_component(d).update(polyhedron=[]),
+     f"{POLYHEDRON}: expected an object, got list"),
+    (SPHERE, lambda d: _first_polyhedron(d).update(extra=1),
+     f"{POLYHEDRON}: unknown field 'extra'"),
+    (SPHERE, lambda d: _first_polyhedron(d).pop("rank"),
+     f"{POLYHEDRON}: needs 'rank'"),
+    (SPHERE, lambda d: _first_polyhedron(d).pop("inequalities"),
+     f"{POLYHEDRON}: needs 'inequalities'"),
+    (SPHERE, lambda d: _first_record(d)["leaf"].pop("rank"),
+     f"{RECORD}.leaf: needs 'rank'"),
+    (SEGMENT, lambda d: d.update(polytope=None),
+     "polytope: expected an object, got NoneType"),
+    # an inequality
+    (SPHERE, lambda d: _first_polyhedron(d)["inequalities"].__setitem__(0, 7),
+     f"{INEQUALITY}: expected an object, got int"),
+    (SPHERE, lambda d: _first_inequality(d).update(extra=1),
+     f"{INEQUALITY}: unknown field 'extra'"),
+    (SPHERE, lambda d: _first_inequality(d).pop("normal"),
+     f"{INEQUALITY}: needs 'normal'"),
+    (SPHERE, lambda d: _first_inequality(d).pop("bound"),
+     f"{INEQUALITY}: needs 'bound'"),
+    # an unknown field is named before a missing one
+    (SPHERE, lambda d: _first_polyhedron(d)["inequalities"].__setitem__(
+        0, {"bound": 1, "extra": 1}), f"{INEQUALITY}: unknown field 'extra'"),
+]
+
+
+@pytest.mark.parametrize(
+    "base, mutate, message", READER_CASES,
+    ids=[message for _, _, message in READER_CASES],
+)
+def test_every_object_is_checked_by_one_reader(base, mutate, message):
+    data = json.loads(json.dumps(base))
+    mutate(data)
+    with pytest.raises(ParseError) as info:
+        parse(data)
+    assert str(info.value) == message
+
+
+def test_top_level_not_an_object_is_named():
+    with pytest.raises(ParseError) as info:
+        parse_description("[1, 2]")
+    assert str(info.value) == "top level: expected an object"
+
+
 @pytest.mark.parametrize("sign", [True, False])
 def test_boolean_sign_is_refused(sign):
     # True == 1 in Python, but a JSON truth value is not a sign
