@@ -8,7 +8,11 @@ weight order).  The engine reads a description's formal signed sum of
 polyhedron indicators straight off its components; nothing wraps it here.
 """
 
-from .errors import DimensionMismatchError
+from .errors import (
+    ENUMERATION_BUDGET,
+    DimensionMismatchError,
+    EnumerationBudgetError,
+)
 
 __all__ = ["VirtualCharacter"]
 
@@ -34,9 +38,9 @@ class VirtualCharacter:
     """Finitely supported weight -> Z map in canonical form.
 
     The constructor checks every weight and multiplicity it is given, so
-    a character built from outside input is canonical or refused.  Tables
-    the engine built itself (tuples of ints with nonzero int values) go
-    through :meth:`_from_table` instead, which only sorts them.
+    a character built from outside input is canonical or refused.  Runs of
+    rows the engine built itself go through :meth:`_from_rows` instead,
+    which lists them in order and tests nothing.
     """
 
     __slots__ = ("rank", "_multiplicities")
@@ -62,14 +66,29 @@ class VirtualCharacter:
         object.__setattr__(self, "_multiplicities", dict(sorted(table.items())))
 
     @classmethod
-    def _from_table(cls, rank, table):
-        """Character of a weight -> multiplicity dict the engine built,
-        whose weights are tuples of `rank` ints and whose multiplicities
-        are nonzero ints.  Sorts once and tests no entry; anything from
-        outside the engine goes through the constructor."""
+    def _from_rows(cls, rank, rows):
+        """Character of rows the engine built, in the engine's run form
+        (rank at least 1): (head, [(a, b, value), ...]) for each row, heads
+        in lexicographic order, each row's runs in order and disjoint, with
+        nonzero int values; value is the multiplicity of head + (x,) for
+        a <= x < b.  Counts the weights first and raises
+        EnumerationBudgetError over ENUMERATION_BUDGET before it allocates
+        anything; then lists each weight once, in order, testing none.
+        Anything from outside the engine goes through the constructor."""
+        count = sum(b - a for _, runs in rows for a, b, _ in runs)
+        if count > ENUMERATION_BUDGET:
+            raise EnumerationBudgetError(
+                f"enumeration would list at least {count} lattice points, "
+                f"over the budget of {ENUMERATION_BUDGET}",
+                count=count,
+            )
         self = object.__new__(cls)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_multiplicities", dict(sorted(table.items())))
+        object.__setattr__(self, "_multiplicities", {
+            head + (x,): value
+            for head, runs in rows for a, b, value in runs
+            for x in range(a, b)
+        })
         return self
 
     def __setattr__(self, name, value):

@@ -11,20 +11,26 @@ bounded cores plus bounded inclusion-exclusion corrections where tails of
 distinct hypersurfaces overlap inside one component.  Validation certifies
 the cancellation and hands over the tail ends; the collapse certifies that
 every surviving piece is bounded, raising NotFiniteError with the offending
-piece otherwise.  The final character is re-checked against the formal
-character on a window twice the size of its support.  Every check reads
-rows only as LatticePolyhedron._certified_rows hands them on, certified
-run by run: _box_rows folds a box's rows into runs of the formal count,
-_first_difference (in rank 0, _point_mismatch) names the least weight
-where a character parts from them, and facet_weights reads a support's
-rows once for its facet-boundary weights.
+piece otherwise.
+
+Characters stay in runs of rows from the collapse to their last reader:
+(head, [(a, b, value), ...]) for each row, the value holding at
+head + (x,) for a <= x < b.  _box_rows sums signed polyhedra into that
+form off their certified runs of rows (LatticePolyhedron._certified_rows),
+so the collapse, the self-check and verify-qr's second route all read
+rows only as that reader hands them on.  The collapse is re-checked
+against the formal character, run for run, on a window twice the size of
+its support; _first_difference names the least weight where two run
+lists part, and facet_weights reads a support's rows once for its
+facet-boundary weights.  Only a character handed out as a
+VirtualCharacter is listed, once, in order (VirtualCharacter._from_rows):
+verify-qr compares runs with runs and lists no weight.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from math import ceil, floor
-from operator import itemgetter, mul
+from math import ceil, floor, inf
+from operator import mul
 
 from . import _linalg
 from .characters import VirtualCharacter, _as_weight
@@ -74,12 +80,12 @@ class QRReport:
     """Two-route comparison of quantization and reduction on a product.
 
     `invariant_from_characters` is the invariant part of chi (x) P, the
-    sum over w of chi(w) * P(-w): chi summed over the weights of the
-    reflected partner -P, read off its certified runs of rows
-    (LatticePolyhedron._certified_rows) without forming the tensor;
-    `invariant_from_geometry` sums the reduced-space counts over the same
-    weights, read off the components' certified runs of rows, never
-    forming a character.
+    sum over w of chi(w) * P(-w): chi's runs of rows summed over the
+    weights of the reflected partner -P, read off its certified runs of
+    rows (LatticePolyhedron._certified_rows) without forming the tensor
+    or listing a weight; `invariant_from_geometry` sums the reduced-space
+    counts over the same weights, read off the components' certified runs
+    of rows, never forming a character.
     `checked_weights` is the number of those weights.  `first_mismatch`,
     when not None, is (weight, character multiplicity, reduced-space count)
     at the lexicographically first of them where the routes disagree.
@@ -138,16 +144,112 @@ def tail_matching(description):
 
 
 # ----------------------------------------------------------------------
-# lattice enumeration
+# runs of rows
 
 
-def _accumulate(table, points, coefficient):
-    for point in points:
-        total = table.get(point, 0) + coefficient
-        if total:
-            table[point] = total
-        else:
-            del table[point]
+def _box_rows(terms, box):
+    """(head, runs) for each row of `box` where the signed count of the
+    (sign, polyhedron) `terms` is not zero, in _step_rows's form.  `box`
+    has one range per coordinate (rank at least 1); its last may be None
+    when every term is bounded, and the terms' own inequalities then end
+    each row.  Each term's sign holds on its certified interval of a row
+    (LatticePolyhedron._certified_rows)."""
+    *outer, last = box
+    low, high = (-inf, inf) if last is None else (last.start, last.stop - 1)
+    return _step_rows((
+        (head, first, final, sign)
+        for sign, polyhedron in terms
+        for heads, first, final in polyhedron._certified_rows(
+            outer, low, high
+        )
+        for head in heads
+    ), low, high + 1)
+
+
+def _step_rows(intervals, start=-inf, stop=inf):
+    """(head, runs) for each row where the sum of the (head, first, final,
+    value) `intervals`, each `value` on head + (x,) for first <= x <=
+    final, is not zero, in order, with the runs of start..stop-1 _runs
+    gives: value jumps in at first and out just past final."""
+    steps = {}
+    for head, first, final, value in intervals:
+        jumps = steps.setdefault(head, {})
+        jumps[first] = jumps.get(first, 0) + value
+        jumps[final + 1] = jumps.get(final + 1, 0) - value
+    rows = []
+    for head in sorted(steps):
+        runs = _runs(steps[head], start, stop)
+        if runs:
+            rows.append((head, runs))
+    return rows
+
+
+def _runs(jumps, start, stop):
+    """(a, b, value) for each longest stretch a..b-1 of start..stop-1 on
+    which the step function with `jumps` is a nonzero constant `value`, in
+    order.  Jumps that sum to zero at a point are no jump, so adjacent runs
+    differ in value and one step function has one list of runs."""
+    runs = []
+    value = previous = 0
+    for x in sorted(jumps):
+        step = jumps[x]
+        if not step:
+            continue
+        if value:
+            a, b = max(previous, start), min(x, stop)
+            if a < b:
+                runs.append((a, b, value))
+        value += step
+        previous = x
+    return runs
+
+
+def _hull_rows(terms):
+    """_box_rows of the bounded (sign, polyhedron) `terms` (rank at least
+    1) over the hull of their nonempty members' `_vertex_box()`, each row
+    ended by the terms' own inequalities."""
+    live = [term for term in terms if term[1]._box() is not None]
+    if not live:
+        return []
+    boxes = [polyhedron._vertex_box() for _, polyhedron in live]
+    hull = [
+        range(min(r.start for r in ranges), max(r.stop for r in ranges))
+        for ranges in zip(*boxes)
+    ]
+    return _box_rows(live, hull[:-1] + [None])
+
+
+def _character_runs(character):
+    """The entries of `character` (rank at least 1) as (head, runs) rows in
+    _step_rows's form."""
+    return _step_rows(
+        (weight[:-1], weight[-1], weight[-1], value)
+        for weight, value in character.items()
+    )
+
+
+def _first_difference(found, expected):
+    """(weight, value in `found`, value in `expected`) at the least weight
+    where two lists of (head, runs) rows in _step_rows's form differ; None
+    where they agree.  Equal lists and equal rows are passed over whole.
+    On a row that differs both sides are constant between consecutive run
+    ends of either, so the least differing weight is at one of those ends,
+    and only they are read: no weight is listed."""
+    if found == expected:
+        return None
+    found_at, expected_at = dict(found), dict(expected)
+    for head in sorted(found_at.keys() | expected_at.keys()):
+        mine, theirs = found_at.get(head, []), expected_at.get(head, [])
+        if mine == theirs:
+            continue
+        for x in sorted({end for a, b, _ in mine + theirs for end in (a, b)}):
+            here, there = (
+                next((value for a, b, value in runs if a <= x < b), 0)
+                for runs in (mine, theirs)
+            )
+            if here != there:
+                return head + (x,), here, there
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -156,12 +258,14 @@ def _accumulate(table, points, coefficient):
 
 def quantize_compact_toric(space):
     """Character of a compact toric space: each lattice point of the moment
-    polytope contributes one weight with multiplicity 1."""
+    polytope contributes one weight with multiplicity 1, listed once from
+    the polytope's certified runs of rows (_hull_rows)."""
     if not isinstance(space, CompactToricSpace):
         raise TypeError("expected a CompactToricSpace")
     require_validated(space)
-    points = space.polytope.lattice_points()
-    return VirtualCharacter._from_table(space.rank, dict.fromkeys(points, 1))
+    if not space.rank:
+        return VirtualCharacter(0, {(): int(not space.polytope.is_empty())})
+    return VirtualCharacter._from_rows(space.rank, _hull_rows(_terms(space)))
 
 
 # ----------------------------------------------------------------------
@@ -178,22 +282,38 @@ def collapse_signed_tails(description, self_check=True):
     inclusion-exclusion; the collapse certifies that every core and overlap
     is bounded (NotFiniteError with the term and direction otherwise).
 
-    The result is then re-checked against the formal character on a
-    window twice the size of its support (SelfCheckError otherwise).  The
-    re-check reads the formal count off every term's certified runs of
-    rows and lists no points; see _self_check.
+    The signed sum of these pieces is kept in runs of rows (_collapse)
+    and re-checked against the formal character run for run on a window
+    twice the size of its support (_self_check, SelfCheckError
+    otherwise).  Only then are its weights listed, once, in order
+    (VirtualCharacter._from_rows, which raises EnumerationBudgetError over
+    the budget).  In rank 0 the one weight () is counted directly.
     """
+    if description.rank:
+        return VirtualCharacter._from_rows(
+            description.rank, _collapse(description, self_check)
+        )
+    character = VirtualCharacter(0, {(): sum(
+        coefficient for coefficient, piece in _pieces(description)
+        if not piece.is_empty()
+    )})
+    if self_check:
+        _self_check(_terms(description), character, [])
+    return character
+
+
+def _pieces(description):
+    """The collapse's bounded (coefficient, piece) pairs of a singular
+    description, in a fixed order: each term's core with the term's sign,
+    then the inclusion-exclusion overlaps of its tails.  Raises
+    NotFiniteError when a core or an overlap is unbounded."""
     matching = tail_matching(description)
-    terms = _terms(description)
     ends_at = {}
     for end in matching:
         ends_at.setdefault(end.plus_component, []).append(end)
         ends_at.setdefault(end.minus_component, []).append(end)
-
-    # assemble the surviving bounded pieces in a fixed order
     pieces = []
-    coefficients = []
-    for index, (sign, polyhedron) in enumerate(terms):
+    for index, (sign, polyhedron) in enumerate(_terms(description)):
         ends = ends_at.get(index, [])
         core = polyhedron
         for end in ends:
@@ -209,8 +329,7 @@ def collapse_signed_tails(description, self_check=True):
                 "matched tail is cut off; no hypersurface end claims it",
                 witness=(("term", index), ray),
             )
-        pieces.append(core)
-        coefficients.append(sign)
+        pieces.append((sign, core))
         for size in range(2, len(ends) + 1):
             for subset in combinations(ends, size):
                 overlap = polyhedron
@@ -229,36 +348,45 @@ def collapse_signed_tails(description, self_check=True):
                         f"{_linalg.exact_text(ray)}",
                         witness=(("term", index) + labels, ray),
                     )
-                pieces.append(overlap)
-                coefficients.append(sign * (-1) ** (size + 1))
+                pieces.append((sign * (-1) ** (size + 1), overlap))
+    return pieces
 
-    table = {}
-    for coefficient, piece in zip(coefficients, pieces):
-        _accumulate(table, piece.lattice_points(), coefficient)
-    character = VirtualCharacter._from_table(description.rank, table)
 
+def _collapse(description, self_check=True):
+    """The collapsed character of a singular description of rank at least
+    1 in _step_rows's form: the signed sum of its pieces (_pieces), read
+    off their certified runs of rows over their hull (_hull_rows), with no
+    weight listed.  With `self_check`, the runs are compared with the
+    formal count's on the self-check window (_self_check) before they are
+    handed on."""
+    pieces = _pieces(description)
+    rows = _hull_rows(pieces)
     if self_check:
-        _self_check(terms, character, _verification_box(character, pieces))
-    return character
+        _self_check(
+            _terms(description), rows,
+            _verification_box(rows, pieces, description.rank),
+        )
+    return rows
 
 
-def _self_check(terms, character, window):
-    """Raise SelfCheckError unless `character` equals the signed count of
-    the (sign, polyhedron) `terms` at every point of `window` (one range
-    per coordinate) and has no weight outside it.
+def _self_check(terms, found, window):
+    """Raise SelfCheckError unless the collapse's runs of rows `found`
+    equal the signed count of the (sign, polyhedron) `terms` at every
+    point of `window` (one range per coordinate) and hold no weight
+    outside it.
 
     The formal count is never listed point by point: _box_rows reads it
     off every term's certified runs of rows
-    (LatticePolyhedron._certified_rows), and _first_difference matches the
-    count's runs along each row against the character's sorted entries a
-    run at a time.  The collapse's points are certified where they are
-    listed, so this tests the collapse's pieces and signs, and
-    validation's cancellation, against the formal count.  In rank 0 the
-    window is empty and _point_mismatch tests the one weight.
+    (LatticePolyhedron._certified_rows), and _first_difference compares
+    its runs with the collapse's, run for run; only a mismatch is named,
+    at the least weight where the two differ.  This tests the collapse's
+    pieces and signs, and validation's cancellation, against the formal
+    count.  In rank 0 the window is empty, `found` is the character, and
+    _point_mismatch tests its one weight.
     """
     mismatch = (
-        _first_difference(_box_rows(terms, window), character.items())
-        if window else _point_mismatch(terms, character)
+        _first_difference(found, _box_rows(terms, window))
+        if window else _point_mismatch(terms, found)
     )
     if mismatch is not None:
         weight, found, expected = mismatch
@@ -278,102 +406,50 @@ def _point_mismatch(terms, character):
     return None if found == expected else ((), found, expected)
 
 
-def _box_rows(terms, box):
-    """(head, runs) for each row of `box` (one range per coordinate, rank
-    at least 1) where the signed count of the (sign, polyhedron) `terms`
-    is not zero, in order: each term's sign jumps in at the first weight of
-    its certified interval on a row (LatticePolyhedron._certified_rows) and
-    out just past the last, and _runs cuts the jumps into runs."""
-    *outer, last = box
-    steps = {}
-    for sign, polyhedron in terms:
-        for heads, first, final in polyhedron._certified_rows(
-            outer, last.start, last.stop - 1
-        ):
-            for head in heads:
-                jumps = steps.setdefault(head, {})
-                jumps[first] = jumps.get(first, 0) + sign
-                jumps[final + 1] = jumps.get(final + 1, 0) - sign
-    rows = []
-    for head in sorted(steps):
-        runs = _runs(steps[head], last.start, last.stop)
-        if runs:
-            rows.append((head, runs))
-    return rows
-
-
-def _runs(jumps, start, stop):
-    """(a, b, value) for each stretch a..b-1 of start..stop-1 on which the
-    step function with `jumps` is a nonzero constant `value`, in order."""
-    runs = []
-    value = previous = 0
-    for x in sorted(jumps):
-        if value:
-            a, b = max(previous, start), min(x, stop)
-            if a < b:
-                runs.append((a, b, value))
-        value += jumps[x]
-        previous = x
-    return runs
-
-
-def _first_difference(rows, items):
-    """(weight, value in `items`, value of `rows`) at the least weight where
-    the sorted (weight, nonzero value) `items` and (head, runs) rows in
-    _box_rows's form differ; None where they agree.  Between a run's first
-    and last weight the sorted entries can hold no other weight, so two
-    lookups and a count check a whole run; only a failure is named weight
-    by weight."""
-    weights = list(map(itemgetter(0), items))
-    values = list(map(itemgetter(1), items))
-    at = 0
-    for head, a, b, value in (
-        (head, *run) for head, runs in rows for run in runs
-    ):
-        end = at + b - a
-        if (end > len(weights) or weights[at] != head + (a,)
-                or weights[end - 1] != head + (b - 1,)
-                or values[at:end].count(value) != b - a):
-            break
-        at = end
-    else:
-        if at == len(weights):
-            return None
-    found = dict(items)
-    expected = {
-        head + (x,): value
-        for head, runs in rows
-        for a, b, value in runs
-        for x in range(a, b)
-    }
-    weight = min(
-        weight for weight in found.keys() | expected.keys()
-        if found.get(weight, 0) != expected.get(weight, 0)
-    )
-    return weight, found.get(weight, 0), expected.get(weight, 0)
-
-
-def _verification_box(character, pieces):
-    """Lattice window for the self-check, one range per coordinate:
-    the character support widened by its own extent (plus margin), falling
-    back to the extent of the collapsed pieces' exact boxes (`_box`, which
-    the collapse's boundedness tests have cached; for a bounded nonempty
-    piece, its vertices' extent), falling back to a box around the origin."""
-    support = character.support()
-    if support:
-        extents = [(min(values), max(values)) for values in zip(*support)]
+def _verification_box(rows, pieces, rank):
+    """Lattice window for the self-check, one range per coordinate: the
+    extent of the collapse's support, read off the heads and run ends of
+    its `rows`, widened by half its size (plus margin) on each side;
+    falling back to the extent of the (coefficient, piece) `pieces`' exact
+    boxes (`_box`, which the collapse's boundedness tests have cached; for
+    a bounded nonempty piece, its vertices' extent), falling back to a box
+    around the origin."""
+    if rows:
+        extents = [
+            (min(values), max(values))
+            for values in zip(*(head for head, _ in rows))
+        ]
+        extents.append((
+            min(runs[0][0] for _, runs in rows),
+            max(runs[-1][1] for _, runs in rows) - 1,
+        ))
     else:
         extents = [
             (min(p // q for (p, q), _ in ends),
              max(-(-p // q) for _, (p, q) in ends))
-            for ends in zip(*filter(None, (piece._box() for piece in pieces)))
+            for ends in zip(*filter(None, (
+                piece._box() for _, piece in pieces
+            )))
         ]
     if not extents:
-        return [range(-2, 3)] * character.rank
+        return [range(-2, 3)] * rank
     return [
         range(low - (high - low) // 2 - 1, high + (high - low) // 2 + 2)
         for low, high in extents
     ]
+
+
+def _singular_type(description):
+    """Raise ZeroModularWeightError when every modular weight of the
+    singular `description` vanishes: that is the other branch of the
+    modular-weight dichotomy, where this engine does not apply."""
+    records = description.hypersurfaces
+    if records and all(not any(r.modular_weight) for r in records):
+        raise ZeroModularWeightError(
+            "every modular weight vanishes; by the modular-weight dichotomy "
+            "this description is not of singular type and has no tails to "
+            "cancel"
+        )
 
 
 def quantize_b(description):
@@ -384,18 +460,11 @@ def quantize_b(description):
     bounded, and the self-check (_self_check) re-checks the result.
 
     Raises ZeroModularWeightError before validation when every modular
-    weight vanishes: that is the other branch of the modular-weight
-    dichotomy, where this engine does not apply.
+    weight vanishes (_singular_type).
     """
     if not isinstance(description, BSpaceDescription):
         raise TypeError("expected a BSpaceDescription")
-    records = description.hypersurfaces
-    if records and all(not any(r.modular_weight) for r in records):
-        raise ZeroModularWeightError(
-            "every modular weight vanishes; by the modular-weight dichotomy "
-            "this description is not of singular type and has no tails to "
-            "cancel"
-        )
+    _singular_type(description)
     return collapse_signed_tails(description)
 
 
@@ -534,20 +603,23 @@ def verify_qr_product(description, partner, character=None):
     (LatticePolyhedron._certified_rows); P's points are never listed.
     Route one is the invariant part of chi (x) P, where chi is the
     character of `description` and P that of `partner`: the sum over w of
-    chi(w) * P(-w), that is, of chi's entries at the weights of -P, found
-    on each row by bisection.  Route two never forms the first character:
-    it counts reduced-space points of `description` directly on the same
-    weights.  The components' certified runs of rows (_box_rows, as in the
-    self-check) give the signed count on each row as runs, which are
-    clipped to -P's interval on that row, summed, and compared once with
-    chi's entries inside -P (_first_difference) to pin down the first
-    disagreement, if any.  Rank 0 has the one weight (): route one reads
-    chi(()) and route two counts the components that contain it, once.
+    chi(w) * P(-w), that is, chi's runs of rows clipped to -P's interval
+    on each row and summed.  With no `character` given, chi's runs come
+    straight from the engine (the self-checked collapse, or the
+    polytope's certified rows) and no character is listed.  Route two
+    never forms the first character: it counts reduced-space points of
+    `description` directly on the same weights, from the components'
+    certified runs of rows (_box_rows, as in the self-check), clipped to
+    -P in the same way.  The two clipped run lists are compared run for
+    run (_first_difference) to pin down the first disagreement, if any.
+    Rank 0 has the one weight (): route one reads chi(()) and route two
+    counts the components that contain it, once.
 
     `character` substitutes a precomputed character for `description`
-    (route one and the row comparison then test that value), so a stale or
-    corrupted cache is caught rather than silently trusted.  A character
-    of another rank raises DimensionMismatchError.
+    (route one and the comparison then test that value, grouped into runs
+    of rows first), so a stale or corrupted cache is caught rather than
+    silently trusted.  A character of another rank raises
+    DimensionMismatchError.
     """
     if not isinstance(partner, CompactToricSpace):
         raise DescriptionKindError(
@@ -559,10 +631,10 @@ def verify_qr_product(description, partner, character=None):
         )
     require_validated(description)
     require_validated(partner)
-    if character is None:
-        character = quantize_description(description)
-    else:
+    if character is not None:
         _check_rank(description, character)
+    elif not description.rank:
+        character = quantize_description(description)
 
     terms = _terms(description)
     reflected = partner.polytope.reflect_through_origin()
@@ -573,6 +645,13 @@ def verify_qr_product(description, partner, character=None):
         checked = 1
         first_mismatch = None if found == expected else ((), found, expected)
     else:
+        if character is not None:
+            runs_of_chi = dict(_character_runs(character))
+        elif isinstance(description, CompactToricSpace):
+            runs_of_chi = dict(_hull_rows(terms))
+        else:
+            _singular_type(description)
+            runs_of_chi = dict(_collapse(description))
         # the reflected box is the partner's, negated
         box = [
             range(1 - values.stop, 1 - values.start)
@@ -580,26 +659,25 @@ def verify_qr_product(description, partner, character=None):
         ]
         runs_at = dict(_box_rows(terms, box))
         *outer, last = box
-        weights, items = character.support(), character.items()
-        rows, inside, checked = [], [], 0
+        found, expected, checked = [], [], 0
         for heads, first, final in reflected._certified_rows(
             outer, last.start, last.stop - 1
         ):
             checked += (final + 1 - first) * len(heads)
             for head in heads:
-                start = bisect_left(weights, head + (first,))
-                end = bisect_left(weights, head + (final + 1,), start)
-                inside += items[start:end]
-                rows.append((head, [
-                    (max(a, first), min(b, final + 1), value)
-                    for a, b, value in runs_at.get(head, ())
-                    if a <= final and b > first
-                ]))
-        invariant_from_characters = sum(map(itemgetter(1), inside))
-        invariant_from_geometry = sum(
-            value * (b - a) for _, runs in rows for a, b, value in runs
+                for rows, source in (
+                    (found, runs_of_chi), (expected, runs_at)
+                ):
+                    rows.append((head, [
+                        (max(a, first), min(b, final + 1), value)
+                        for a, b, value in source.get(head, ())
+                        if a <= final and b > first
+                    ]))
+        invariant_from_characters, invariant_from_geometry = (
+            sum(value * (b - a) for _, runs in rows for a, b, value in runs)
+            for rows in (found, expected)
         )
-        first_mismatch = _first_difference(rows, inside)
+        first_mismatch = _first_difference(found, expected)
     return QRReport(
         invariant_from_characters=invariant_from_characters,
         invariant_from_geometry=invariant_from_geometry,

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the enumeration budget
+that EnumerationBudgetError enforces."""
 
 __all__ = [
     "BQuantError",
@@ -15,6 +16,10 @@ __all__ = [
     "NotFiniteError",
     "SelfCheckError",
 ]
+
+# most rows one scan visits, and most points one listing holds; a larger
+# enumeration raises EnumerationBudgetError instead of exhausting memory
+ENUMERATION_BUDGET = 10**6
 
 
 class BQuantError(Exception):

@@ -36,7 +36,7 @@ boundedness.
 Rows of a box (all coordinates but the last fixed) are read off the
 inequalities in runs of rows with one certificate by one scan (`_rows`),
 whose one reader, `_certified_rows`, checks every run before handing it
-on; `lattice_points` and the engine's checks read rows only from it.
+on; `lattice_points` and the engine read rows only from it.
 Instances are immutable and safe to share across threads.
 """
 
@@ -49,6 +49,7 @@ import re
 
 from . import _linalg
 from .errors import (
+    ENUMERATION_BUDGET,
     DimensionMismatchError,
     EmptyPolyhedronError,
     EnumerationBudgetError,
@@ -59,10 +60,6 @@ from .errors import (
 )
 
 __all__ = ["LatticePolyhedron"]
-
-# most rows one scan visits, and most points one listing holds; a larger
-# enumeration raises EnumerationBudgetError instead of exhausting memory
-ENUMERATION_BUDGET = 10**6
 
 _FRACTION_TOKEN = re.compile(r"-?[0-9]+(/[0-9]+)?")
 

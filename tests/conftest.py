@@ -1,9 +1,12 @@
-"""Shared fixtures, the raw-JSON membership oracle and the Fraction solver.
+"""Shared fixtures, the raw-JSON membership oracle, the Fraction solver and
+the pointwise collapse.
 
 The oracle reads description files with nothing but json and Fraction, so
 expected values in the tests never depend on the library under test.  The
 Fraction solver is the library's former `solve_unique`, the reference for
-the integer one and for the vertex table.
+the integer one and for the vertex table.  The pointwise collapse is the
+library's former route from the collapse's pieces to a character, the
+reference for the run-form one.
 """
 
 import importlib.util
@@ -136,6 +139,24 @@ def solve_by_fractions(rows, rhs):
     for row, c in zip(mat, pivots_coeff):
         solution[c] = Fraction(row[ncols], row[c])
     return tuple(solution)
+
+
+def pointwise_collapse(description):
+    """The collapse's former route, kept as the reference for the run-form
+    one: every piece the engine keeps (`engine._pieces`) listed point by
+    point (`lattice_points`), the signed points added one at a time into a
+    dict, and the dict sorted into a character.  Runs no self-check."""
+    from bquant import VirtualCharacter, engine
+
+    table = {}
+    for coefficient, piece in engine._pieces(description):
+        for point in piece.lattice_points():
+            total = table.get(point, 0) + coefficient
+            if total:
+                table[point] = total
+            else:
+                del table[point]
+    return VirtualCharacter(description.rank, sorted(table.items()))
 
 
 def raw_description(name):

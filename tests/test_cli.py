@@ -15,6 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import address_space_cap, corpus_path, huge_box
 
+import make_corpus
+
 import bquant
 from bquant import __version__, cli, load_description, local_model
 from bquant.cli import main
@@ -138,12 +140,15 @@ def test_quantize_verify_lines(run):
 
 def test_quantize_verify_rests_on_the_self_check(run, monkeypatch):
     # the --verify match line is printed because the character has passed
-    # the self-check: a listing that drops a point fails there, exit 1,
-    # before any line reaches stdout
-    real = bquant.LatticePolyhedron.lattice_points
+    # the self-check: a collapse that flips a piece's coefficient fails
+    # there, exit 1, before any line reaches stdout
+    real = bquant.engine._pieces
     monkeypatch.setattr(
-        bquant.LatticePolyhedron, "lattice_points",
-        lambda self: real(self)[:-1],
+        bquant.engine, "_pieces",
+        lambda description: [
+            (-sign, piece) if index == 0 else (sign, piece)
+            for index, (sign, piece) in enumerate(real(description))
+        ],
     )
     code, out, err = run("quantize", SPHERE, "--verify")
     assert (code, out) == (1, "")
@@ -482,6 +487,38 @@ def test_huge_enumeration_is_usage_error(run, tmp_path, rank):
     assert out == ""
     assert err.startswith("bquant: error: enumeration would ")
     assert err.endswith(" over the budget of 1000000\n")
+
+
+def test_huge_character_is_refused_where_it_is_listed(run, tmp_path):
+    # sphere(10**7, 0) has 10**7 weights: quantize refuses to list them,
+    # exit 2, while verify-qr against the segment [-3, 0] reads the
+    # collapse's runs of rows, lists no weight and answers
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(make_corpus.sphere(10**7, 0)), encoding="utf-8")
+    partner = tmp_path / "segment.json"
+    partner.write_text(json.dumps(make_corpus.compact(
+        1, make_corpus.segment(-3, 0)
+    )), encoding="utf-8")
+    started = time.perf_counter()
+    with address_space_cap():
+        code, out, err = run("quantize", str(path))
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "bquant: error: enumeration would list at least 10000000 lattice "
+        "points, over the budget of 1000000\n"
+    )
+    started = time.perf_counter()
+    with address_space_cap():
+        code, out, err = run("verify-qr", str(path), str(partner))
+    assert time.perf_counter() - started < 1
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-4:] == [
+        "invariant from characters = 3",
+        "invariant from geometry = 3",
+        "checked weights = 4",
+        "result: MATCH",
+    ]
 
 
 def test_hostile_rank_is_refused_where_it_is_read(run, tmp_path):

@@ -1,5 +1,6 @@
 """Quantization engine tests: compact counts, tail cancellation, reduction."""
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -19,6 +20,7 @@ from conftest import (
     benchmark_workloads,
     corpus_path,
     huge_box,
+    pointwise_collapse,
     raw_description,
     raw_multiplicity,
 )
@@ -339,14 +341,21 @@ def test_overlap_correction_restores_double_counted_points(monkeypatch):
 
 
 def test_self_check_catches_corrupted_enumeration(monkeypatch):
-    # the self-check reads the formal count off the certified runs of rows
-    # (LatticePolyhedron._certified_rows), not off lattice_points
-    real = LatticePolyhedron.lattice_points
+    # the self-check reads the formal count off the terms' certified runs
+    # of rows (LatticePolyhedron._certified_rows), not off the collapse's
+    # pieces: a first core cut one step short, a fault only the collapse
+    # makes, leaves the formal count at the cut and is refused
+    real = engine._pieces
 
-    def corrupted(self):
-        return real(self)[:-1]
+    def corrupted(description):
+        (sign, core), *rest = real(description)
+        end = tail_matching(description)[0]
+        short = core.with_inequality(
+            tuple(-x for x in end.cut_normal), end.threshold - 2
+        )
+        return [(sign, short), *rest]
 
-    monkeypatch.setattr(LatticePolyhedron, "lattice_points", corrupted)
+    monkeypatch.setattr(engine, "_pieces", corrupted)
     with pytest.raises(SelfCheckError):
         quantize_b(load("sphere_a2_bm1.json"))
 
@@ -395,8 +404,9 @@ def test_self_check_names_the_first_wrong_weight(name):
     # and name the least weight where it parts from the honest one
     d = load(name)
     honest = quantize_b(d)
-    window = engine._verification_box(honest, [])
-    engine._self_check(d.components, honest, window)
+    rows = engine._character_runs(honest)
+    window = engine._verification_box(rows, [], d.rank)
+    engine._self_check(d.components, rows, window)
     table = dict(honest.items())
     for wrong in wrong_tables(table, d.rank):
         weight = min(
@@ -404,13 +414,168 @@ def test_self_check_names_the_first_wrong_weight(name):
             if table.get(w, 0) != wrong.get(w, 0)
         )
         with pytest.raises(SelfCheckError) as info:
-            engine._self_check(
-                d.components, VirtualCharacter(d.rank, wrong), window
-            )
+            engine._self_check(d.components, engine._character_runs(
+                VirtualCharacter(d.rank, wrong)
+            ), window)
         assert str(info.value) == (
             f"collapsed character gives {wrong.get(weight, 0)} at weight "
             f"{weight} but the formal signed count is {table.get(weight, 0)}"
         )
+
+
+def chain(a, c, k=None):
+    """chain3's shape, {x <= a} - line + {x >= -c}, crossed with the band
+    0 <= y <= k when k is given."""
+    band = () if k is None else (((0, 1), k), ((0, -1), 0))
+    rank = 1 if k is None else 2
+    unit = (1,) + (0,) * (rank - 1)
+    leaf = make_corpus.point_leaf() if k is None else make_corpus.segment(0, k)
+    return make_corpus.b_toric(rank, [
+        (1, make_corpus.polyhedron(rank, (unit, a), *band)),
+        (-1, make_corpus.polyhedron(rank, *band)),
+        (1, make_corpus.polyhedron(
+            rank, (tuple(-x for x in unit), c), *band
+        )),
+    ], [
+        (unit, unit, leaf, (0, 1)),
+        (tuple(-x for x in unit), tuple(-x for x in unit), leaf, (2, 1)),
+    ])
+
+
+def collapse_oracle_cases():
+    """(raw data, thresholds or None) for the run-form collapse to match
+    the pointwise one on: every valid corpus file, compact ones too; the
+    820 spheres of the benchmark's sphere_family; a grid of
+    sphere_times_segment; chains whose thresholds come down to the least
+    values their half-lines allow, so that the line's two tails overlap;
+    and b-tori, whose components are lines and take any thresholds, so
+    that overlaps of both signs appear."""
+    for name in VALID_B_FILES + COMPACT_FILES:
+        yield raw_description(name), None
+    for a in range(-20, 21):
+        for b in range(-20, a):
+            yield make_corpus.sphere(a, b), None
+    for a, b, k in itertools.product((-2, 0, 3, 7), (-6, -1), (1, 2, 4)):
+        if b < a:
+            yield make_corpus.sphere_times_segment(a, b, k), None
+    for a, c, k in itertools.product((-1, 0, 2, 5), (-1, 1, 4), (None, 2)):
+        data = chain(a, c, k)
+        yield data, None
+        yield data, (-a, -c)
+    for name in ("btorus.json", "btorus_4cycle.json", "strip_btorus.json"):
+        data = raw_description(name)
+        count = len(data["hypersurfaces"])
+        for shift in (0, 2, 5):
+            yield data, tuple(1 - shift - 2 * (i % 2) for i in range(count))
+
+
+def test_run_form_collapse_matches_the_pointwise_oracle(monkeypatch):
+    # the run-form character is byte-identical to the pointwise collapse's,
+    # and verify-qr reads it the same with or without a character; a
+    # corrupted character gets the pointwise first mismatch
+    rng = random.Random(30)
+    partners = {
+        rank: parse(make_corpus.compact(rank, make_corpus.polyhedron(
+            rank, *(
+                (tuple(s * (i == axis) for i in range(rank)), bound)
+                for axis in range(rank) for s, bound in ((1, 2), (-1, 4))
+            )
+        )))
+        for rank in (1, 2)
+    }
+    signs, mismatches = collections.Counter(), 0
+    for data, thresholds in collapse_oracle_cases():
+        d = parse(data)
+        with monkeypatch.context() as patch:
+            if thresholds is not None:
+                inject_matching(patch, tuple(
+                    dataclasses.replace(end, threshold=threshold)
+                    for end, threshold in zip(tail_matching(d), thresholds)
+                ))
+            character = quantize_description(d)
+            if isinstance(d, BSpaceDescription):
+                expected = pointwise_collapse(d)
+                # each term keeps one core with its own sign; the rest
+                # of the pieces are overlaps
+                signs.update(
+                    coefficient for coefficient, _ in engine._pieces(d)
+                )
+                signs.subtract(sign for sign, _ in d.components)
+            else:
+                expected = VirtualCharacter(d.rank, dict.fromkeys(
+                    d.polytope.lattice_points(), 1
+                ))
+            assert json.dumps(character.to_payload()) == \
+                json.dumps(expected.to_payload()), data
+            partner = partners[d.rank]
+            report = verify_qr_product(d, partner)
+            assert report == verify_qr_product(d, partner, character)
+            assert report.matches
+            reflected = partner.polytope.reflect_through_origin()
+            weights = reflected.lattice_points()
+            table = dict(character.items())
+            weight = rng.choice(weights)
+            table[weight] = table.get(weight, 0) + rng.choice((-1, 1))
+            if table and rng.random() < 0.5:
+                del table[rng.choice(sorted(table))]
+            wrong = VirtualCharacter(d.rank, table)
+            first = next((
+                (w, wrong.multiplicity(w), raw_multiplicity(data, w))
+                for w in weights
+                if wrong.multiplicity(w) != raw_multiplicity(data, w)
+            ), None)
+            assert verify_qr_product(d, partner, wrong).first_mismatch == first
+            mismatches += first is not None
+    assert signs[1] > 0 and signs[-1] > 0
+    assert mismatches > 800
+
+
+def stacked_spheres(a, b, c, d, k=None):
+    """Two spheres whose moment images overlap along the last coordinate
+    y, {y <= a} - {y <= b} and {y >= c} - {y >= d}: the character is 2
+    where b < y <= a meets c <= y < d, next to stretches of 1 on the same
+    row.  Crossed with the band 0 <= x <= k when k is given."""
+    band = () if k is None else (((1, 0), k), ((-1, 0), 0))
+    rank = 1 if k is None else 2
+    unit = (0,) * (rank - 1) + (1,)
+    back = tuple(-x for x in unit)
+    leaf = make_corpus.point_leaf() if k is None else make_corpus.segment(0, k)
+    return make_corpus.b_toric(rank, [
+        (1, make_corpus.polyhedron(rank, (unit, a), *band)),
+        (-1, make_corpus.polyhedron(rank, (unit, b), *band)),
+        (1, make_corpus.polyhedron(rank, (back, -c), *band)),
+        (-1, make_corpus.polyhedron(rank, (back, -d), *band)),
+    ], [(unit, unit, leaf, (0, 1)), (back, back, leaf, (2, 3))])
+
+
+@pytest.mark.parametrize("k", [None, 2])
+@pytest.mark.parametrize("a, b, c, d", [
+    (5, 0, 2, 8), (3, -4, -4, 1), (6, -1, 2, 4), (0, -6, -3, 9),
+])
+def test_stacked_spheres_match_the_raw_count(a, b, c, d, k):
+    # runs of different values meet end to end here, which no sphere,
+    # chain or b-torus has: the step sum (_runs) must keep them apart in
+    # the collapse, the self-check and route two alike, so only the raw
+    # count can tell
+    data = stacked_spheres(a, b, c, d, k)
+    description = parse(data)
+    window = ([] if k is None else [range(-2, k + 3)]) + [range(-12, 13)]
+    weights = list(itertools.product(*window))
+    table = dict(quantize_description(description).items())
+    assert set(table) <= set(weights)
+    assert 2 in table.values()
+    assert [table.get(w, 0) for w in weights] == [
+        raw_multiplicity(data, w) for w in weights
+    ]
+    rank = description.rank
+    partner = make_corpus.compact(rank, make_corpus.polyhedron(rank, *(
+        (tuple(s * (i == axis) for i in range(rank)), bound)
+        for axis in range(rank) for s, bound in ((1, 3), (-1, 5))
+    )))
+    report = verify_qr_product(description, parse(partner))
+    reflected = list(itertools.product(*[range(-3, 6)] * rank))
+    expected = sum(raw_multiplicity(data, w) for w in reflected)
+    assert report == QRReport(expected, expected, len(reflected))
 
 
 def test_empty_support_window_is_the_pieces_vertex_extent(monkeypatch):
@@ -419,22 +584,22 @@ def test_empty_support_window_is_the_pieces_vertex_extent(monkeypatch):
     # so the window is the one the vertices would give, range for range
     real, seen = engine._verification_box, {}
 
-    def spy(character, pieces):
-        seen[name] = character, pieces
-        return real(character, pieces)
+    def spy(rows, pieces, rank):
+        seen[name] = rows, pieces, rank
+        return real(rows, pieces, rank)
 
     monkeypatch.setattr(engine, "_verification_box", spy)
     for name in VALID_B_FILES:
         quantize_b(load(name))
-    empty = sorted(name for name, (chi, _) in seen.items() if chi.is_zero())
+    empty = sorted(name for name, (rows, *_) in seen.items() if not rows)
     assert empty == [
         "btorus.json", "btorus_4cycle.json",
         "strip_btorus.json", "strip_btorus_k2.json",
     ]
     for name in empty:
-        character, pieces = seen[name]
+        rows, pieces, rank = seen[name]
         corners = [
-            corner for piece in pieces if not piece.is_empty()
+            corner for _, piece in pieces if not piece.is_empty()
             for corner in piece.vertices()
         ]
         expected = []
@@ -442,7 +607,7 @@ def test_empty_support_window_is_the_pieces_vertex_extent(monkeypatch):
             low, high = math.floor(min(values)), math.ceil(max(values))
             pad = (high - low) // 2 + 1
             expected.append(range(low - pad, high + pad + 1))
-        assert expected and real(character, pieces) == expected
+        assert expected and real(rows, pieces, rank) == expected
 
 
 def test_self_check_tests_rank_0_directly():
@@ -489,6 +654,11 @@ def random_rows(rng, rank):
     return rows
 
 
+def runs_of(table, rank):
+    """A weight -> multiplicity table as the engine's runs of rows."""
+    return engine._character_runs(VirtualCharacter(rank, table))
+
+
 def test_first_difference_matches_the_per_weight_oracle():
     rng = random.Random(43)
     differences = 0
@@ -500,7 +670,7 @@ def test_first_difference_matches_the_per_weight_oracle():
             for head, runs in rows for a, b, value in runs
             for x in range(a, b)
         }
-        assert engine._first_difference(rows, sorted(table.items())) is None
+        assert engine._first_difference(runs_of(table, rank), rows) is None
         box = [range(-4, 5)] * rank
         weights = list(itertools.product(*box))
         kind = rng.randrange(4)
@@ -528,7 +698,7 @@ def test_first_difference_matches_the_per_weight_oracle():
             }
         items = sorted((w, v) for w, v in table.items() if v)
         expected = first_difference_oracle(rows, items, box)
-        assert engine._first_difference(rows, items) == expected
+        assert engine._first_difference(runs_of(table, rank), rows) == expected
         differences += expected is not None
     assert differences > 2000
 
@@ -1147,9 +1317,7 @@ def test_self_check_messages_write_derived_weights_in_full(monkeypatch):
     text = "(" + str(Decimal(HUGE)) + ",)"
     point = LatticePolyhedron(1, [((1,), HUGE), ((-1,), -HUGE)])
     with pytest.raises(SelfCheckError) as info:
-        engine._self_check(
-            ((1, point),), VirtualCharacter.zero(1), [range(HUGE, HUGE + 1)]
-        )
+        engine._self_check(((1, point),), [], [range(HUGE, HUGE + 1)])
     assert str(info.value) == (
         f"collapsed character gives 0 at weight {text} but the formal "
         "signed count is 1"
@@ -1186,10 +1354,12 @@ def test_one_cold_sphere_has_a_fixed_cost(monkeypatch):
     # criterion 1: one rank-1 sphere, validated from a cold cache and
     # quantized, builds 9 polyhedra and makes 1 feasibility test (the rank-0
     # leaf's), 6 box projections, no kernel computation and no Fraction:
-    # box ends and vertices stay integer pairs and tables
+    # box ends and vertices stay integer pairs and tables.  It lists no
+    # piece's lattice points: the character is listed once, from the
+    # collapse's runs of rows
     expected = {
         "polyhedra": 9, "fm_feasible": 1, "fm_box": 6,
-        "rational_kernel_basis": 0, "Fraction": 0,
+        "rational_kernel_basis": 0, "Fraction": 0, "lattice_points": 0,
     }
     counts = dict.fromkeys(expected, 0)
     for name in ("fm_feasible", "fm_box", "rational_kernel_basis"):
@@ -1200,6 +1370,13 @@ def test_one_cold_sphere_has_a_fixed_cost(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(_linalg, name, counted)
+    listing = LatticePolyhedron.lattice_points
+
+    def counted_listing(self):
+        counts["lattice_points"] += 1
+        return listing(self)
+
+    monkeypatch.setattr(LatticePolyhedron, "lattice_points", counted_listing)
     assign = LatticePolyhedron._assign
 
     def counted_assign(self, *args):
@@ -1224,11 +1401,11 @@ def test_one_cold_verify_qr_has_a_fixed_cost(monkeypatch):
     # a timing-free guard on the rank-2 verify-qr path: once parsed,
     # sphere_times_segment(20, -20, 20) against the box [-20, 0]^2,
     # validated from a cold cache, builds 7 polyhedra, solves 12 vertex
-    # systems in integers and builds no Fraction.  It lists lattice points
-    # twice, the collapse's two cores: both routes read the partner off
-    # its certified rows, never listing it
+    # systems in integers and builds no Fraction.  It lists no lattice
+    # point: the collapse's runs of rows go straight to route one, and both
+    # routes read the partner off its certified rows
     expected = {
-        "polyhedra": 7, "solve_unique": 12, "lattice_points": 2,
+        "polyhedra": 7, "solve_unique": 12, "lattice_points": 0,
         "Fraction": 0,
     }
     counts = dict.fromkeys(expected, 0)

@@ -5,9 +5,10 @@ the package; every public one has a user too or is one of the library's
 listed entry points; a name two definitions share is used only through a
 reference that names its own definition, or when a commented list gives
 its caller; every name a module exports exists; the engine reads a
-polyhedron's row scan only where it certifies the rows; a Fraction is
-built only by the listed functions at the public edge; and each module
-imports from inside the package only the modules its listed set names."""
+polyhedron's row scan only where it certifies the rows, and lists weights
+in one place; a Fraction is built only by the listed functions at the
+public edge; and each module imports from inside the package only the
+modules its listed set names."""
 
 import ast
 import importlib
@@ -486,6 +487,77 @@ def test_rows_are_read_only_through_certified_rows():
         name for name, source in sources.items()
         if "def _certified_rows(" in source
     ] == ["polyhedra.py"]
+
+
+def weight_listings(source):
+    """(function, line) for each place in `source` that lists weights: a
+    loop or comprehension over ``range(...)`` whose body builds a weight
+    ``head + (x,)`` from the loop variable x, and each call of
+    ``lattice_points``, named by the innermost function around it."""
+    tree = ast.parse(source)
+    enclosing = {  # the innermost function around each node, as above
+        id(child): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for child in ast.walk(node)
+    }
+
+    def builds_weight(scope, name):
+        return any(
+            isinstance(child, ast.BinOp) and isinstance(child.op, ast.Add)
+            and isinstance(child.right, ast.Tuple)
+            and any(getattr(item, "id", None) == name
+                    for item in child.right.elts)
+            for child in ast.walk(scope)
+        )
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and \
+                getattr(node.func, "attr", None) == "lattice_points":
+            found.append(node)
+        loops = [node] if isinstance(node, ast.For) else getattr(
+            node, "generators", []
+        )
+        if any(
+            isinstance(loop.iter, ast.Call)
+            and getattr(loop.iter.func, "id", None) == "range"
+            and isinstance(loop.target, ast.Name)
+            and builds_weight(node, loop.target.id)
+            for loop in loops
+        ):
+            found.append(node)
+    return sorted(
+        (enclosing.get(id(node), "<module>"), node.lineno) for node in found
+    )
+
+
+def test_scan_finds_a_weight_listing():
+    source = (
+        "def _from_rows(rows):\n"
+        "    return {h + (x,): v for h, (a, b, v) in rows\n"
+        "            for x in range(a, b)}\n"
+        "def walk(p, head):\n"
+        "    for x in range(3):\n        yield head + (x,)\n"
+        "def count(p, head, x):\n"
+        "    return [p.lattice_points(), head + (x,), range(x)]\n"
+        "def sizes(n):\n    return [(x,) for x in range(n)]\n"
+    )
+    assert weight_listings(source) == [
+        ("_from_rows", 2), ("count", 8), ("walk", 5)
+    ]
+
+
+def test_only_from_rows_lists_weights():
+    # the engine keeps characters in runs of rows, and only
+    # VirtualCharacter._from_rows lists their weights, once, in order
+    root = Path(bquant.__file__).parent
+    assert {
+        name: [function for function, _ in weight_listings(
+            (root / name).read_text()
+        )]
+        for name in ("engine.py", "characters.py")
+    } == {"engine.py": [], "characters.py": ["_from_rows"]}
 
 
 def field_check_texts(source, checker="_fields"):
