@@ -22,8 +22,9 @@ rows only as that reader hands them on.  The collapse is re-checked
 against the formal character, run for run, on a window twice the size of
 its support; _first_difference names the least weight where two run
 lists part, and facet_weights reads a support's rows once for its
-facet-boundary weights.  Only a character handed out as a
-VirtualCharacter is listed, once, in order (VirtualCharacter._from_rows):
+facet-boundary weights.  _character_rows is the one place a description
+becomes its character in runs, and _character the one place it becomes a
+VirtualCharacter, listed once, in order (VirtualCharacter._from_rows);
 verify-qr compares runs with runs and lists no weight.
 """
 
@@ -259,13 +260,10 @@ def _first_difference(found, expected):
 def quantize_compact_toric(space):
     """Character of a compact toric space: each lattice point of the moment
     polytope contributes one weight with multiplicity 1, listed once from
-    the polytope's certified runs of rows (_hull_rows)."""
+    the polytope's certified runs of rows (_character)."""
     if not isinstance(space, CompactToricSpace):
         raise TypeError("expected a CompactToricSpace")
-    require_validated(space)
-    if not space.rank:
-        return VirtualCharacter(0, {(): int(not space.polytope.is_empty())})
-    return VirtualCharacter._from_rows(space.rank, _hull_rows(_terms(space)))
+    return _character(space)
 
 
 # ----------------------------------------------------------------------
@@ -282,31 +280,29 @@ def collapse_signed_tails(description, self_check=True):
     inclusion-exclusion; the collapse certifies that every core and overlap
     is bounded (NotFiniteError with the term and direction otherwise).
 
-    The signed sum of these pieces is kept in runs of rows (_collapse)
-    and re-checked against the formal character run for run on a window
-    twice the size of its support (_self_check, SelfCheckError
-    otherwise).  Only then are its weights listed, once, in order
-    (VirtualCharacter._from_rows, which raises EnumerationBudgetError over
-    the budget).  In rank 0 the one weight () is counted directly.
+    The signed sum of these pieces is kept in runs of rows
+    (_character_rows) and re-checked against the formal character run for
+    run on a window twice the size of its support (_self_check,
+    SelfCheckError otherwise).  Only then are its weights listed, once, in
+    order (_character, which raises EnumerationBudgetError over the
+    budget).
     """
-    if description.rank:
-        return VirtualCharacter._from_rows(
-            description.rank, _collapse(description, self_check)
-        )
-    character = VirtualCharacter(0, {(): sum(
-        coefficient for coefficient, piece in _pieces(description)
-        if not piece.is_empty()
-    )})
-    if self_check:
-        _self_check(_terms(description), character, [])
-    return character
+    if not isinstance(description, BSpaceDescription):
+        raise TypeError("expected a BSpaceDescription")
+    return _character(description, self_check)
 
 
 def _pieces(description):
-    """The collapse's bounded (coefficient, piece) pairs of a singular
-    description, in a fixed order: each term's core with the term's sign,
-    then the inclusion-exclusion overlaps of its tails.  Raises
-    NotFiniteError when a core or an overlap is unbounded."""
+    """The bounded (coefficient, piece) pairs whose signed sum is the
+    character of a compact or singular description, in a fixed order: a
+    compact description's polytope with coefficient 1; a singular one's
+    collapse, each term's core with the term's sign, then the
+    inclusion-exclusion overlaps of its tails.  Raises NotValidatedError
+    when the description fails validation, and NotFiniteError when a core
+    or an overlap is unbounded."""
+    if isinstance(description, CompactToricSpace):
+        require_validated(description)
+        return list(_terms(description))
     matching = tail_matching(description)
     ends_at = {}
     for end in matching:
@@ -352,21 +348,41 @@ def _pieces(description):
     return pieces
 
 
-def _collapse(description, self_check=True):
-    """The collapsed character of a singular description of rank at least
-    1 in _step_rows's form: the signed sum of its pieces (_pieces), read
-    off their certified runs of rows over their hull (_hull_rows), with no
-    weight listed.  With `self_check`, the runs are compared with the
-    formal count's on the self-check window (_self_check) before they are
-    handed on."""
+def _character_rows(description, self_check=True):
+    """The character of a compact or singular description of rank at
+    least 1 in _step_rows's form, with no weight listed: the signed sum of
+    its pieces (_pieces), read off their certified runs of rows over their
+    hull (_hull_rows).  With `self_check`, a singular description's runs
+    are compared with the formal count's on the self-check window
+    (_self_check) before they are handed on; a compact description's one
+    piece is its polytope, which leaves nothing to re-check."""
     pieces = _pieces(description)
     rows = _hull_rows(pieces)
-    if self_check:
+    if self_check and isinstance(description, BSpaceDescription):
         _self_check(
             _terms(description), rows,
             _verification_box(rows, pieces, description.rank),
         )
     return rows
+
+
+def _character(description, self_check=True):
+    """The character of a compact or singular description as a
+    VirtualCharacter: _character_rows, its weights listed once
+    (VirtualCharacter._from_rows).  Rank 0 has no rows: the one weight ()
+    carries the coefficients of the nonempty pieces, re-checked with
+    `self_check` like the runs (_self_check)."""
+    if description.rank:
+        return VirtualCharacter._from_rows(
+            description.rank, _character_rows(description, self_check)
+        )
+    character = VirtualCharacter(0, {(): sum(
+        coefficient for coefficient, piece in _pieces(description)
+        if not piece.is_empty()
+    )})
+    if self_check:
+        _self_check(_terms(description), character, [])
+    return character
 
 
 def _self_check(terms, found, window):
@@ -439,19 +455,6 @@ def _verification_box(rows, pieces, rank):
     ]
 
 
-def _singular_type(description):
-    """Raise ZeroModularWeightError when every modular weight of the
-    singular `description` vanishes: that is the other branch of the
-    modular-weight dichotomy, where this engine does not apply."""
-    records = description.hypersurfaces
-    if records and all(not any(r.modular_weight) for r in records):
-        raise ZeroModularWeightError(
-            "every modular weight vanishes; by the modular-weight dichotomy "
-            "this description is not of singular type and has no tails to "
-            "cancel"
-        )
-
-
 def quantize_b(description):
     """Finite character of a validated singular description.
 
@@ -460,11 +463,18 @@ def quantize_b(description):
     bounded, and the self-check (_self_check) re-checks the result.
 
     Raises ZeroModularWeightError before validation when every modular
-    weight vanishes (_singular_type).
+    weight vanishes: that is the other branch of the modular-weight
+    dichotomy, where this engine does not apply.
     """
     if not isinstance(description, BSpaceDescription):
         raise TypeError("expected a BSpaceDescription")
-    _singular_type(description)
+    records = description.hypersurfaces
+    if records and all(not any(r.modular_weight) for r in records):
+        raise ZeroModularWeightError(
+            "every modular weight vanishes; by the modular-weight dichotomy "
+            "this description is not of singular type and has no tails to "
+            "cancel"
+        )
     return collapse_signed_tails(description)
 
 
@@ -605,8 +615,8 @@ def verify_qr_product(description, partner, character=None):
     character of `description` and P that of `partner`: the sum over w of
     chi(w) * P(-w), that is, chi's runs of rows clipped to -P's interval
     on each row and summed.  With no `character` given, chi's runs come
-    straight from the engine (the self-checked collapse, or the
-    polytope's certified rows) and no character is listed.  Route two
+    straight from the engine (_character_rows: the self-checked collapse,
+    or the polytope's certified rows) and no character is listed.  Route two
     never forms the first character: it counts reduced-space points of
     `description` directly on the same weights, from the components'
     certified runs of rows (_box_rows, as in the self-check), clipped to
@@ -634,7 +644,7 @@ def verify_qr_product(description, partner, character=None):
     if character is not None:
         _check_rank(description, character)
     elif not description.rank:
-        character = quantize_description(description)
+        character = _character(description)
 
     terms = _terms(description)
     reflected = partner.polytope.reflect_through_origin()
@@ -645,13 +655,10 @@ def verify_qr_product(description, partner, character=None):
         checked = 1
         first_mismatch = None if found == expected else ((), found, expected)
     else:
-        if character is not None:
-            runs_of_chi = dict(_character_runs(character))
-        elif isinstance(description, CompactToricSpace):
-            runs_of_chi = dict(_hull_rows(terms))
-        else:
-            _singular_type(description)
-            runs_of_chi = dict(_collapse(description))
+        runs_of_chi = dict(
+            _character_rows(description) if character is None
+            else _character_runs(character)
+        )
         # the reflected box is the partner's, negated
         box = [
             range(1 - values.stop, 1 - values.start)
