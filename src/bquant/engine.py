@@ -350,12 +350,10 @@ def _pieces(description):
 
 def _character_rows(description, self_check=True):
     """The character of a compact or singular description of rank at
-    least 1 in _step_rows's form, with no weight listed: the signed sum of
-    its pieces (_pieces), read off their certified runs of rows over their
-    hull (_hull_rows).  With `self_check`, a singular description's runs
-    are compared with the formal count's on the self-check window
-    (_self_check) before they are handed on; a compact description's one
-    piece is its polytope, which leaves nothing to re-check."""
+    least 1 in _step_rows's form, listing no weight: its pieces (_pieces)
+    summed over their hull (_hull_rows).  With `self_check`, a singular
+    description's runs are compared with the formal count's (_self_check)
+    before they are handed on; a compact one's one piece is its polytope."""
     pieces = _pieces(description)
     rows = _hull_rows(pieces)
     if self_check and isinstance(description, BSpaceDescription):

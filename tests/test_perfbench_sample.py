@@ -37,7 +37,10 @@ def test_traced_sample_runs(workload):
     assert record["validations"] == record["descriptions"]
     # spans of layers each workload passes through; verify-qr reads the
     # collapse's runs without collapse_signed_tails, and no workload lists
-    # a polyhedron's lattice points
+    # a polyhedron's lattice points.  The trace's counts stay empty: the
+    # benchmark fills them only from LatticePolyhedron.lattice_points and
+    # VirtualCharacter.tensor, which neither workload calls, until it
+    # counts the rows and runs read (ROADMAP item 4)
     spans = {"spaces.parse", "spaces.validate", "engine.match", "linalg.fm"}
     if workload == "sphere_family":
         spans.add("engine.collapse")
